@@ -47,28 +47,16 @@ def pathloss_rate(distance: float, chi: float) -> float:
     return float(distance) ** chi
 
 
-def best_source_cdf(x, lam: float, num_sources: int, form: str = "product"):
-    """CDF of the largest of ``num_sources`` i.i.d. Exp(lam) gains.
-
-    ``form='product'`` evaluates (1 - exp(-lam x))**M directly;
-    ``form='expansion'`` evaluates the equivalent alternating binomial sum
-    1 + sum_b (-1)**b C(M, b) exp(-b lam x), the shape the analytic
-    evaluators integrate term by term.
-    """
+def best_source_cdf(x, lam: float, num_sources: int):
+    """CDF (1 - exp(-lam x))**M of the largest of ``num_sources`` i.i.d.
+    Exp(lam) gains."""
     if lam <= 0:
         raise ValueError(f"rate parameter must be positive, got {lam}")
     if num_sources < 1:
         raise ValueError(f"need at least one source, got {num_sources}")
     if np.any(np.asarray(x) < 0):
         raise ValueError("gain must be nonnegative")
-    if form == "product":
-        out = (-np.expm1(-lam * np.asarray(x, dtype=float))) ** num_sources
-    elif form == "expansion":
-        out = np.ones_like(np.asarray(x, dtype=float))
-        for b in range(1, num_sources + 1):
-            out = out + (-1.0) ** b * math.comb(num_sources, b) * np.exp(-b * lam * x)
-    else:
-        raise ValueError(f"unknown form {form!r}")
+    out = (-np.expm1(-lam * np.asarray(x, dtype=float))) ** num_sources
     return float(out) if np.isscalar(x) else out
 
 

@@ -1,8 +1,9 @@
 """Command-line experiment runner.
 
-Subcommands: ``point`` (one parameter point), ``sweep`` (one variable sweep
-written as CSV), ``compare`` (analytic-vs-MC agreement report on a sweep
-CSV), ``scenario-check`` (validate a scenario file and print its rates).
+Subcommands: ``point`` (one parameter point, run as a one-point psi sweep),
+``sweep`` (one variable sweep written as CSV), ``compare`` (analytic-vs-MC
+agreement report on a sweep CSV), ``scenario-check`` (validate a scenario
+file and print its rates).
 All dB-valued inputs convert to linear as 10**(x/10) at this boundary; the
 library below is strictly linear.
 """
@@ -12,19 +13,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analytic import AnalyticConfig
 from .channel import LINK_KEYS, pathloss_rate
 from .core import SystemParams
-from .montecarlo import SimConfig, simulate_point
+from .montecarlo import SimConfig
 from .scenario import ScenarioError, packaged_scenarios, resolve_scenario
 from .specfun import NumericalError
 from .sweep import (
     SchemePoint,
-    SweepResult,
-    SweepRow,
     SweepSpec,
-    analytic_ip,
-    analytic_op,
     compare_report,
     read_csv,
     run_sweep,
@@ -110,37 +106,30 @@ def _build_sim(args, scheme: str) -> SimConfig:
 
 
 def _cmd_point(args) -> int:
-    stats = resolve_scenario(args.scenario)
-    params = _build_params(args, args.rho)
-    sim = _build_sim(args, args.scheme)
-    jamming = args.jamming == "on"
-    cfg = AnalyticConfig()
-    row = SweepRow(value=args.psi_db, scheme=args.scheme if args.scheme == "dpsr"
-                   else f"spsr@{args.rho:g}")
-    errors = []
-    try:
-        row.op_analytic = analytic_op(params, stats, args.scheme, cfg)
-        row.ip_analytic = analytic_ip(params, stats, args.scheme, jamming, cfg)
-    except (NumericalError, ValueError) as exc:
-        errors.append(f"analytic: {exc}")
-    op_est, ip_est = simulate_point(params, stats, sim)
-    row.op_mc, row.op_ci = op_est.estimate, op_est.ci_halfwidth
-    row.ip_mc, row.ip_ci = ip_est.estimate, ip_est.ci_halfwidth
-    row.error = "; ".join(errors)
+    scheme = SchemePoint("dpsr") if args.scheme == "dpsr" else SchemePoint("spsr", args.rho)
+    spec = SweepSpec(
+        variable="psi_db", start=args.psi_db, stop=args.psi_db, step=1.0,
+        params=_build_params(args, args.rho), stats=resolve_scenario(args.scenario),
+        sim=_build_sim(args, args.scheme), schemes=(scheme,),
+    )
+    result = run_sweep(spec)
+    row = result.rows[0]
 
     print(f"scenario={args.scenario} scheme={row.scheme} psi={args.psi_db:g} dB "
           f"phi={args.phi_db:g} dB jamming={args.jamming} e1_mode={args.e1_mode} "
-          f"trials={sim.trials}")
+          f"trials={spec.sim.trials}")
     if row.op_analytic is not None:
         print(f"  OP analytic = {row.op_analytic:.6g}")
-    print(f"  OP mc       = {row.op_mc:.6g} +/- {row.op_ci:.2g}")
+    if row.op_mc is not None:
+        print(f"  OP mc       = {row.op_mc:.6g} +/- {row.op_ci:.2g}")
     if row.ip_analytic is not None:
         print(f"  IP analytic = {row.ip_analytic:.6g}")
-    print(f"  IP mc       = {row.ip_mc:.6g} +/- {row.ip_ci:.2g}")
+    if row.ip_mc is not None:
+        print(f"  IP mc       = {row.ip_mc:.6g} +/- {row.ip_ci:.2g}")
     if row.error:
         print(f"  error: {row.error}", file=sys.stderr)
     if args.output:
-        write_csv(SweepResult("psi_db", [row]), args.output)
+        write_csv(result, args.output)
         print(f"wrote {args.output}")
     return 1 if row.error else 0
 

@@ -2,8 +2,9 @@
 
 A sweep varies one of ``psi_db``, ``rho``, ``M``, ``K``, ``phi_db`` and
 produces one row per (point, scheme).  Analytic outage uses the fast
-closed/series forms; analytic intercept uses the reference quadrature forms
-(the intercept series is asymptotic and not usable across a sweep).  Each
+closed/series forms; analytic intercept uses ``ip_*_quadrature``, the
+Gauss-Legendre averages of the closed-form slot factors (the intercept series
+is asymptotic and not usable across a sweep).  Each
 point draws its Monte-Carlo seed from (master seed, point index), so points
 can be computed in any order, or concurrently, without changing results.
 """

@@ -6,6 +6,7 @@ import pytest
 from swipt_plsec import (
     AnalyticConfig,
     ChannelStats,
+    QuadratureError,
     SeriesNotConverged,
     SystemParams,
     ip_dpsr,
@@ -20,8 +21,7 @@ from swipt_plsec import (
     op_spsr_quadrature,
 )
 from swipt_plsec.analytic import (
-    InterceptScratch,
-    SplitFactors,
+    _gamma_average,
     dpsr_slot2_factor,
     dpsr_slot2_factor_quadrature,
     dpsr_slot2_kernel,
@@ -271,29 +271,30 @@ class TestInterceptPieces:
         assert k0 > k5 > 0
 
 
-class TestScratchTypes:
-    def test_split_factors_are_reciprocal_fractions(self):
-        eta, gain = 0.8, 2.0
-        fac = SplitFactors.at(eta, gain)
-        g = math.sqrt(eta * gain)
-        rho_opt = 1.0 / (1.0 + g)
-        assert fac.inv_harvest == pytest.approx(1.0 / rho_opt, rel=1e-14)
-        assert fac.inv_info == pytest.approx(1.0 / (1.0 - rho_opt), rel=1e-14)
-        assert fac.inv_harvest >= 1.0
+class TestAveragingKernel:
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_slot1_average_is_the_closed_mass(self, s1, k):
+        p = make_params(num_jammers=k)
+        avg = _gamma_average(lambda x: slot1_outage_factor(p, s1, x),
+                             s1.lambda_je, k, QuadratureSpec())
+        assert 1.0 - avg == pytest.approx(slot1_intercept_probability(p, s1), rel=1e-12)
 
-    def test_split_factors_degenerate_gain(self):
-        fac = SplitFactors.at(0.8, 0.0)
-        assert fac.inv_harvest == 1.0
-        assert math.isinf(fac.inv_info)
+    def test_unresolved_integrand_raises_with_its_accuracy(self):
+        # a step inside a panel defeats both Gauss-Legendre rules
+        with pytest.raises(QuadratureError) as exc:
+            _gamma_average(lambda x: np.where(x > 1.3, 1.0, 0.0), 1.0, 1, QuadratureSpec())
+        assert exc.value.value == pytest.approx(math.exp(-1.3), abs=1e-2)
+        assert 1e-8 * exc.value.value < exc.value.error_estimate < 1e-1
 
-    def test_scratch_invariants(self, s1):
-        p = make_params(rho=0.55)
-        sc = InterceptScratch.from_params(p, s1, gamma_rd=1.5, omega=0.3)
-        assert sc.rho_complement == pytest.approx(0.45)
-        assert sc.tilted_jammer_rate >= sc.jammer_rate
-        assert sc.rd_factors.inv_harvest >= 1.0
-        assert sc.omega_factors.inv_harvest >= 1.0
-
-    def test_scratch_rejects_untilted_rate(self):
-        with pytest.raises(ValueError):
-            InterceptScratch(rho_complement=0.5, jammer_rate=1.0, tilted_jammer_rate=0.5)
+    # values of the nested scipy.quad routes at the figure_ip benchmark points
+    @pytest.mark.parametrize("psi_db,spsr_lo,spsr_hi,dpsr", [
+        (0.0, 0.053712410853, 0.0760080995633, 0.0705640990776),
+        (10.0, 0.465904472931, 0.666301566615, 0.543115431474),
+    ])
+    def test_figure_points_keep_the_nested_quadrature_values(self, s1, psi_db, spsr_lo,
+                                                             spsr_hi, dpsr):
+        assert ip_spsr_quadrature(make_params(psi_db=psi_db, rho=0.225), s1) == \
+            pytest.approx(spsr_lo, abs=1e-9)
+        assert ip_spsr_quadrature(make_params(psi_db=psi_db, rho=0.875), s1) == \
+            pytest.approx(spsr_hi, abs=1e-9)
+        assert ip_dpsr_quadrature(make_params(psi_db=psi_db), s1) == pytest.approx(dpsr, abs=1e-9)

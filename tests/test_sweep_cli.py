@@ -218,6 +218,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "OP analytic" in out and "IP mc" in out
 
+    def test_point_is_row_zero_of_a_one_point_sweep(self, tmp_path):
+        args = ["--scenario", "s1", "--scheme", "dpsr", "--psi-db", "2", "--trials", "3000",
+                "--e1-mode", "approx", "--seed", "7"]
+        assert main(["point", *args, "--output", str(tmp_path / "p.csv")]) == 0
+        assert main(["sweep", *args, "--sweep", "psi_db:2:2:1",
+                     "--output", str(tmp_path / "s.csv")]) == 0
+        point, = read_csv(tmp_path / "p.csv").rows
+        row, = read_csv(tmp_path / "s.csv").rows
+        point.runtime_ms = row.runtime_ms = None
+        assert point == row
+
     def test_sweep_and_compare(self, tmp_path, capsys):
         out_csv = tmp_path / "s.csv"
         rc = main(["sweep", "--scenario", "s1", "--sweep", "psi_db:0:2:1",
