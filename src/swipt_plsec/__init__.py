@@ -42,6 +42,7 @@ from .core import (
 from .montecarlo import EstimateWithCI, SimConfig, simulate_ip, simulate_op, simulate_point
 from .scenario import load_scenario, parse_scenario, resolve_scenario
 from .specfun import (
+    CancellationError,
     NumericalError,
     QuadratureError,
     QuadratureSpec,
@@ -57,6 +58,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticConfig",
+    "CancellationError",
     "ChannelDraw",
     "ChannelStats",
     "EstimateWithCI",

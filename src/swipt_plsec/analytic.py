@@ -25,6 +25,7 @@ the attainable accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -33,6 +34,7 @@ import numpy as np
 from .channel import ChannelStats, best_source_cdf, erlang_pdf_xi
 from .core import SystemParams, rho_star
 from .specfun import (
+    CancellationError,
     QuadratureError,
     QuadratureSpec,
     SeriesNotConverged,
@@ -131,9 +133,15 @@ def _composite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (mid + half * t).ravel(), (half * w).ravel()
 
 
-# (coarse, fine): the 12-point rule's distance from the 16-point one is the
-# error estimate; a half-order embedded rule overstates it by orders of magnitude
-_RULES = (_composite_rule(12), _composite_rule(16))
+@functools.cache
+def _rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    # (coarse, fine): the 12-point rule's distance from the 16-point one is the
+    # error estimate; a half-order embedded rule overstates it by orders of
+    # magnitude.  Built on first use: leggauss's first LAPACK call costs
+    # resident memory that OP-only runs never need.
+    return _composite_rule(12), _composite_rule(16)
+
+
 # nodes per integrand call, so nested averages hold (128, 128) blocks, not (640, 640)
 _BLOCK = 128
 
@@ -149,7 +157,7 @@ def _gamma_average(f, lam: float, k: int, spec: QuadratureSpec):
     not finite.
     """
     sums = []
-    for u, w in _RULES:
+    for u, w in _rules():
         x = np.exp(u) / lam
         wx = w * x * erlang_pdf_xi(x, lam, k)
         sums.append(sum(f(x[i:i + _BLOCK]) @ wx[i:i + _BLOCK] for i in range(0, x.size, _BLOCK)))
@@ -276,7 +284,12 @@ def _slot2_no_intercept(p: SystemParams, s: ChannelStats, rho, dilution):
     """Probability the second-slot wiretap SNR stays below threshold at
     splitting ratio ``rho`` and jamming dilution ``phi*x + 1`` (closed Bessel
     form; the two arrays broadcast).  ``rho = 1`` leaves no information power
-    in slot 2, so the probability is 1 there."""
+    in slot 2, so the probability is 1 there.
+
+    The alternating binomial sum cancels as M grows.  Raises
+    :class:`CancellationError` where its rounding bound eps*(1 + sum |terms|)
+    exceeds max(rel_tol*|value|, abs_tol) of the default quadrature spec;
+    the bound is at most eps*2**M, under 1e-12 for M <= 12."""
     rho = np.asarray(rho, dtype=float)
     harvest = s.lambda_sr * s.lambda_re * p.gamma_th / (p.eta * p.psi) * (dilution / rho)
     if p.gamma_th == 0:
@@ -284,9 +297,21 @@ def _slot2_no_intercept(p: SystemParams, s: ChannelStats, rho, dilution):
     with np.errstate(divide="ignore"):
         info = -s.lambda_sr * p.gamma_th / ((1.0 - rho) * p.psi)
     acc = 1.0
+    magnitude = 1.0  # 1 + sum of |terms|
     for b, coef in _binom_coeffs(p.num_sources):
         r = np.sqrt(b * harvest)
-        acc += 2.0 * coef * np.exp(b * info) * r * bessel_k(1, 2.0 * r)
+        term = 2.0 * coef * np.exp(b * info) * r * bessel_k(1, 2.0 * r)
+        acc += term
+        magnitude += np.abs(term)
+    bound = np.finfo(float).eps * magnitude
+    spec = DEFAULT_CONFIG.quad
+    bad = bound > np.maximum(spec.rel_tol * np.abs(acc), spec.abs_tol)
+    if np.any(bad):
+        i = np.argmax(np.ravel(bad))
+        v, e = float(np.ravel(acc)[i]), float(np.ravel(bound)[i])
+        raise CancellationError(
+            f"binomial terms of the slot-2 factor cancel: rounding bound {e:.3e} on "
+            f"value {v:.6e}, above max(rel_tol*|value|, abs_tol)", v, e)
     return acc
 
 

@@ -79,7 +79,10 @@ def _add_model_args(sub: argparse.ArgumentParser, for_sweep: bool) -> None:
     sub.add_argument("--paper-fidelity", action="store_true",
                      help=f"use {PAPER_FIDELITY_TRIALS} trials per point")
     sub.add_argument("--seed", type=int, default=12345, help="master seed")
-    sub.add_argument("--workers", type=int, default=1, help="stream partitions")
+    sub.add_argument("--workers", type=int, default=1,
+                     help="stream partitions, run concurrently on at most as many threads "
+                          "as there are usable CPUs; a fixed (seed, workers) reproduces "
+                          "bitwise")
     if for_sweep:
         sub.add_argument("--scheme", default="spsr,dpsr",
                          help="comma list drawn from {spsr, dpsr}")

@@ -18,6 +18,7 @@ from scipy import integrate as _scipy_integrate
 from scipy import special as _special
 
 __all__ = [
+    "CancellationError",
     "NumericalError",
     "QuadratureError",
     "SeriesNotConverged",
@@ -42,6 +43,19 @@ class QuadratureError(NumericalError):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+
+
+class CancellationError(NumericalError):
+    """A closed form's terms cancel below its accuracy contract.
+
+    ``value`` is the computed result and ``bound`` the bound
+    ``eps * (1 + sum |terms|)`` on its rounding error.
+    """
+
+    def __init__(self, message: str, value: float, bound: float):
+        super().__init__(message)
+        self.value = value
+        self.bound = bound
 
 
 class SeriesNotConverged(NumericalError):

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from swipt_plsec import (
     AnalyticConfig,
+    CancellationError,
     ChannelStats,
     QuadratureError,
     SeriesNotConverged,
@@ -202,6 +206,21 @@ class TestInterceptPieces:
             ref = slot2_outage_factor_quadrature(p, s1, x)
             assert closed == pytest.approx(ref, rel=1e-6)
 
+    def test_slot2_factor_kept_where_its_rounding_bound_is_small(self, s1):
+        p = make_params(psi_db=10.0, num_sources=16)
+        assert slot2_outage_factor(p, s1, 1.0) == pytest.approx(
+            slot2_outage_factor_quadrature(p, s1, 1.0), rel=1e-10)
+
+    @pytest.mark.parametrize("m,psi_db", [(60, 10.0), (40, 25.0)])
+    def test_slot2_factor_refuses_cancelled_sums(self, s1, m, psi_db):
+        # at M 60 / 10 dB the binomial sum comes out as -0.121 against 0.0613
+        p = make_params(psi_db=psi_db, num_sources=m)
+        with pytest.raises(CancellationError) as exc:
+            slot2_outage_factor(p, s1, 1.0)
+        ref = slot2_outage_factor_quadrature(p, s1, 1.0)
+        assert abs(exc.value.value - ref) > 1e-8 * ref
+        assert exc.value.bound > 1e-8 * abs(exc.value.value)
+
     def test_slot2_factor_mirrors_outage_form_without_jamming(self, s1):
         # at zero aggregate the factor has the outage closed form with the
         # relay-to-eavesdropper rate in the Bessel argument
@@ -285,6 +304,16 @@ class TestAveragingKernel:
             _gamma_average(lambda x: np.where(x > 1.3, 1.0, 0.0), 1.0, 1, QuadratureSpec())
         assert exc.value.value == pytest.approx(math.exp(-1.3), abs=1e-2)
         assert 1e-8 * exc.value.value < exc.value.error_estimate < 1e-1
+
+    def test_nodes_are_built_on_first_use(self):
+        # an OP-only run never pays for the node tables
+        code = ("import swipt_plsec.analytic as a; from swipt_plsec import resolve_scenario; "
+                "from conftest import make_params; a.op_spsr(make_params(), resolve_scenario('s1')); "
+                "print(a._rules.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "0"
 
     # values of the nested scipy.quad routes at the figure_ip benchmark points
     @pytest.mark.parametrize("psi_db,spsr_lo,spsr_hi,dpsr", [

@@ -10,7 +10,7 @@ from swipt_plsec import (
     erlang_pdf_xi,
     pathloss_rate,
 )
-from swipt_plsec.channel import worker_stream
+from swipt_plsec.channel import ROW_BLOCK, worker_stream
 from swipt_plsec.scenario import ScenarioError, load_scenario, parse_scenario, resolve_scenario
 from swipt_plsec.specfun import QuadratureSpec, integrate
 
@@ -182,3 +182,27 @@ class TestDrawChannels:
         a = draw_channels(s1, p1, worker_stream(7, 0), size=50_000)
         b = draw_channels(s1, p3, worker_stream(7, 0), size=50_000)
         assert b.gamma_sr_best.mean() > a.gamma_sr_best.mean() * 1.3
+
+    @pytest.mark.parametrize("m,k", [(1, 1), (3, 4), (8, 8), (9, 9)])
+    def test_row_blocks_match_the_plain_draw_bitwise(self, s1, m, k):
+        # several full row blocks and a partial one; the plain form is the oracle
+        p = make_params(num_sources=m, num_jammers=k)
+        n = 3 * ROW_BLOCK + 123
+        got_rng, ref_rng = worker_stream(5, 0), worker_stream(5, 0)
+        got = draw_channels(s1, p, got_rng, size=n)
+
+        def exp(lam, shape):
+            return -np.log1p(-ref_rng.random(shape)) / lam
+
+        ref = (exp(s1.lambda_sr, (n, m)).max(axis=1), exp(s1.lambda_se, n),
+               exp(s1.lambda_rd, n), exp(s1.lambda_re, n), exp(s1.lambda_je, (n, k)).sum(axis=1))
+        for a, b in zip((got.gamma_sr_best, got.gamma_se, got.gamma_rd, got.gamma_re, got.xi), ref):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert got_rng.random() == ref_rng.random()  # same stream position afterwards
+
+    def test_scalar_draw_is_the_first_row(self, s1):
+        p = make_params(num_sources=3, num_jammers=9)
+        one = draw_channels(s1, p, worker_stream(3, 0))
+        batch = draw_channels(s1, p, worker_stream(3, 0), size=1)
+        assert one.gamma_sr_best == batch.gamma_sr_best[0]
+        assert one.xi == batch.xi[0]

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from swipt_plsec import (
     simulate_op,
     simulate_point,
 )
+from swipt_plsec import montecarlo
 from swipt_plsec.channel import draw_channels, worker_stream
 
 from conftest import make_params
@@ -135,3 +138,91 @@ class TestEngine:
         exact = simulate_ip(p, s1, SimConfig(trials=200_000, seed=9, e1_mode="exact"))
         approx = simulate_ip(p, s1, SimConfig(trials=200_000, seed=9, e1_mode="approx"))
         assert approx.estimate >= exact.estimate
+
+
+# (op, ip) success counts of simulate_point at s1, trials=600_001, seed=7, for
+# (workers, scheme) in (1, spsr), (1, dpsr), (3, spsr), (3, dpsr); recorded with
+# the engine that drew each (n, M) and (n, K) block in one call and reduced it
+# with max(axis=1) and sum(axis=1)
+PINNED_COUNTS = {
+    (1, 1): ((189361, 40432), (176090, 30610), (190823, 40012), (177495, 30203)),
+    (1, 4): ((189691, 1071), (176431, 652), (190823, 1056), (177495, 654)),
+    (1, 8): ((189882, 33), (176643, 29), (190823, 39), (177495, 25)),
+    (1, 9): ((190038, 20), (176637, 10), (190823, 14), (177495, 12)),
+    (3, 1): ((39578, 83128), (34591, 62613), (39673, 83104), (34833, 62397)),
+    (3, 4): ((39632, 2928), (34599, 1799), (39673, 2948), (34833, 1793)),
+    (3, 8): ((39564, 100), (34629, 76), (39673, 105), (34833, 62)),
+    (3, 9): ((39377, 55), (34418, 30), (39673, 42), (34833, 35)),
+    (8, 1): ((14848, 132348), (11494, 101300), (15253, 132213), (11818, 101264)),
+    (8, 4): ((14991, 6531), (11550, 4015), (15253, 6603), (11818, 4019)),
+    (8, 8): ((14939, 253), (11588, 151), (15253, 248), (11818, 154)),
+    (8, 9): ((14990, 122), (11576, 89), (15253, 117), (11818, 83)),
+    (9, 1): ((14051, 138933), (10721, 106774), (13997, 138288), (10656, 106169)),
+    (9, 4): ((14045, 7176), (10721, 4546), (13997, 6995), (10656, 4219)),
+    (9, 8): ((14044, 269), (10745, 167), (13997, 263), (10656, 168)),
+    (9, 9): ((14010, 141), (10695, 99), (13997, 133), (10656, 99)),
+}
+
+
+class TestStreams:
+    @pytest.mark.parametrize("m,k", sorted(PINNED_COUNTS))
+    def test_counts_are_pinned(self, s1, m, k):
+        # 600_001 trials: full and partial chunks, and a remainder worker at 3
+        p = make_params(num_sources=m, num_jammers=k)
+        got = []
+        for workers in (1, 3):
+            for scheme in ("spsr", "dpsr"):
+                c = SimConfig(trials=600_001, seed=7, workers=workers, scheme=scheme)
+                op, ip = simulate_point(p, s1, c)
+                got.append((op.successes, ip.successes))
+        assert tuple(got) == PINNED_COUNTS[m, k]
+
+
+def _sequential_counts(p, s, c):
+    op_total = ip_total = 0
+    for worker, n_worker in enumerate(c.partition()):
+        rng = worker_stream(c.seed, worker)
+        for lo in range(0, n_worker, montecarlo._CHUNK):
+            op, ip = montecarlo._count_chunk(p, s, c, rng, min(montecarlo._CHUNK, n_worker - lo))
+            op_total += op
+            ip_total += ip
+    return op_total, ip_total
+
+
+class TestWorkerThreads:
+    @pytest.mark.parametrize("cpus", [None, 1])
+    def test_threads_capped_and_counts_sequential(self, s1, monkeypatch, cpus):
+        if cpus is not None:
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        cap = min(64, montecarlo._usable_cpus())
+        p = make_params(num_sources=3, num_jammers=2)
+        c = SimConfig(trials=64 * 700 + 5, seed=13, workers=64)
+        idents = set()
+        lock = threading.Lock()
+        in_flight = peak = 0
+        count_chunk = montecarlo._count_chunk
+
+        def recorded(*args):
+            nonlocal in_flight, peak
+            with lock:
+                idents.add(threading.get_ident())
+                in_flight += 1
+                peak = max(peak, in_flight)
+            try:
+                return count_chunk(*args)
+            finally:
+                with lock:
+                    in_flight -= 1
+
+        monkeypatch.setattr(montecarlo, "_count_chunk", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose shared state
+        try:
+            op, ip = simulate_point(p, s1, c)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(idents) <= cap and peak <= cap
+        if cap == 1:
+            assert idents == {threading.get_ident()}  # inline, no pool
+        monkeypatch.setattr(montecarlo, "_count_chunk", count_chunk)
+        assert (op.successes, ip.successes) == _sequential_counts(p, s1, c)
