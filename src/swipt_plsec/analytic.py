@@ -1,7 +1,8 @@
 """Semi-analytic outage and intercept probability evaluators.
 
 Outage: ``op_spsr`` (closed Bessel form) and ``op_dpsr`` (Bessel series),
-each checked against ``op_*_quadrature``, an adaptive quadrature of its
+each making one vector Bessel-K call per term over the M binomial arguments
+and each checked against ``op_*_quadrature``, an adaptive quadrature of its
 defining average.  Intercept: ``ip_spsr_quadrature`` and
 ``ip_dpsr_quadrature`` fill the sweep's IP columns.  Both average one closed
 form, the probability that the second-slot wiretap SNR stays below threshold
@@ -102,14 +103,6 @@ def _require_jamming(p: SystemParams):
         raise ValueError("jamming evaluators need phi > 0; use the no-jamming variants")
 
 
-def _sqrt_k1(a: float) -> float:
-    """sqrt(a) * K_1(2 sqrt(a)), extended continuously to 1/2 at a = 0."""
-    if a == 0.0:
-        return 0.5
-    r = math.sqrt(a)
-    return r * bessel_k(1, 2.0 * r)
-
-
 def _nested_inner(cfg: AnalyticConfig) -> QuadratureSpec:
     # kernel values are O(1); an absolute floor far below every consumer
     # tolerance keeps the relative criterion from chasing vanishing tails
@@ -180,17 +173,23 @@ def _gamma_average(f, lam: float, k: int, spec: QuadratureSpec):
 def op_spsr(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
     """Outage probability under a fixed splitting ratio (closed Bessel form).
 
-    Endpoint splitting ratios give zero destination SNR, hence probability 1.
+    The M binomial terms share one vector Bessel-K call; the exponentials and
+    the sum stay scalar and left to right, so the value is that of the
+    term-by-term loop bit for bit.  Endpoint splitting ratios give zero
+    destination SNR, hence probability 1.
     """
     if p.gamma_th == 0:
         return 0.0
     if p.rho in (0.0, 1.0):
         return 1.0
+    coeffs = _binom_coeffs(p.num_sources)
+    roots = [math.sqrt(b * s.lambda_sr * s.lambda_rd * p.gamma_th / (p.eta * p.rho * p.psi))
+             for b, _ in coeffs]
+    k1 = bessel_k(1, 2.0 * np.array(roots)).tolist()
     acc = 1.0
-    for b, coef in _binom_coeffs(p.num_sources):
-        a = b * s.lambda_sr * s.lambda_rd * p.gamma_th / (p.eta * p.rho * p.psi)
+    for (b, coef), r, k in zip(coeffs, roots, k1):
         acc += 2.0 * coef * math.exp(-b * s.lambda_sr * p.gamma_th / ((1.0 - p.rho) * p.psi)) \
-            * _sqrt_k1(a)
+            * (r * k)
     return acc
 
 
@@ -224,24 +223,28 @@ def op_dpsr(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONF
     """Outage probability under per-realization optimal splitting (Bessel series).
 
     The series over ``t`` converges factorially; a cap breach raises
-    :class:`SeriesNotConverged`.
+    :class:`SeriesNotConverged`.  Each term makes one vector Bessel-K call
+    over the M binomial arguments; the exponentials and the sum over ``b``
+    stay scalar and left to right, so the value is that of the term-by-term
+    loop bit for bit.
     """
     if p.gamma_th == 0:
         return 0.0
     ln_rd = math.log(s.lambda_rd / p.eta)
+    coefs = [coef for _, coef in _binom_coeffs(p.num_sources)]
+    xs = [b * s.lambda_sr * p.gamma_th / p.psi for b in range(1, p.num_sources + 1)]
+    ln_xs = [math.log(x) for x in xs]
+    zs = np.array([2.0 * math.sqrt(x * s.lambda_rd / p.eta) for x in xs])
 
     def term(t: int) -> float:
+        ks = bessel_k(1.0 - t / 2.0, zs).tolist()
+        head = (t + 1) * math.log(2.0) - math.lgamma(t + 1) + (t / 4.0 + 0.5) * ln_rd
+        d = 3.0 * t / 4.0 + 0.5
         tot = 0.0
-        for b, coef in _binom_coeffs(p.num_sources):
-            x = b * s.lambda_sr * p.gamma_th / p.psi
-            z = 2.0 * math.sqrt(x * s.lambda_rd / p.eta)
-            k = bessel_k(1.0 - t / 2.0, z)
+        for coef, x, ln_x, k in zip(coefs, xs, ln_xs, ks):
             if not math.isfinite(k):
                 return math.inf
-            ln_mag = ((t + 1) * math.log(2.0) - math.lgamma(t + 1)
-                      + (t / 4.0 + 0.5) * ln_rd
-                      + (3.0 * t / 4.0 + 0.5) * math.log(x) - x)
-            tot += coef * math.exp(ln_mag) * k
+            tot += coef * math.exp(head + d * ln_x - x) * k
         return (-1.0) ** t * tot
 
     res = sum_series(term, cfg.series_rel_tol, cfg.series_max_terms, initial=1.0)

@@ -4,6 +4,11 @@ Thin, contract-enforcing wrappers around scipy for the Gamma function,
 the modified Bessel function of the second kind, adaptive quadrature on
 finite and semi-infinite intervals, plus the one Meijer-G instance the
 intercept series needs and a truncation helper for alternating series.
+
+``bessel_k`` takes arrays: the OP sums make one vector call per term, and
+scipy's ``kv`` gives an array element the bits of the scalar call.  Only the
+reference routes integrate adaptively, so ``scipy.integrate`` is imported on
+the first ``integrate`` call, not with this module.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
 from scipy import special as _special
 
 __all__ = [
@@ -130,7 +134,11 @@ def integrate(
     ``exp(-a/x)`` integrands near zero); out-of-domain points are ignored.
     Raises :class:`QuadratureError` when the achieved error exceeds
     ``max(rel_tol * |value|, abs_tol)`` or the integrand produced NaN.
+    ``scipy.integrate`` is imported on the first call: only the reference
+    routes integrate adaptively, and the import costs tens of MB resident.
     """
+    from scipy import integrate as _scipy_integrate
+
 
     def checked(x: float) -> float:
         y = f(x)

@@ -36,7 +36,7 @@ from swipt_plsec.analytic import (
     slot2_outage_factor,
     slot2_outage_factor_quadrature,
 )
-from swipt_plsec.specfun import QuadratureSpec, bessel_k, integrate
+from swipt_plsec.specfun import QuadratureSpec, bessel_k, integrate, sum_series
 
 from conftest import db, make_params
 
@@ -101,6 +101,87 @@ class TestOutageDynamic:
     def test_zero_threshold(self, s1):
         p = make_params(c_th=0.0)
         assert op_dpsr(p, s1) == 0.0
+
+
+def _scalar_op_spsr(p, s):
+    # one scalar Bessel-K call per binomial term, as the route was first written
+    if p.gamma_th == 0:
+        return 0.0
+    if p.rho in (0.0, 1.0):
+        return 1.0
+    acc = 1.0
+    for b in range(1, p.num_sources + 1):
+        coef = (-1.0) ** b * math.comb(p.num_sources, b)
+        a = b * s.lambda_sr * s.lambda_rd * p.gamma_th / (p.eta * p.rho * p.psi)
+        r = math.sqrt(a)
+        acc += 2.0 * coef * math.exp(-b * s.lambda_sr * p.gamma_th / ((1.0 - p.rho) * p.psi)) \
+            * (r * bessel_k(1, 2.0 * r))
+    return acc
+
+
+def _scalar_op_dpsr(p, s):
+    if p.gamma_th == 0:
+        return 0.0
+    ln_rd = math.log(s.lambda_rd / p.eta)
+
+    def term(t):
+        tot = 0.0
+        for b in range(1, p.num_sources + 1):
+            coef = (-1.0) ** b * math.comb(p.num_sources, b)
+            x = b * s.lambda_sr * p.gamma_th / p.psi
+            z = 2.0 * math.sqrt(x * s.lambda_rd / p.eta)
+            k = bessel_k(1.0 - t / 2.0, z)
+            if not math.isfinite(k):
+                return math.inf
+            ln_mag = ((t + 1) * math.log(2.0) - math.lgamma(t + 1)
+                      + (t / 4.0 + 0.5) * ln_rd
+                      + (3.0 * t / 4.0 + 0.5) * math.log(x) - x)
+            tot += coef * math.exp(ln_mag) * k
+        return (-1.0) ** t * tot
+
+    cfg = AnalyticConfig()
+    res = sum_series(term, cfg.series_rel_tol, cfg.series_max_terms, initial=1.0)
+    if not res.converged:
+        raise SeriesNotConverged("", res.value, res.error_estimate, res.terms)
+    return res.value
+
+
+def _outcome(route, p, s):
+    try:
+        v = route(p, s)
+    except SeriesNotConverged as e:
+        return ("not converged", e.value, e.achieved_rel_tol, e.terms)
+    return (type(v), v)
+
+
+class TestOutageMatchesScalarLoops:
+    """The OP routes batch their Bessel-K calls over the binomial index and
+    must return the bits of the one-call-per-term loops, also where those
+    bits are cancellation noise (``op_spsr`` at M = 64 leaves [0, 1])
+    or a non-converged series (``op_dpsr`` at -10 dB, M >= 4)."""
+
+    GRID = [(stats, psi_db, m) for stats in ("s1", "s2") for psi_db in (-10.0, 10.0, 25.0, 40.0)
+            for m in (1, 2, 3, 8, 17, 40, 64)]
+
+    @pytest.mark.parametrize("stats,psi_db,m", GRID)
+    def test_bitwise_equal(self, request, stats, psi_db, m):
+        s = request.getfixturevalue(stats)
+        for rho in (0.225, 0.875):
+            p = make_params(psi_db=psi_db, rho=rho, num_sources=m)
+            assert _outcome(op_spsr, p, s) == _outcome(_scalar_op_spsr, p, s)
+        p = make_params(psi_db=psi_db, num_sources=m)
+        got = _outcome(op_dpsr, p, s)
+        assert got == _outcome(_scalar_op_dpsr, p, s)
+        if psi_db == -10.0 and m >= 4:
+            assert got[0] == "not converged"
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 40])
+    def test_underflowing_power(self, s1, m):
+        # the Bessel factors underflow to zero and every term vanishes
+        p = SystemParams(eta=0.8, rho=0.5, psi=1e-6, phi=1.0,
+                         num_sources=m, num_jammers=1, c_th=0.5)
+        assert _outcome(op_spsr, p, s1) == _outcome(_scalar_op_spsr, p, s1)
+        assert _outcome(op_dpsr, p, s1) == _outcome(_scalar_op_dpsr, p, s1)
 
 
 class TestInterceptStatic:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -131,6 +134,25 @@ class TestIntegrate:
             if err >= abs(value - truth):
                 hits += 1
         assert hits >= 99
+
+
+    def test_scipy_integrate_is_imported_on_first_use(self, tmp_path):
+        # a sweep fills every column without adaptive quadrature, so it never
+        # pays for importing scipy.integrate; the reference routes still can
+        code = (
+            "import math, sys; from swipt_plsec.cli import main; "
+            "rc = main(['sweep', '--scenario', 's1', '--sweep', 'psi_db:10:10:1', "
+            "'--outputs', 'both', '--scheme', 'spsr,dpsr', '--trials', '400', "
+            "'--output', sys.argv[1]]); "
+            "print(rc, 'scipy.integrate' in sys.modules); "
+            "from swipt_plsec.specfun import integrate; "
+            "print(integrate(lambda x: math.exp(-x))[0])")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "s.csv")],
+                             capture_output=True, text=True, check=True, env=env)
+        swept, integrated = out.stdout.splitlines()[-2:]
+        assert swept == "0 False"
+        assert float(integrated) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestMeijerInstance:
