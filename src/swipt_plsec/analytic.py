@@ -8,10 +8,16 @@ defining average.  Intercept: ``ip_spsr_quadrature`` and
 form, the probability that the second-slot wiretap SNR stays below threshold
 at a splitting ratio (fixed, or ``rho*`` of the relay-to-destination gain)
 and a jamming dilution ``phi*x + 1``, with one vectorised Gauss-Legendre
-kernel over Gamma-distributed gains.  The nested ``scipy.quad`` forms
+kernel over Gamma-distributed gains.  The closed form takes K_1 from
+``bessel_k1`` (Cephes ``k1``), within a few ulps of ``kv(1, .)`` and six
+times cheaper on the (128, 128) blocks of node pairs that dominate the
+dynamic-splitting route; the OP forms keep ``bessel_k``.  The outer average
+of ``ip_dpsr_quadrature`` runs its blocks on up to as many threads as the
+process has usable CPUs, and adds their partial sums in block order, so its
+value does not depend on the thread count.  The nested ``scipy.quad`` forms
 ``slot2_outage_factor_quadrature`` and ``dpsr_slot2_factor_quadrature`` and
-the paper forms ``ip_spsr``, ``ip_dpsr`` and ``dpsr_slot2_kernel`` are
-references for the tests.  The intercept expressions model the
+the paper forms ``ip_spsr``, ``ip_dpsr`` and ``dpsr_slot2_kernel`` (all with
+``kv``) are references for the tests.  The intercept expressions model the
 eavesdropper's first-slot SNR with the jamming-dominated approximation
 psi*gamma_se/(phi*xi), i.e. without the unit noise term, which is also what
 the simulation engine's ``approx`` mode realizes.
@@ -28,18 +34,21 @@ from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ChannelStats, best_source_cdf, erlang_pdf_xi
 from .core import SystemParams, rho_star
+from .core import usable_cpus as _usable_cpus
 from .specfun import (
     CancellationError,
     QuadratureError,
     QuadratureSpec,
     SeriesNotConverged,
     bessel_k,
+    bessel_k1,
     gamma_fn,
     integrate,
     meijer_g3013,
@@ -139,7 +148,7 @@ def _rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 _BLOCK = 128
 
 
-def _gamma_average(f, lam: float, k: int, spec: QuadratureSpec):
+def _gamma_average(f, lam: float, k: int, spec: QuadratureSpec, spread: bool = False):
     """E[f(X)] for X ~ Gamma(k, rate ``lam``), by composite Gauss-Legendre in
     u = log(lam * x).
 
@@ -148,13 +157,34 @@ def _gamma_average(f, lam: float, k: int, spec: QuadratureSpec):
     broadcasting.  Raises :class:`QuadratureError` when the estimate exceeds
     ``max(spec.rel_tol * |value|, spec.abs_tol)`` anywhere, or a value is
     not finite.
+
+    With ``spread`` the node blocks run on up to ``_usable_cpus()`` threads
+    (inline when that is one).  Only the outermost average of a nested route
+    sets it, so pools never nest.  The partial sums are added in block order
+    either way, so the value does not depend on the thread count, and the
+    first block that raises in that order is the one whose error propagates.
     """
-    sums = []
+    blocks, sizes = [], []
     for u, w in _rules():
         x = np.exp(u) / lam
         wx = w * x * erlang_pdf_xi(x, lam, k)
-        sums.append(sum(f(x[i:i + _BLOCK]) @ wx[i:i + _BLOCK] for i in range(0, x.size, _BLOCK)))
-    coarse, value = sums
+        rule = [(x[i:i + _BLOCK], wx[i:i + _BLOCK]) for i in range(0, x.size, _BLOCK)]
+        blocks += rule
+        sizes.append(len(rule))
+
+    def block_sum(block):
+        nodes, weights = block
+        return f(nodes) @ weights
+
+    threads = min(len(blocks), _usable_cpus()) if spread else 1
+    if threads == 1:
+        parts = [block_sum(b) for b in blocks]
+    else:
+        # the kernel's ufuncs (k1, exp, sqrt) release the GIL, so blocks
+        # really run side by side
+        with ThreadPoolExecutor(threads) as pool:
+            parts = list(pool.map(block_sum, blocks))
+    coarse, value = sum(parts[:sizes[0]]), sum(parts[sizes[0]:])
     err = np.abs(value - coarse)
     bad = ~(err <= np.maximum(spec.rel_tol * np.abs(value), spec.abs_tol))
     if np.any(bad):
@@ -303,7 +333,7 @@ def _slot2_no_intercept(p: SystemParams, s: ChannelStats, rho, dilution):
     magnitude = 1.0  # 1 + sum of |terms|
     for b, coef in _binom_coeffs(p.num_sources):
         r = np.sqrt(b * harvest)
-        term = 2.0 * coef * np.exp(b * info) * r * bessel_k(1, 2.0 * r)
+        term = 2.0 * coef * np.exp(b * info) * r * bessel_k1(2.0 * r)
         acc += term
         magnitude += np.abs(term)
     bound = np.finfo(float).eps * magnitude
@@ -572,7 +602,7 @@ def ip_dpsr_quadrature(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = D
     _require_jamming(p)
     value = _gamma_average(
         lambda x: slot1_outage_factor(p, s, x) * dpsr_slot2_factor(p, s, x, cfg),
-        s.lambda_je, p.num_jammers, cfg.quad)
+        s.lambda_je, p.num_jammers, cfg.quad, spread=True)
     return 1.0 - float(value)
 
 

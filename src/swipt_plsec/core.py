@@ -5,10 +5,14 @@ arguments accept scalars or numpy arrays interchangeably.  The relay splits
 the received power into a fraction ``rho`` harvested for its own transmission
 and ``1 - rho`` kept for the information signal, and forwards with the
 amplify-and-forward gain already folded into the SNR expressions.
+
+``usable_cpus`` is the one thread-count policy of the package: the MC engine
+and the intercept kernel both size their thread pools by it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +30,14 @@ __all__ = [
 
 E1_MODES = ("exact", "approx", "no-jamming")
 SCHEMES = ("spsr", "dpsr")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the platform has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def snr_threshold(c_th: float) -> float:

@@ -14,7 +14,6 @@ counts equal those of a sequential run bit for bit.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from .channel import ROW_BLOCK, ChannelStats, draw_channels, worker_stream
 from .core import SystemParams, gamma_d_dpsr, gamma_d_spsr, gamma_e
+from .core import usable_cpus as _usable_cpus
 
 __all__ = ["SimConfig", "EstimateWithCI", "simulate_op", "simulate_ip", "simulate_point"]
 
@@ -131,13 +131,6 @@ def _worker_counts(p: SystemParams, s: ChannelStats, c: SimConfig,
         op_total += op
         ip_total += ip
     return op_total, ip_total
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
 
 
 def _simulate_counts(p: SystemParams, s: ChannelStats, c: SimConfig) -> tuple[int, int]:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from swipt_plsec import (
     op_spsr,
     op_spsr_quadrature,
 )
+from swipt_plsec import analytic
 from swipt_plsec.analytic import (
     _gamma_average,
+    _slot2_no_intercept,
     dpsr_slot2_factor,
     dpsr_slot2_factor_quadrature,
     dpsr_slot2_kernel,
@@ -408,3 +411,157 @@ class TestAveragingKernel:
         assert ip_spsr_quadrature(make_params(psi_db=psi_db, rho=0.875), s1) == \
             pytest.approx(spsr_hi, abs=1e-9)
         assert ip_dpsr_quadrature(make_params(psi_db=psi_db), s1) == pytest.approx(dpsr, abs=1e-9)
+
+
+def _kv_slot2_no_intercept(p, s, rho, dilution):
+    # the slot-2 closed form as first written, with kv(1, .) for K_1;
+    # returns the value and its rounding bound eps*(1 + sum |terms|)
+    rho = np.asarray(rho, dtype=float)
+    harvest = s.lambda_sr * s.lambda_re * p.gamma_th / (p.eta * p.psi) * (dilution / rho)
+    with np.errstate(divide="ignore"):
+        info = -s.lambda_sr * p.gamma_th / ((1.0 - rho) * p.psi)
+    acc = 1.0
+    magnitude = 1.0
+    for b in range(1, p.num_sources + 1):
+        coef = (-1.0) ** b * math.comb(p.num_sources, b)
+        r = np.sqrt(b * harvest)
+        term = 2.0 * coef * np.exp(b * info) * r * bessel_k(1, 2.0 * r)
+        acc += term
+        magnitude += np.abs(term)
+    spec = AnalyticConfig().quad
+    bound = np.finfo(float).eps * magnitude
+    bad = bound > np.maximum(spec.rel_tol * np.abs(acc), spec.abs_tol)
+    if np.any(bad):
+        i = np.argmax(np.ravel(bad))
+        raise CancellationError("", float(np.ravel(acc)[i]), float(np.ravel(bound)[i]))
+    return acc, bound
+
+
+class TestSlot2KernelMatchesKv:
+    """``_slot2_no_intercept`` evaluates K_1 by Cephes ``k1``; the ``kv(1, .)``
+    loop it replaced is the oracle.  The two agree to 1e-13 relative up to
+    the rounding bound of the alternating sum: ulp-level differences of the
+    terms survive the cancellation (at M = 12 and psi = 40 dB they reach
+    3e-8 relative on values near 1e-5, 1.5 bounds).  Past M = 12 both must
+    refuse the same cells."""
+
+    RHOS = np.array([0.05, 0.225, 0.5, 0.875, 0.95])
+    DILUTIONS = np.array([1.0, 3.0, 30.0, 1e3])
+
+    @staticmethod
+    def _close(got, ref, bound):
+        return np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref) + 2.0 * bound)
+
+    @pytest.mark.parametrize("stats", ["s1", "s2"])
+    @pytest.mark.parametrize("psi_db", [-10.0, 0.0, 10.0, 25.0, 40.0])
+    def test_agrees_with_kv_loop(self, request, stats, psi_db):
+        s = request.getfixturevalue(stats)
+        for m in range(1, 13):
+            p = make_params(psi_db=psi_db, num_sources=m)
+            args = (p, s, self.RHOS[:, None], self.DILUTIONS)
+            assert self._close(_slot2_no_intercept(*args), *_kv_slot2_no_intercept(*args)), m
+
+    @pytest.mark.parametrize("stats", ["s1", "s2"])
+    @pytest.mark.parametrize("m", [16, 24, 40])
+    def test_refuses_the_same_cells_as_kv_loop(self, request, stats, m):
+        s = request.getfixturevalue(stats)
+        refused = 0
+        for psi_db in (10.0, 25.0, 40.0):
+            p = make_params(psi_db=psi_db, num_sources=m)
+            for rho in self.RHOS:
+                for dilution in self.DILUTIONS:
+                    try:
+                        ref, bound = _kv_slot2_no_intercept(p, s, rho, dilution)
+                    except CancellationError:
+                        refused += 1
+                        with pytest.raises(CancellationError):
+                            _slot2_no_intercept(p, s, rho, dilution)
+                        continue
+                    assert self._close(_slot2_no_intercept(p, s, rho, dilution), ref, bound)
+        assert refused > 0
+
+
+class TestBlockThreads:
+    """The outer average of ``ip_dpsr_quadrature`` maps its node blocks over
+    up to ``_usable_cpus()`` threads; values and errors must not depend on
+    how many."""
+
+    @staticmethod
+    def _run(monkeypatch, cpus, fn):
+        monkeypatch.setattr(analytic, "_usable_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose shared state
+        try:
+            return fn()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _outcome(fn):
+        try:
+            return ("value", np.asarray(fn()).tobytes())
+        except (QuadratureError, CancellationError) as exc:
+            return (type(exc), str(exc), dict(vars(exc)))
+
+    @pytest.mark.parametrize("psi_db,m,k", [(0.0, 2, 1), (10.0, 3, 4), (40.0, 24, 1)])
+    def test_bits_and_errors_independent_of_thread_count(self, s1, monkeypatch, psi_db, m, k):
+        p = make_params(psi_db=psi_db, num_sources=m, num_jammers=k)
+        routes = [lambda: ip_dpsr_quadrature(p, s1),
+                  lambda: ip_spsr_quadrature(make_params(psi_db=psi_db, num_sources=m,
+                                                         num_jammers=k, rho=0.225), s1),
+                  lambda: dpsr_slot2_factor(p, s1, np.array([0.0, 0.5, 4.0]))]
+        serial, *threaded = ([self._run(monkeypatch, cpus, lambda: self._outcome(r))
+                              for r in routes] for cpus in (1, 2, 4))
+        assert threaded == [serial, serial]
+        if m == 24:  # the slot-2 closed form refuses inside a block
+            assert serial[0][0] is CancellationError
+
+    def test_first_failing_block_in_order_propagates(self, monkeypatch):
+        # several blocks raise, each with its own fields; the serial path
+        # meets the lowest node first, and so must the threaded one
+        def f(x):
+            if x[-1] > 0.05:
+                raise QuadratureError(f"block ending at {x[-1]!r}", float(x[0]), float(x[-1]))
+            return np.ones_like(x)
+
+        serial = self._outcome(lambda: _gamma_average(f, 1.0, 1, QuadratureSpec()))
+        assert serial[0] is QuadratureError
+        for cpus in (1, 4):
+            assert self._run(monkeypatch, cpus, lambda: self._outcome(
+                lambda: _gamma_average(f, 1.0, 1, QuadratureSpec(), spread=True))) == serial
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_in_flight_blocks_capped_and_pools_not_nested(self, s1, monkeypatch, cpus):
+        lock = threading.Lock()
+        idents, pools = set(), []
+        in_flight = peak = 0
+        factor = analytic.dpsr_slot2_factor
+        executor = analytic.ThreadPoolExecutor
+
+        def recorded_factor(*args):
+            nonlocal in_flight, peak
+            with lock:
+                idents.add(threading.get_ident())
+                in_flight += 1
+                peak = max(peak, in_flight)
+            try:
+                return factor(*args)
+            finally:
+                with lock:
+                    in_flight -= 1
+
+        def recorded_executor(*args, **kwargs):
+            pools.append(threading.get_ident())
+            return executor(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "dpsr_slot2_factor", recorded_factor)
+        monkeypatch.setattr(analytic, "ThreadPoolExecutor", recorded_executor)
+        p = make_params(num_jammers=4)
+        self._run(monkeypatch, cpus, lambda: (ip_dpsr_quadrature(p, s1),
+                                              ip_spsr_quadrature(make_params(rho=0.225), s1)))
+        main = threading.get_ident()
+        assert peak <= cpus and len(idents) <= cpus
+        if cpus == 1:
+            assert idents == {main} and pools == []
+        else:
+            assert pools == [main]  # one pool, for the outer dpsr average only
