@@ -18,7 +18,9 @@ from .analytic import (
     ip_spsr_quadrature,
     op_dpsr,
     op_dpsr_quadrature,
+    op_dpsr_series,
     op_spsr,
+    op_spsr_closed_form,
     op_spsr_quadrature,
 )
 from .channel import (
@@ -92,7 +94,9 @@ __all__ = [
     "meijer_g3013",
     "op_dpsr",
     "op_dpsr_quadrature",
+    "op_dpsr_series",
     "op_spsr",
+    "op_spsr_closed_form",
     "op_spsr_quadrature",
     "parse_scenario",
     "pathloss_rate",

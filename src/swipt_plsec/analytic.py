@@ -1,26 +1,34 @@
 """Semi-analytic outage and intercept probability evaluators.
 
-Outage: ``op_spsr`` (closed Bessel form) and ``op_dpsr`` (Bessel series),
-each making one vector Bessel-K call per term over the M binomial arguments
-and each checked against ``op_*_quadrature``, an adaptive quadrature of its
-defining average.  Intercept: ``ip_spsr_quadrature`` and
-``ip_dpsr_quadrature`` fill the sweep's IP columns.  Both average one closed
-form, the probability that the second-slot wiretap SNR stays below threshold
-at a splitting ratio (fixed, or ``rho*`` of the relay-to-destination gain)
-and a jamming dilution ``phi*x + 1``, with one vectorised Gauss-Legendre
-kernel over Gamma-distributed gains.  The closed form takes K_1 from
-``bessel_k1`` (Cephes ``k1``), within a few ulps of ``kv(1, .)`` and six
-times cheaper on the (128, 128) blocks of node pairs that dominate the
-dynamic-splitting route; the OP forms keep ``bessel_k``.  The outer average
-of ``ip_dpsr_quadrature`` runs its blocks on up to as many threads as the
-process has usable CPUs, and adds their partial sums in block order, so its
-value does not depend on the thread count.  The nested ``scipy.quad`` forms
-``slot2_outage_factor_quadrature`` and ``dpsr_slot2_factor_quadrature`` and
-the paper forms ``ip_spsr``, ``ip_dpsr`` and ``dpsr_slot2_kernel`` (all with
-``kv``) are references for the tests.  The intercept expressions model the
-eavesdropper's first-slot SNR with the jamming-dominated approximation
-psi*gamma_se/(phi*xi), i.e. without the unit noise term, which is also what
-the simulation engine's ``approx`` mode realizes.
+The sweep's routes all average a closed-form conditional probability over
+Gamma-distributed gains with one vectorised Gauss-Legendre kernel, which
+raises :class:`QuadratureError` where it misses its tolerance.  Outage:
+``op_spsr`` and ``op_dpsr`` average the best-of-M CDF, at the source-side
+gain the threshold requires under a fixed or the optimal splitting ratio,
+over the exponential relay-to-destination gain.  Intercept:
+``ip_spsr_quadrature`` and ``ip_dpsr_quadrature`` average the probability
+that the second-slot wiretap SNR stays below threshold at a splitting ratio
+(fixed, or ``rho*`` of the relay-to-destination gain) and a jamming dilution
+``phi*x + 1`` over the Erlang jammer aggregate.  That slot-2 factor is a
+closed Bessel form which refuses, with :class:`CancellationError`, where its
+alternating sum cancels; it takes K_1 from ``bessel_k1`` (Cephes ``k1``),
+within a few ulps of ``kv(1, .)`` and six times cheaper on the (128, 128)
+blocks of node pairs that dominate the dynamic-splitting route.  The outer
+average of ``ip_dpsr_quadrature`` runs its blocks on up to as many threads as
+the process has usable CPUs, and adds their partial sums in block order, so
+its value does not depend on the thread count.
+
+References for the tests, off the sweep's path: the paper's outage forms
+``op_spsr_closed_form`` (a Bessel-K sum over the M binomial terms, which
+cancels as M grows) and ``op_dpsr_series`` (a Bessel series, which stops
+converging at low power and large M); the scalar adaptive quadratures
+``op_*_quadrature``, ``slot2_outage_factor_quadrature`` and
+``dpsr_slot2_factor_quadrature``; and the paper's intercept forms
+``ip_spsr``, ``ip_dpsr`` and ``dpsr_slot2_kernel`` (all with ``kv``).  The
+intercept expressions model the eavesdropper's first-slot SNR with the
+jamming-dominated approximation psi*gamma_se/(phi*xi), i.e. without the unit
+noise term, which is also what the simulation engine's ``approx`` mode
+realizes.
 
 The intercept series (``ip_spsr``) is asymptotic rather than convergent: its
 term-by-term integration of an exponential expansion has zero radius of
@@ -58,8 +66,10 @@ from .specfun import (
 __all__ = [
     "AnalyticConfig",
     "op_spsr",
+    "op_spsr_closed_form",
     "op_spsr_quadrature",
     "op_dpsr",
+    "op_dpsr_series",
     "op_dpsr_quadrature",
     "ip_spsr",
     "ip_spsr_quadrature",
@@ -139,8 +149,8 @@ def _composite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     # (coarse, fine): the 12-point rule's distance from the 16-point one is the
     # error estimate; a half-order embedded rule overstates it by orders of
-    # magnitude.  Built on first use: leggauss's first LAPACK call costs
-    # resident memory that OP-only runs never need.
+    # magnitude.  Built on first use, not at import: leggauss's first LAPACK
+    # call costs resident memory.
     return _composite_rule(12), _composite_rule(16)
 
 
@@ -200,8 +210,57 @@ def _gamma_average(f, lam: float, k: int, spec: QuadratureSpec, spread: bool = F
 # outage, static splitting
 
 
+def _spsr_threshold(p: SystemParams, x):
+    """Best-source gain at which the destination SNR meets the threshold at
+    relay-to-destination gain ``x``, under the fixed ratio ``p.rho``."""
+    r1 = 1.0 - p.rho
+    return p.gamma_th * (p.eta * p.rho * x + r1) / (p.eta * p.rho * r1 * p.psi * x)
+
+
+def _outage_quadrature(p: SystemParams, s: ChannelStats, thr, scale: float,
+                       cfg: AnalyticConfig) -> float:
+    """Adaptive quadrature of the best-source CDF at threshold ``thr(x)``
+    against the relay-to-destination gain density.
+
+    Past ``x = scale`` the CDF falls like ``(scale / x)**M``, so at high power
+    and large M the outage mass sits within a decade above ``scale``, far
+    below the other split points; unbracketed, ``quad`` accepts an estimate
+    that misses it.
+    """
+    lam_rd = s.lambda_rd
+
+    def f(x: float) -> float:
+        # best_source_cdf in scalar math: its array checks would cost ten
+        # times the rest of the integrand
+        cdf = (-math.expm1(-s.lambda_sr * thr(x))) ** p.num_sources
+        return cdf * lam_rd * math.exp(-lam_rd * x)
+
+    points = (scale, 10.0 * scale, math.sqrt(scale / lam_rd), 1.0 / lam_rd)
+    value, _ = integrate(f, cfg.quad, points=points)
+    return value
+
+
 def op_spsr(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
-    """Outage probability under a fixed splitting ratio (closed Bessel form).
+    """Outage probability under a fixed splitting ratio (the sweep's route).
+
+    Averages the best-source CDF at the source-side gain the threshold
+    requires over the relay-to-destination gain with the vectorised
+    Gauss-Legendre kernel.  Endpoint splitting ratios give zero destination
+    SNR, hence probability 1.
+    """
+    if p.gamma_th == 0:
+        return 0.0
+    if p.rho in (0.0, 1.0):
+        return 1.0
+    value = _gamma_average(
+        lambda x: best_source_cdf(_spsr_threshold(p, x), s.lambda_sr, p.num_sources),
+        s.lambda_rd, 1, cfg.quad)
+    return float(value)
+
+
+def op_spsr_closed_form(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
+    """Outage probability under a fixed splitting ratio (the paper's closed
+    Bessel form; a reference for the tests).
 
     The M binomial terms share one vector Bessel-K call; the exponentials and
     the sum stay scalar and left to right, so the value is that of the
@@ -233,24 +292,34 @@ def op_spsr_quadrature(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = D
         return 0.0
     if p.rho in (0.0, 1.0):
         return 1.0
-    r1 = 1.0 - p.rho
-    lam_rd = s.lambda_rd
-
-    def f(x: float) -> float:
-        thr = p.gamma_th * (p.eta * p.rho * x + r1) / (p.eta * p.rho * r1 * p.psi * x)
-        return best_source_cdf(thr, s.lambda_sr, p.num_sources) * lam_rd * math.exp(-lam_rd * x)
-
     scale = s.lambda_sr * p.gamma_th / (p.eta * p.rho * p.psi)
-    value, _ = integrate(f, cfg.quad, points=(math.sqrt(scale / lam_rd), 1.0 / lam_rd))
-    return value
+    return _outage_quadrature(p, s, lambda x: _spsr_threshold(p, x), scale, cfg)
 
 
 # ---------------------------------------------------------------------------
 # outage, dynamic splitting
 
 
+def _dpsr_threshold(p: SystemParams, x):
+    """:func:`_spsr_threshold` at the optimal ratio ``rho_star(eta, x)``."""
+    return p.gamma_th * (1.0 + np.sqrt(p.eta * x)) ** 2 / (p.eta * p.psi * x)
+
+
 def op_dpsr(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
-    """Outage probability under per-realization optimal splitting (Bessel series).
+    """Outage probability under per-realization optimal splitting (the
+    sweep's route): :func:`op_spsr` with the threshold taken at the optimal
+    ratio of each relay-to-destination gain."""
+    if p.gamma_th == 0:
+        return 0.0
+    value = _gamma_average(
+        lambda x: best_source_cdf(_dpsr_threshold(p, x), s.lambda_sr, p.num_sources),
+        s.lambda_rd, 1, cfg.quad)
+    return float(value)
+
+
+def op_dpsr_series(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
+    """Outage probability under per-realization optimal splitting (the
+    paper's Bessel series; a reference for the tests).
 
     The series over ``t`` converges factorially; a cap breach raises
     :class:`SeriesNotConverged`.  Each term makes one vector Bessel-K call
@@ -289,15 +358,8 @@ def op_dpsr_quadrature(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = D
     """Outage probability under optimal splitting by direct quadrature."""
     if p.gamma_th == 0:
         return 0.0
-    lam_rd = s.lambda_rd
-
-    def f(x: float) -> float:
-        thr = p.gamma_th * (1.0 + math.sqrt(p.eta * x)) ** 2 / (p.eta * p.psi * x)
-        return best_source_cdf(thr, s.lambda_sr, p.num_sources) * lam_rd * math.exp(-lam_rd * x)
-
     scale = s.lambda_sr * p.gamma_th / (p.eta * p.psi)
-    value, _ = integrate(f, cfg.quad, points=(math.sqrt(scale / lam_rd), 1.0 / lam_rd))
-    return value
+    return _outage_quadrature(p, s, lambda x: _dpsr_threshold(p, x), scale, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,27 @@
 """Parameter-sweep harness pairing analytic values with Monte-Carlo estimates.
 
 A sweep varies one of ``psi_db``, ``rho``, ``M``, ``K``, ``phi_db`` and
-produces one row per (point, scheme).  Analytic outage uses the fast
-closed/series forms; analytic intercept uses ``ip_*_quadrature``, the
-Gauss-Legendre averages of the closed-form slot factors (the intercept series
-is asymptotic and not usable across a sweep).  Each
-point draws its Monte-Carlo seed from (master seed, point index), so points
-can be computed in any order, or concurrently, without changing results.
+produces one row per (point, scheme).  The analytic routes run at their
+default accuracy.  Outage comes from ``op_spsr``/``op_dpsr``, the
+best-source CDF averaged over the relay-to-destination gain by the
+Gauss-Legendre kernel of :mod:`swipt_plsec.analytic`; the paper's closed
+form and series cancel or stop converging inside the sweep envelope.
+Intercept comes from ``ip_*_quadrature``, the closed-form slot factors
+averaged over the jammer aggregate by the same kernel, or from
+``ip_*_no_jamming`` with the jammers silent; the intercept series is
+asymptotic.  Each point draws its Monte-Carlo seed from (master seed, point
+index), so points can be computed in any order, or concurrently, without
+changing results.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analytic import (
-    AnalyticConfig,
     ip_dpsr_no_jamming,
     ip_dpsr_quadrature,
     ip_spsr_no_jamming,
@@ -87,7 +91,6 @@ class SweepSpec:
     sim: SimConfig
     schemes: tuple[SchemePoint, ...] = (SchemePoint("spsr", 0.5), SchemePoint("dpsr"))
     outputs: str = "both"
-    analytic: AnalyticConfig = field(default_factory=AnalyticConfig)
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
@@ -166,19 +169,22 @@ def _apply_variable(
     return p, s
 
 
-def analytic_op(p: SystemParams, s: ChannelStats, scheme_kind: str, cfg: AnalyticConfig) -> float:
-    return op_dpsr(p, s, cfg) if scheme_kind == "dpsr" else op_spsr(p, s, cfg)
+def analytic_op(p: SystemParams, s: ChannelStats, scheme_kind: str) -> float:
+    return op_dpsr(p, s) if scheme_kind == "dpsr" else op_spsr(p, s)
 
 
-def analytic_ip(p: SystemParams, s: ChannelStats, scheme_kind: str,
-                jamming: bool, cfg: AnalyticConfig) -> float:
+def analytic_ip(p: SystemParams, s: ChannelStats, scheme_kind: str, jamming: bool) -> float:
     if scheme_kind == "dpsr":
-        return ip_dpsr_quadrature(p, s, cfg) if jamming else ip_dpsr_no_jamming(p, s, cfg)
-    return ip_spsr_quadrature(p, s, cfg) if jamming else ip_spsr_no_jamming(p, s)
+        return ip_dpsr_quadrature(p, s) if jamming else ip_dpsr_no_jamming(p, s)
+    return ip_spsr_quadrature(p, s) if jamming else ip_spsr_no_jamming(p, s)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Execute the sweep; analytic failures mark the row and the sweep continues."""
+    """Execute the sweep; failures mark the row and the sweep continues.
+
+    Each analytic metric is computed on its own, so a failure of one leaves
+    the other's cell filled; the row error names the metric that failed.
+    """
     rows: list[SweepRow] = []
     for index, value in enumerate(sweep_values(spec.start, spec.stop, spec.step)):
         point_seed = derive_seed(spec.sim.seed, index)
@@ -187,13 +193,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             p, s = _apply_variable(spec.params, spec.stats, spec.variable, value, scheme)
             row = SweepRow(value=value, scheme=scheme.label)
             errors = []
-            try:
-                if spec.outputs in ("op", "both"):
-                    row.op_analytic = analytic_op(p, s, scheme.kind, spec.analytic)
-                if spec.outputs in ("ip", "both"):
-                    row.ip_analytic = analytic_ip(p, s, scheme.kind, spec.sim.jamming, spec.analytic)
-            except (NumericalError, ValueError) as exc:
-                errors.append(f"analytic: {exc}")
+            if spec.outputs in ("op", "both"):
+                try:
+                    row.op_analytic = analytic_op(p, s, scheme.kind)
+                except (NumericalError, ValueError) as exc:
+                    errors.append(f"analytic op: {exc}")
+            if spec.outputs in ("ip", "both"):
+                try:
+                    row.ip_analytic = analytic_ip(p, s, scheme.kind, spec.sim.jamming)
+                except (NumericalError, ValueError) as exc:
+                    errors.append(f"analytic ip: {exc}")
             try:
                 sim = replace(spec.sim, seed=point_seed, scheme=scheme.kind)
                 op_est, ip_est = simulate_point(p, s, sim)

@@ -40,7 +40,9 @@ from swipt_plsec import (
     meijer_g3013,
     op_dpsr,
     op_dpsr_quadrature,
+    op_dpsr_series,
     op_spsr,
+    op_spsr_closed_form,
     op_spsr_quadrature,
     resolve_scenario,
     rho_star,
@@ -142,13 +144,13 @@ class TestCriterion2OutageBenchmarks:
         checks = []
         for rho in (0.225, 0.875):
             p = make_params(psi_db=15.0, rho=rho)
-            closed = op_spsr(p, S1)
+            closed = op_spsr_closed_form(p, S1)
             quad = op_spsr_quadrature(p, S1)
             mc = simulate_op(p, S1, SimConfig(trials=2_000_000, seed=404))
             checks.append(abs(closed - quad) <= 1e-8 * closed)
             checks.append(abs(closed - mc.estimate) <= 3 * mc.ci_halfwidth)
         p = make_params(psi_db=15.0)
-        closed = op_dpsr(p, S1)
+        closed = op_dpsr_series(p, S1)
         quad = op_dpsr_quadrature(p, S1)
         mc = simulate_op(p, S1, SimConfig(trials=2_000_000, seed=405, scheme="dpsr"))
         checks.append(abs(closed - quad) <= 1e-6 * closed)
@@ -208,7 +210,7 @@ class TestCriterion4DerivationChains:
         for psi_db in (0.0, 2.0, 8.0):
             for rho in (0.225, 0.55, 0.875):
                 p = make_params(psi_db=psi_db, rho=rho)
-                a, b = op_spsr(p, S1), op_spsr_quadrature(p, S1)
+                a, b = op_spsr_closed_form(p, S1), op_spsr_quadrature(p, S1)
                 worst = max(worst, abs(a - b) / b)
         report("criterion-4 static outage chain", worst <= 0.01,
                f"worst relative gap {worst:.2e} on 3x3 grid")
@@ -234,7 +236,7 @@ class TestCriterion4DerivationChains:
         for psi_db in (-5.0, 2.0, 15.0):
             for c_th in (0.25, 0.5, 1.0):
                 p = make_params(psi_db=psi_db, c_th=c_th)
-                a, b = op_dpsr(p, S1), op_dpsr_quadrature(p, S1)
+                a, b = op_dpsr_series(p, S1), op_dpsr_quadrature(p, S1)
                 worst = max(worst, abs(a - b) / b)
         report("criterion-4 dynamic outage chain", worst <= 0.01,
                f"worst relative gap {worst:.2e} on 3x3 grid")

@@ -2,7 +2,16 @@
 import numpy as np
 import pytest
 
-from swipt_plsec import SchemePoint, SweepSpec, compare_report, read_csv, run_sweep, write_csv
+from swipt_plsec import (
+    QuadratureError,
+    SchemePoint,
+    SweepSpec,
+    compare_report,
+    read_csv,
+    run_sweep,
+    write_csv,
+)
+from swipt_plsec import sweep
 from swipt_plsec.cli import main
 from swipt_plsec.montecarlo import SimConfig
 from swipt_plsec.sweep import SweepResult, SweepRow, sweep_values
@@ -111,6 +120,21 @@ class TestRunSweep:
         rows = run_sweep(spec).rows
         # common random numbers: dynamic can only lower the outage count
         assert rows[1].op_mc <= rows[0].op_mc
+
+    def test_failing_op_keeps_the_ip_cell(self, s1, monkeypatch):
+        def refuse(p, s):
+            raise QuadratureError("planted failure", 0.5, 1.0)
+
+        monkeypatch.setattr(sweep, "op_spsr", refuse)
+        spec = SweepSpec(variable="psi_db", start=2, stop=2, step=1,
+                         params=make_params(), stats=s1, sim=tiny_sim(),
+                         schemes=(SchemePoint("spsr", 0.55), SchemePoint("dpsr")),
+                         outputs="both")
+        static, dynamic = run_sweep(spec).rows
+        assert static.op_analytic is None and static.op_mc is not None
+        assert static.ip_analytic is not None
+        assert static.error == "analytic op: planted failure"
+        assert dynamic.error == "" and dynamic.op_analytic is not None
 
 
 class TestCsvRoundTrip:
