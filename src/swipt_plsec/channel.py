@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -156,7 +156,8 @@ class ChannelStats:
 
 @dataclass(frozen=True)
 class ChannelDraw:
-    """One realization (or a batch) of every channel gain needed for a trial."""
+    """One realization (or a batch) of every channel gain needed for a trial;
+    a link the draw skipped is ``None``."""
 
     gamma_sr_best: object
     gamma_se: object
@@ -233,13 +234,62 @@ def _row_reduced_draw(rng: np.random.Generator, lam: float, n: int, width: int,
     return _exp_inplace(out, lam) if best else out
 
 
+# links in the order their uniforms are drawn
+_DRAW_ORDER = ("sr", "se", "rd", "re", "je")
+# 64-bit words Philox yields per counter step; ``random`` reads one per uniform
+_PHILOX_WORDS = 4
+
+
+def _skip_uniforms(rng: np.random.Generator, k: int) -> None:
+    """Move ``rng`` past ``k`` uniforms, exactly as ``rng.random(k)`` would.
+
+    A Philox generator hands out the words left in its buffer, jumps its
+    counter over the whole 4-word steps with ``advance`` and draws the
+    remainder, so its counter, ``buffer_pos`` and every later draw equal
+    those after ``rng.random(k)``.  ``advance`` clears a pending 32-bit half
+    word, which ``random`` keeps, so such a state, like any other generator,
+    draws and discards ``ROW_BLOCK`` uniforms at a time.
+    """
+    bitgen = rng.bit_generator
+    if isinstance(bitgen, np.random.Philox):
+        state = bitgen.state
+        if not state["has_uint32"]:
+            left = _PHILOX_WORDS - state["buffer_pos"]
+            if k > left:
+                rng.random(left)
+                steps, k = divmod(k - left, _PHILOX_WORDS)
+                bitgen.advance(steps)
+            rng.random(k)
+            return
+    buf = np.empty(min(k, ROW_BLOCK))
+    for lo in range(0, k, ROW_BLOCK):
+        rng.random(out=buf[:min(ROW_BLOCK, k - lo)])
+
+
+def _link_width(p: SystemParams, link: str) -> int:
+    """Uniforms one trial draws for ``link``."""
+    return {"sr": p.num_sources, "je": p.num_jammers}.get(link, 1)
+
+
+def _draw_link(stats: ChannelStats, p: SystemParams, rng: np.random.Generator,
+               link: str, n: int) -> np.ndarray:
+    lam = getattr(stats, f"lambda_{link}")
+    if link == "sr":
+        return _row_reduced_draw(rng, lam, n, p.num_sources, best=True)
+    if link == "je":
+        return _row_reduced_draw(rng, lam, n, p.num_jammers, best=False)
+    return _exp_draw(rng, lam, n)
+
+
 def draw_channels(
     stats: ChannelStats,
     p: SystemParams,
     rng: np.random.Generator,
     size: int | None = None,
+    links: Collection[str] = LINK_KEYS,
 ) -> ChannelDraw:
-    """Draw all link gains for ``size`` trials (or a single-trial scalar draw).
+    """Draw the gains of ``links`` (default: all five) for ``size`` trials,
+    or a single-trial scalar draw.
 
     The source-to-relay selection takes the max over ``num_sources`` draws;
     the selected source's eavesdropper-link gain is a fresh exponential,
@@ -250,15 +300,31 @@ def draw_channels(
     ``(-log1p(-rng.random((size, M))) / lambda_sr).max(axis=1)`` and so on,
     bit for bit.  The SR and JE blocks are drawn and reduced ``ROW_BLOCK`` rows
     at a time, which bounds their scratch whatever ``size`` is.
+
+    A link left out of ``links`` is ``None`` in the result and is skipped,
+    not drawn: the stream moves past its uniforms (``size * M`` for SR,
+    ``size * K`` for JE, ``size`` for the others) as the draw would have, so
+    the links drawn, and every later draw, are bitwise those of the full draw.
     """
     n = 1 if size is None else int(size)
     if n < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    sr = _row_reduced_draw(rng, stats.lambda_sr, n, p.num_sources, best=True)
-    se = _exp_draw(rng, stats.lambda_se, n)
-    rd = _exp_draw(rng, stats.lambda_rd, n)
-    re = _exp_draw(rng, stats.lambda_re, n)
-    xi = _row_reduced_draw(rng, stats.lambda_je, n, p.num_jammers, best=False)
+    unknown = set(links) - set(LINK_KEYS)
+    if unknown:
+        raise ValueError(f"unknown links: {sorted(unknown)}")
+    gains = []
+    skip = 0
+    for link in _DRAW_ORDER:
+        if link not in links:
+            gains.append(None)
+            skip += n * _link_width(p, link)
+            continue
+        if skip:
+            _skip_uniforms(rng, skip)
+            skip = 0
+        gains.append(_draw_link(stats, p, rng, link, n))
+    if skip:
+        _skip_uniforms(rng, skip)
     if size is None:
-        return ChannelDraw(float(sr[0]), float(se[0]), float(rd[0]), float(re[0]), float(xi[0]))
-    return ChannelDraw(sr, se, rd, re, xi)
+        gains = [None if g is None else float(g[0]) for g in gains]
+    return ChannelDraw(*gains)

@@ -1,8 +1,10 @@
 """Monte-Carlo trial engine with partitioned, reproducible streams.
 
-Outage and intercept indicators are computed from the same channel draws, so
-an outage-only run, an intercept-only run, and a joint run with the same
-configuration consume identical streams and report bitwise-identical
+A run counts the metrics its caller asks for: outage (OP), intercept (IP) or
+both.  It draws only the links those metrics read -- OP reads SR and RD; IP
+reads SR, SE, RE and JE, and RD under dpsr -- and skips the uniforms of the
+others, so an outage-only run, an intercept-only run, and a joint run with
+the same configuration advance identical streams and report bitwise-identical
 estimates.  Trials are partitioned across workers whose streams derive from
 (master seed, worker index); partial estimates merge by integer count
 addition, which makes merging exact and associative.  The partitions run
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Collection
 
 import numpy as np
 
@@ -23,7 +26,11 @@ from .channel import ROW_BLOCK, ChannelStats, draw_channels, worker_stream
 from .core import SystemParams, gamma_d_dpsr, gamma_d_spsr, gamma_e
 from .core import usable_cpus as _usable_cpus
 
-__all__ = ["SimConfig", "EstimateWithCI", "simulate_op", "simulate_ip", "simulate_point"]
+__all__ = ["METRICS", "SimConfig", "EstimateWithCI", "simulate_op", "simulate_ip",
+           "simulate_point"]
+
+# the metrics a run can count
+METRICS = ("op", "ip")
 
 # trials per draw call; it fixes which uniform feeds which variable
 _CHUNK = 1 << 18
@@ -103,9 +110,23 @@ class EstimateWithCI:
         return abs(value - self.estimate) <= self.ci_halfwidth
 
 
+def _links(metrics: Collection[str], scheme: str) -> set[str]:
+    """Links whose gains the counts of ``metrics`` read."""
+    links = set()
+    if "op" in metrics:
+        links |= {"sr", "rd"}
+    if "ip" in metrics:
+        links |= {"sr", "se", "re", "je"} | ({"rd"} if scheme == "dpsr" else set())
+    return links
+
+
 def _count_chunk(p: SystemParams, s: ChannelStats, c: SimConfig,
-                 rng: np.random.Generator, n: int) -> tuple[int, int]:
-    draw = draw_channels(s, p, rng, size=n)
+                 rng: np.random.Generator, n: int,
+                 metrics: Collection[str] = METRICS) -> tuple[int, int]:
+    """(op, ip) success counts of ``n`` trials; a metric not in ``metrics``
+    counts 0, and the links only it reads are skipped, not drawn."""
+    want_op, want_ip = "op" in metrics, "ip" in metrics
+    draw = draw_channels(s, p, rng, size=n, links=_links(metrics, c.scheme))
     gamma_d = gamma_d_dpsr if c.scheme == "dpsr" else gamma_d_spsr
     mode = c.e1_mode if c.jamming else "no-jamming"
     op = ip = 0
@@ -113,52 +134,69 @@ def _count_chunk(p: SystemParams, s: ChannelStats, c: SimConfig,
     # small temporaries
     for lo in range(0, n, ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
-        sr, rd = draw.gamma_sr_best[rows], draw.gamma_rd[rows]
-        gd = gamma_d(p, sr, rd)
-        pair = gamma_e(p, draw.gamma_se[rows], sr, draw.gamma_re[rows], draw.xi[rows],
-                       mode=mode, scheme=c.scheme, gamma_rd=rd)
-        op += int(np.count_nonzero(gd < p.gamma_th))
-        ip += int(np.count_nonzero(pair.combined >= p.gamma_th))
+        sr = draw.gamma_sr_best[rows]
+        rd = None if draw.gamma_rd is None else draw.gamma_rd[rows]
+        if want_op:
+            op += int(np.count_nonzero(gamma_d(p, sr, rd) < p.gamma_th))
+        if want_ip:
+            pair = gamma_e(p, draw.gamma_se[rows], sr, draw.gamma_re[rows], draw.xi[rows],
+                           mode=mode, scheme=c.scheme, gamma_rd=rd)
+            ip += int(np.count_nonzero(pair.combined >= p.gamma_th))
     return op, ip
 
 
 def _worker_counts(p: SystemParams, s: ChannelStats, c: SimConfig,
-                   worker: int, n_worker: int) -> tuple[int, int]:
+                   worker: int, n_worker: int, metrics: Collection[str]) -> tuple[int, int]:
     rng = worker_stream(c.seed, worker)
     op_total = ip_total = 0
     for lo in range(0, n_worker, _CHUNK):
-        op, ip = _count_chunk(p, s, c, rng, min(_CHUNK, n_worker - lo))
+        op, ip = _count_chunk(p, s, c, rng, min(_CHUNK, n_worker - lo), metrics)
         op_total += op
         ip_total += ip
     return op_total, ip_total
 
 
-def _simulate_counts(p: SystemParams, s: ChannelStats, c: SimConfig) -> tuple[int, int]:
+def _simulate_counts(p: SystemParams, s: ChannelStats, c: SimConfig,
+                     metrics: Collection[str] = METRICS) -> tuple[int, int]:
+    if not metrics or not set(metrics) <= set(METRICS):
+        raise ValueError(f"metrics must be a nonempty subset of {METRICS}, got {metrics!r}")
     parts = [(worker, n) for worker, n in enumerate(c.partition()) if n > 0]
     threads = min(len(parts), _usable_cpus())
     if threads == 1:
-        counts = [_worker_counts(p, s, c, *part) for part in parts]
+        counts = [_worker_counts(p, s, c, *part, metrics) for part in parts]
     else:
         # numpy's bit generators and ufuncs release the GIL, so the
         # partitions really run side by side; each keeps its own stream
         with ThreadPoolExecutor(threads) as pool:
-            counts = list(pool.map(lambda part: _worker_counts(p, s, c, *part), parts))
+            counts = list(pool.map(lambda part: _worker_counts(p, s, c, *part, metrics), parts))
     return sum(op for op, _ in counts), sum(ip for _, ip in counts)
 
 
 def simulate_op(p: SystemParams, s: ChannelStats, c: SimConfig) -> EstimateWithCI:
-    """Fraction of trials whose destination SNR falls below the threshold."""
-    op, _ = _simulate_counts(p, s, c)
+    """Fraction of trials whose destination SNR falls below the threshold.
+
+    Draws only the SR and RD gains and skips the others' uniforms, so the
+    estimate is bitwise that of :func:`simulate_point`.
+    """
+    op, _ = _simulate_counts(p, s, c, ("op",))
     return EstimateWithCI.from_counts(op, c.trials)
 
 
 def simulate_ip(p: SystemParams, s: ChannelStats, c: SimConfig) -> EstimateWithCI:
-    """Fraction of trials whose combined eavesdropper SNR reaches the threshold."""
-    _, ip = _simulate_counts(p, s, c)
+    """Fraction of trials whose combined eavesdropper SNR reaches the threshold.
+
+    Skips the uniforms of RD under spsr, which the intercept does not read,
+    so the estimate is bitwise that of :func:`simulate_point`.
+    """
+    _, ip = _simulate_counts(p, s, c, ("ip",))
     return EstimateWithCI.from_counts(ip, c.trials)
 
 
-def simulate_point(p: SystemParams, s: ChannelStats, c: SimConfig) -> tuple[EstimateWithCI, EstimateWithCI]:
-    """Both metrics from one shared trial stream."""
-    op, ip = _simulate_counts(p, s, c)
-    return EstimateWithCI.from_counts(op, c.trials), EstimateWithCI.from_counts(ip, c.trials)
+def simulate_point(
+    p: SystemParams, s: ChannelStats, c: SimConfig, metrics: Collection[str] = METRICS,
+) -> tuple[EstimateWithCI | None, EstimateWithCI | None]:
+    """(op, ip) estimates of the ``metrics`` asked for (default both) from
+    one trial stream; a metric not asked for is ``None``."""
+    op, ip = _simulate_counts(p, s, c, metrics)
+    return (EstimateWithCI.from_counts(op, c.trials) if "op" in metrics else None,
+            EstimateWithCI.from_counts(ip, c.trials) if "ip" in metrics else None)

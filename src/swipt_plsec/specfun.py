@@ -161,7 +161,9 @@ def integrate(
     split locations used to resolve boundary layers (e.g. the steep rise of
     ``exp(-a/x)`` integrands near zero); out-of-domain points are ignored.
     Raises :class:`QuadratureError` when the achieved error exceeds
-    ``max(rel_tol * |value|, abs_tol)`` or the integrand produced NaN.
+    ``max(rel_tol * |value|, abs_tol)`` or the integrand produced NaN.  A
+    first pass over the segments that misses that budget is rerun once with
+    tighter per-segment tolerances before the error is judged.
     ``scipy.integrate`` is imported on the first call: only the reference
     routes integrate adaptively, and the import costs tens of MB resident.
     """
@@ -181,20 +183,29 @@ def integrate(
                 edges.append(float(pt))
     edges.append(spec.upper)
 
-    total = 0.0
-    err = 0.0
-    seg_abs = spec.abs_tol / (len(edges) - 1)  # keep the summed budget within spec
-    with warnings.catch_warnings():
-        # convergence is judged against the requested tolerances below
-        warnings.simplefilter("ignore", _scipy_integrate.IntegrationWarning)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            val, e = _scipy_integrate.quad(
-                checked, lo, hi,
-                epsabs=seg_abs, epsrel=spec.rel_tol,
-                limit=spec.max_subdivisions,
-            )
-            total += val
-            err += e
+    segments = list(zip(edges[:-1], edges[1:]))
+
+    def summed(epsabs: float, epsrel: float) -> tuple[float, float]:
+        total = err = 0.0
+        with warnings.catch_warnings():
+            # convergence is judged against the requested tolerances below
+            warnings.simplefilter("ignore", _scipy_integrate.IntegrationWarning)
+            for lo, hi in segments:
+                val, e = _scipy_integrate.quad(
+                    checked, lo, hi, epsabs=epsabs, epsrel=epsrel,
+                    limit=spec.max_subdivisions,
+                )
+                total += val
+                err += e
+        return total, err
+
+    # each segment may stop at max(abs_tol / segments, rel_tol * |its value|),
+    # and those bounds can sum past the budget of the whole; a miss reruns
+    # once with every segment held to an equal share of that budget
+    total, err = summed(spec.abs_tol / len(segments), spec.rel_tol)
+    budget = max(spec.rel_tol * abs(total), spec.abs_tol)
+    if math.isfinite(total) and err > budget:
+        total, err = summed(budget / len(segments), spec.rel_tol / len(segments))
     if not math.isfinite(total):
         raise QuadratureError("quadrature produced a non-finite value", total, err)
     if err > max(spec.rel_tol * abs(total), spec.abs_tol):

@@ -11,7 +11,8 @@ averaged over the jammer aggregate by the same kernel, or from
 ``ip_*_no_jamming`` with the jammers silent; the intercept series is
 asymptotic.  Each point draws its Monte-Carlo seed from (master seed, point
 index), so points can be computed in any order, or concurrently, without
-changing results.
+changing results.  The Monte-Carlo run counts only the metrics ``outputs``
+asks for; its estimates are bitwise those of a joint run.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .analytic import (
 )
 from .channel import ChannelStats, derive_seed
 from .core import SystemParams
-from .montecarlo import SimConfig, simulate_point
+from .montecarlo import METRICS, SimConfig, simulate_point
 from .specfun import NumericalError
 
 __all__ = [
@@ -186,6 +187,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     the other's cell filled; the row error names the metric that failed.
     """
     rows: list[SweepRow] = []
+    metrics = METRICS if spec.outputs == "both" else (spec.outputs,)
     for index, value in enumerate(sweep_values(spec.start, spec.stop, spec.step)):
         point_seed = derive_seed(spec.sim.seed, index)
         for scheme in spec.schemes:
@@ -205,10 +207,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     errors.append(f"analytic ip: {exc}")
             try:
                 sim = replace(spec.sim, seed=point_seed, scheme=scheme.kind)
-                op_est, ip_est = simulate_point(p, s, sim)
-                if spec.outputs in ("op", "both"):
+                op_est, ip_est = simulate_point(p, s, sim, metrics=metrics)
+                if op_est is not None:
                     row.op_mc, row.op_ci = op_est.estimate, op_est.ci_halfwidth
-                if spec.outputs in ("ip", "both"):
+                if ip_est is not None:
                     row.ip_mc, row.ip_ci = ip_est.estimate, ip_est.ci_halfwidth
             except ValueError as exc:
                 errors.append(f"mc: {exc}")

@@ -232,6 +232,12 @@ class TestOutageEnvelope:
                             misses.append((route.__name__, psi_db, m, c_th, rho, v, ref))
         assert not misses
 
+    def test_reference_reruns_a_segment_budget_overrun(self, s1):
+        # the first pass's segment errors sum to 5.12e-11 against a budget of
+        # 5.03e-11; its value already matched op_dpsr to 6e-15 relative
+        p = make_params(psi_db=0.0, c_th=0.25, num_sources=55)
+        assert op_dpsr_quadrature(p, s1, self.REF_CFG) == pytest.approx(op_dpsr(p, s1), rel=1e-8)
+
     @staticmethod
     def _mpmath_outage(p, s, rho):
         # the defining average at 30 digits, split once per decade of the gain

@@ -10,7 +10,7 @@ from swipt_plsec import (
     erlang_pdf_xi,
     pathloss_rate,
 )
-from swipt_plsec.channel import ROW_BLOCK, worker_stream
+from swipt_plsec.channel import ROW_BLOCK, _skip_uniforms, worker_stream
 from swipt_plsec.scenario import ScenarioError, load_scenario, parse_scenario, resolve_scenario
 from swipt_plsec.specfun import QuadratureSpec, integrate
 
@@ -206,3 +206,91 @@ class TestDrawChannels:
         batch = draw_channels(s1, p, worker_stream(3, 0), size=1)
         assert one.gamma_sr_best == batch.gamma_sr_best[0]
         assert one.xi == batch.xi[0]
+
+
+def _same_position(a: np.random.Generator, b: np.random.Generator) -> None:
+    sa, sb = a.bit_generator.state, b.bit_generator.state
+    if "buffer_pos" in sa:  # Philox: counter and place in the 4-word buffer
+        assert np.array_equal(sa["state"]["counter"], sb["state"]["counter"])
+        assert sa["buffer_pos"] == sb["buffer_pos"]
+    assert sa["has_uint32"] == sb["has_uint32"] and sa["uinteger"] == sb["uinteger"]
+    assert np.array_equal(a.random(11).view(np.uint64), b.random(11).view(np.uint64))
+    assert a.integers(0, 2 ** 32, size=3, dtype=np.uint32).tolist() \
+        == b.integers(0, 2 ** 32, size=3, dtype=np.uint32).tolist()
+
+
+# shorter than, equal to and longer than the buffer, and across many blocks,
+# whole row blocks of the fallback and a partial one
+SKIPS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 4 * 1021 + 3, 3 * ROW_BLOCK + 5, 1_000_003)
+
+
+class TestSkipUniforms:
+    # 0..4 uniforms drawn leave 0, 3, 2, 1, 0 words in the Philox buffer
+    @pytest.mark.parametrize("offset", [0, 1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("k", SKIPS)
+    def test_philox_skip_equals_the_draw(self, offset, k):
+        got, ref = worker_stream(17, offset), worker_stream(17, offset)
+        got.random(offset)
+        ref.random(offset)
+        _skip_uniforms(got, k)
+        ref.random(k)
+        _same_position(got, ref)
+
+    @pytest.mark.parametrize("k", SKIPS)
+    def test_fallback_skip_equals_the_draw(self, k):
+        got, ref = np.random.default_rng(23), np.random.default_rng(23)
+        got.random(3)
+        ref.random(3)
+        _skip_uniforms(got, k)
+        ref.random(k)
+        _same_position(got, ref)
+
+    @pytest.mark.parametrize("k", [1, 9, 1_000_003])
+    def test_pending_half_word_keeps_the_draw(self, k):
+        # advance would drop a buffered 32-bit half word that random keeps
+        got, ref = worker_stream(29, 0), worker_stream(29, 0)
+        for rng in (got, ref):
+            rng.random(2)
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 123456789
+            rng.bit_generator.state = state
+        _skip_uniforms(got, k)
+        ref.random(k)
+        _same_position(got, ref)
+
+
+FIELDS = {"sr": "gamma_sr_best", "se": "gamma_se", "rd": "gamma_rd", "re": "gamma_re",
+          "je": "xi"}
+
+
+class TestDrawSubset:
+    @pytest.mark.parametrize("links", [
+        {"sr", "rd"}, {"sr", "se", "re", "je"}, {"sr", "se", "rd", "re", "je"},
+        {"se"}, {"je"}, {"rd", "je"}, set(),
+    ])
+    def test_subset_fields_and_stream_match_the_full_draw(self, s1, links):
+        p = make_params(num_sources=3, num_jammers=4)
+        n = ROW_BLOCK + 7
+        got_rng, ref_rng = worker_stream(8, 1), worker_stream(8, 1)
+        got_rng.random(1)  # start mid-buffer
+        ref_rng.random(1)
+        got = draw_channels(s1, p, got_rng, size=n, links=links)
+        ref = draw_channels(s1, p, ref_rng, size=n)
+        for link, field in FIELDS.items():
+            if link in links:
+                assert np.array_equal(getattr(got, field).view(np.uint64),
+                                      getattr(ref, field).view(np.uint64))
+            else:
+                assert getattr(got, field) is None
+        _same_position(got_rng, ref_rng)
+
+    def test_scalar_subset_is_the_first_row(self, s1):
+        p = make_params(num_sources=3, num_jammers=9)
+        one = draw_channels(s1, p, worker_stream(3, 0), links=("sr", "rd"))
+        full = draw_channels(s1, p, worker_stream(3, 0))
+        assert (one.gamma_sr_best, one.gamma_rd) == (full.gamma_sr_best, full.gamma_rd)
+        assert one.gamma_se is None and one.xi is None
+
+    def test_unknown_link_rejected(self, s1):
+        with pytest.raises(ValueError, match="unknown links"):
+            draw_channels(s1, make_params(), worker_stream(1, 0), size=4, links=("sr", "sd"))

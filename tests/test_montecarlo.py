@@ -178,6 +178,44 @@ class TestStreams:
         assert tuple(got) == PINNED_COUNTS[m, k]
 
 
+class TestMetricSubsets:
+    # three chunks for one worker, and a remainder worker at 3
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("scheme", ["spsr", "dpsr"])
+    def test_one_metric_counts_equal_the_joint_run(self, s1, workers, scheme):
+        p = make_params(num_sources=3, num_jammers=4)
+        c = SimConfig(trials=2 * montecarlo._CHUNK + 5, seed=31, workers=workers,
+                      scheme=scheme)
+        op_joint, ip_joint = simulate_point(p, s1, c)
+        assert simulate_point(p, s1, c, metrics=("op",)) == (op_joint, None)
+        assert simulate_point(p, s1, c, metrics=("ip",)) == (None, ip_joint)
+        assert simulate_op(p, s1, c) == op_joint
+        assert simulate_ip(p, s1, c) == ip_joint
+
+    @pytest.mark.parametrize("scheme", ["spsr", "dpsr"])
+    def test_outage_only_never_evaluates_the_eavesdropper(self, s1, monkeypatch, scheme):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("gamma_e called in an outage-only run")
+
+        monkeypatch.setattr(montecarlo, "gamma_e", forbidden)
+        est = simulate_op(make_params(), s1, SimConfig(trials=5000, seed=2, scheme=scheme))
+        assert 0.0 < est.estimate < 1.0
+
+    def test_intercept_only_never_evaluates_the_destination(self, s1, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("gamma_d called in an intercept-only run")
+
+        monkeypatch.setattr(montecarlo, "gamma_d_spsr", forbidden)
+        monkeypatch.setattr(montecarlo, "gamma_d_dpsr", forbidden)
+        est = simulate_ip(make_params(), s1, SimConfig(trials=5000, seed=2, scheme="spsr"))
+        assert 0.0 < est.estimate < 1.0
+
+    @pytest.mark.parametrize("metrics", [(), ("op", "xp")])
+    def test_bad_metrics_rejected(self, s1, metrics):
+        with pytest.raises(ValueError, match="metrics"):
+            simulate_point(make_params(), s1, SimConfig(trials=10), metrics=metrics)
+
+
 def _sequential_counts(p, s, c):
     op_total = ip_total = 0
     for worker, n_worker in enumerate(c.partition()):

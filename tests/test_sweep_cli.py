@@ -11,7 +11,7 @@ from swipt_plsec import (
     run_sweep,
     write_csv,
 )
-from swipt_plsec import sweep
+from swipt_plsec import montecarlo, sweep
 from swipt_plsec.cli import main
 from swipt_plsec.montecarlo import SimConfig
 from swipt_plsec.sweep import SweepResult, SweepRow, sweep_values
@@ -279,6 +279,25 @@ class TestCli:
         # exact-mode simulation exposes the first-slot modeling gap (~0.035)
         assert main(base + ["--e1-mode", "exact", "--fail-on-flags", "0.1"]) == 1
         assert main(base + ["--e1-mode", "approx", "--fail-on-flags", "0.1"]) == 0
+
+    def test_one_metric_sweeps_write_the_joint_mc_columns(self, tmp_path):
+        # two workers of just over one chunk each: skips within and between chunks
+        trials = str(2 * montecarlo._CHUNK + 3)
+        cols = {}
+        for outputs in ("op", "ip", "both"):
+            path = tmp_path / f"{outputs}.csv"
+            assert main(["sweep", "--scenario", "s1", "--sweep", "M:1:3:1", "--scheme", "spsr,dpsr",
+                         "--rho", "0.5", "--trials", trials, "--workers", "2", "--seed", "4",
+                         "--outputs", outputs, "--output", str(path)]) == 0
+            rows = read_csv(path).rows
+            assert len(rows) == 6
+            cols[outputs] = {f"{m}_{c}": [getattr(r, f"{m}_{c}") for r in rows]
+                             for m in ("op", "ip") for c in ("mc", "ci")}
+        for metric, other in (("op", "ip"), ("ip", "op")):
+            for c in ("mc", "ci"):
+                assert cols[metric][f"{metric}_{c}"] == cols["both"][f"{metric}_{c}"]
+                assert None not in cols[metric][f"{metric}_{c}"]
+                assert cols[metric][f"{other}_{c}"] == [None] * 6
 
     def test_paper_fidelity_raises_trials(self, capsys):
         rc = main(["point", "--scenario", "s1", "--scheme", "spsr", "--rho", "0.5",
