@@ -2,15 +2,16 @@
 
 A run counts the metrics its caller asks for: outage (OP), intercept (IP) or
 both.  It draws only the links those metrics read -- OP reads SR and RD; IP
-reads SR, SE, RE and JE, and RD under dpsr -- and skips the uniforms of the
-others, so an outage-only run, an intercept-only run, and a joint run with
-the same configuration advance identical streams and report bitwise-identical
-estimates.  Trials are partitioned across workers whose streams derive from
-(master seed, worker index); partial estimates merge by integer count
-addition, which makes merging exact and associative.  The partitions run
-concurrently on at most as many threads as the process has usable CPUs
-(inline when that is one); each thread owns its partition's stream, so the
-counts equal those of a sequential run bit for bit.
+reads SR, SE and RE, JE when the jammers are on, and RD under dpsr -- and
+skips the uniforms of the others, so an outage-only run, an intercept-only
+run, and a joint run with the same configuration advance identical streams
+and report bitwise-identical estimates.  Trials are partitioned across
+workers whose streams derive from (master seed, worker index); partial
+estimates merge by integer count addition, which makes merging exact and
+associative.  The partitions run concurrently on at most as many threads as
+the process has usable CPUs (inline when that is one); each thread owns its
+partition's stream, so the counts equal those of a sequential run bit for
+bit.
 """
 
 from __future__ import annotations
@@ -110,13 +111,17 @@ class EstimateWithCI:
         return abs(value - self.estimate) <= self.ci_halfwidth
 
 
-def _links(metrics: Collection[str], scheme: str) -> set[str]:
+def _links(metrics: Collection[str], c: SimConfig) -> set[str]:
     """Links whose gains the counts of ``metrics`` read."""
     links = set()
     if "op" in metrics:
         links |= {"sr", "rd"}
     if "ip" in metrics:
-        links |= {"sr", "se", "re", "je"} | ({"rd"} if scheme == "dpsr" else set())
+        links |= {"sr", "se", "re"}
+        if c.jamming:
+            links.add("je")
+        if c.scheme == "dpsr":
+            links.add("rd")
     return links
 
 
@@ -126,9 +131,11 @@ def _count_chunk(p: SystemParams, s: ChannelStats, c: SimConfig,
     """(op, ip) success counts of ``n`` trials; a metric not in ``metrics``
     counts 0, and the links only it reads are skipped, not drawn."""
     want_op, want_ip = "op" in metrics, "ip" in metrics
-    draw = draw_channels(s, p, rng, size=n, links=_links(metrics, c.scheme))
+    draw = draw_channels(s, p, rng, size=n, links=_links(metrics, c))
     gamma_d = gamma_d_dpsr if c.scheme == "dpsr" else gamma_d_spsr
     mode = c.e1_mode if c.jamming else "no-jamming"
+    # with the jammers off, gamma_e reads the aggregate only for its shape
+    xi = draw.xi if c.jamming else np.zeros(n)
     op = ip = 0
     # the SNR stages are elementwise, so row slices give the same counts with
     # small temporaries
@@ -139,7 +146,7 @@ def _count_chunk(p: SystemParams, s: ChannelStats, c: SimConfig,
         if want_op:
             op += int(np.count_nonzero(gamma_d(p, sr, rd) < p.gamma_th))
         if want_ip:
-            pair = gamma_e(p, draw.gamma_se[rows], sr, draw.gamma_re[rows], draw.xi[rows],
+            pair = gamma_e(p, draw.gamma_se[rows], sr, draw.gamma_re[rows], xi[rows],
                            mode=mode, scheme=c.scheme, gamma_rd=rd)
             ip += int(np.count_nonzero(pair.combined >= p.gamma_th))
     return op, ip
@@ -185,8 +192,9 @@ def simulate_op(p: SystemParams, s: ChannelStats, c: SimConfig) -> EstimateWithC
 def simulate_ip(p: SystemParams, s: ChannelStats, c: SimConfig) -> EstimateWithCI:
     """Fraction of trials whose combined eavesdropper SNR reaches the threshold.
 
-    Skips the uniforms of RD under spsr, which the intercept does not read,
-    so the estimate is bitwise that of :func:`simulate_point`.
+    Skips the uniforms of RD under spsr and of JE with the jammers off, which
+    the intercept does not read, so the estimate is bitwise that of
+    :func:`simulate_point`.
     """
     _, ip = _simulate_counts(p, s, c, ("ip",))
     return EstimateWithCI.from_counts(ip, c.trials)

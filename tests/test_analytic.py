@@ -42,6 +42,7 @@ from swipt_plsec.analytic import (
     slot2_outage_factor,
     slot2_outage_factor_quadrature,
 )
+from swipt_plsec.channel import best_source_cdf, erlang_pdf_xi
 from swipt_plsec.specfun import QuadratureSpec, bessel_k, integrate, sum_series
 
 from conftest import db, make_params
@@ -494,6 +495,38 @@ class TestAveragingKernel:
                              check=True, env=env)
         assert out.stdout.strip() == "0"
 
+    def test_weighted_blocks_are_built_on_first_use(self):
+        code = ("import swipt_plsec.analytic as a; from swipt_plsec import resolve_scenario; "
+                "from conftest import make_params; "
+                "a.op_spsr_closed_form(make_params(), resolve_scenario('s1')); "
+                "print(a._weighted_blocks.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "0"
+
+    def test_weighted_blocks_are_read_only(self):
+        blocks, _ = analytic._weighted_blocks(0.7, 3)
+        for nodes, weights in (blocks[0], blocks[-1]):
+            for table in (nodes, weights):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 1.0
+
+    def test_weighted_blocks_are_built_once_per_rate_and_order(self, s1, monkeypatch):
+        p = make_params(num_sources=3, rho=0.225)
+        first = op_spsr(p, s1)
+        mass = _gamma_average(np.ones_like, 0.3141, 1, QuadratureSpec())
+
+        def forbidden(*args):
+            raise AssertionError("node tables rebuilt")
+
+        monkeypatch.setattr(analytic, "erlang_pdf_xi", forbidden)
+        assert op_spsr(p, s1) == first
+        op_dpsr(make_params(num_sources=5, psi_db=25.0), s1)
+        assert _gamma_average(np.ones_like, 0.3141, 1, QuadratureSpec()) == mass
+        with pytest.raises(AssertionError, match="rebuilt"):
+            _gamma_average(np.ones_like, 0.3141, 2, QuadratureSpec())
+
     # values of the nested scipy.quad routes at the figure_ip benchmark points
     @pytest.mark.parametrize("psi_db,spsr_lo,spsr_hi,dpsr", [
         (0.0, 0.053712410853, 0.0760080995633, 0.0705640990776),
@@ -506,6 +539,63 @@ class TestAveragingKernel:
         assert ip_spsr_quadrature(make_params(psi_db=psi_db, rho=0.875), s1) == \
             pytest.approx(spsr_hi, abs=1e-9)
         assert ip_dpsr_quadrature(make_params(psi_db=psi_db), s1) == pytest.approx(dpsr, abs=1e-9)
+
+
+def _rebuilt_gamma_average(f, lam, k, spec):
+    # the averaging kernel as first written: node tables rebuilt on every call
+    parts, sizes = [], []
+    for u, w in analytic._rules():
+        x = np.exp(u) / lam
+        wx = w * x * erlang_pdf_xi(x, lam, k)
+        rule = [(x[i:i + analytic._BLOCK], wx[i:i + analytic._BLOCK])
+                for i in range(0, x.size, analytic._BLOCK)]
+        parts += [f(nodes) @ weights for nodes, weights in rule]
+        sizes.append(len(rule))
+    coarse, value = sum(parts[:sizes[0]]), sum(parts[sizes[0]:])
+    err = abs(value - coarse)
+    if not err <= max(spec.rel_tol * abs(value), spec.abs_tol):
+        raise QuadratureError("", float(value), float(err))
+    return float(value)
+
+
+class TestCachedKernelOracle:
+    """The sweep's OP and IP kernel routes return the bits of the kernel as
+    first written, which rebuilt its node tables on every call and checked
+    its outage integrand through ``best_source_cdf`` block by block."""
+
+    @staticmethod
+    def _bits(v):
+        return float(v).hex()
+
+    @pytest.mark.parametrize("stats", ["s1", "s2"])
+    def test_outage_routes_match_the_rebuilt_kernel(self, request, stats):
+        s = request.getfixturevalue(stats)
+        quad = AnalyticConfig().quad
+        cells = ((op_spsr, analytic._spsr_threshold, 0.225),
+                 (op_spsr, analytic._spsr_threshold, 0.875),
+                 (op_dpsr, analytic._dpsr_threshold, 0.5))
+        misses = []
+        for psi_db in (-10.0, 10.0, 25.0, 40.0):
+            for m in range(1, 65):
+                for route, thr, rho in cells:
+                    p = make_params(psi_db=psi_db, rho=rho, num_sources=m)
+                    ref = _rebuilt_gamma_average(
+                        lambda x: best_source_cdf(thr(p, x), s.lambda_sr, m),
+                        s.lambda_rd, 1, quad)
+                    if self._bits(route(p, s)) != self._bits(ref):
+                        misses.append((route.__name__, psi_db, m, rho))
+        assert not misses
+
+    @pytest.mark.parametrize("rho", [0.225, 0.875])
+    def test_static_intercept_matches_the_rebuilt_kernel(self, s1, rho):
+        # the tables are cached per Erlang order, so each K must get its own
+        for psi_db in (0.0, 10.0, 25.0):
+            for k in (1, 4, 8):
+                p = make_params(psi_db=psi_db, rho=rho, num_jammers=k)
+                ref = 1.0 - _rebuilt_gamma_average(
+                    lambda x: slot1_outage_factor(p, s1, x) * slot2_outage_factor(p, s1, x),
+                    s1.lambda_je, k, AnalyticConfig().quad)
+                assert self._bits(ip_spsr_quadrature(p, s1)) == self._bits(ref), (psi_db, k)
 
 
 def _kv_slot2_no_intercept(p, s, rho, dilution):

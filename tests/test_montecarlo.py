@@ -11,12 +11,13 @@ from swipt_plsec import (
     SimConfig,
     gamma_d_dpsr,
     gamma_d_spsr,
+    gamma_e,
     op_spsr,
     simulate_ip,
     simulate_op,
     simulate_point,
 )
-from swipt_plsec import montecarlo
+from swipt_plsec import channel, montecarlo
 from swipt_plsec.channel import draw_channels, worker_stream
 
 from conftest import make_params
@@ -214,6 +215,61 @@ class TestMetricSubsets:
     def test_bad_metrics_rejected(self, s1, metrics):
         with pytest.raises(ValueError, match="metrics"):
             simulate_point(make_params(), s1, SimConfig(trials=10), metrics=metrics)
+
+
+def _full_draw_ip_count(p, s, c, rng, n):
+    # the intercept count of one chunk from a draw of all five links
+    d = draw_channels(s, p, rng, size=n)
+    pair = gamma_e(p, d.gamma_se, d.gamma_sr_best, d.gamma_re, d.xi, mode="no-jamming",
+                   scheme=c.scheme, gamma_rd=d.gamma_rd)
+    return int(np.count_nonzero(pair.combined >= p.gamma_th))
+
+
+class TestJammingOff:
+    """With the jammers off the intercept reads no jammer gain, so its runs
+    skip the JE uniforms instead of drawing them."""
+
+    @staticmethod
+    def _forbid_je(monkeypatch):
+        row_reduced_draw = channel._row_reduced_draw
+
+        def guarded(rng, lam, n, width, best):
+            if not best:
+                raise AssertionError("JE block drawn with the jammers off")
+            return row_reduced_draw(rng, lam, n, width, best)
+
+        monkeypatch.setattr(channel, "_row_reduced_draw", guarded)
+
+    # three chunks for one worker, and a remainder worker at 3
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("scheme", ["spsr", "dpsr"])
+    def test_counts_equal_those_of_the_full_draw(self, s1, monkeypatch, workers, scheme):
+        p = make_params(num_sources=3, num_jammers=4)
+        c = SimConfig(trials=2 * montecarlo._CHUNK + 5, seed=17, workers=workers,
+                      scheme=scheme, jamming=False)
+        expected = 0
+        for worker, n_worker in enumerate(c.partition()):
+            rng = worker_stream(c.seed, worker)
+            for lo in range(0, n_worker, montecarlo._CHUNK):
+                expected += _full_draw_ip_count(p, s1, c, rng,
+                                                min(montecarlo._CHUNK, n_worker - lo))
+        self._forbid_je(monkeypatch)
+        assert simulate_ip(p, s1, c).successes == expected
+        assert simulate_point(p, s1, c)[1].successes == expected
+
+    @pytest.mark.parametrize("scheme", ["spsr", "dpsr"])
+    def test_chunk_leaves_the_stream_where_the_full_draw_does(self, s1, monkeypatch, scheme):
+        p = make_params(num_sources=2, num_jammers=8)
+        c = SimConfig(trials=1, seed=5, scheme=scheme, jamming=False)
+        n = 1003
+        full = worker_stream(c.seed, 0)
+        expected = _full_draw_ip_count(p, s1, c, full, n)
+        after = full.random(5)
+        self._forbid_je(monkeypatch)
+        for metrics in (("ip",), ("op", "ip")):
+            rng = worker_stream(c.seed, 0)
+            assert montecarlo._count_chunk(p, s1, c, rng, n, metrics)[1] == expected
+            assert rng.random(5).tobytes() == after.tobytes()
 
 
 def _sequential_counts(p, s, c):
