@@ -10,18 +10,12 @@ Monte-Carlo engine and a sweep harness that emits plot-ready CSV.
 
 from .analytic import (
     AnalyticConfig,
-    ip_dpsr,
     ip_dpsr_no_jamming,
     ip_dpsr_quadrature,
-    ip_spsr,
     ip_spsr_no_jamming,
     ip_spsr_quadrature,
     op_dpsr,
-    op_dpsr_quadrature,
-    op_dpsr_series,
     op_spsr,
-    op_spsr_closed_form,
-    op_spsr_quadrature,
 )
 from .channel import (
     ChannelDraw,
@@ -42,6 +36,14 @@ from .core import (
     snr_threshold,
 )
 from .montecarlo import EstimateWithCI, SimConfig, simulate_ip, simulate_op, simulate_point
+from .reference import (
+    ip_dpsr,
+    ip_spsr,
+    op_dpsr_quadrature,
+    op_dpsr_series,
+    op_spsr_closed_form,
+    op_spsr_quadrature,
+)
 from .scenario import load_scenario, parse_scenario, resolve_scenario
 from .specfun import (
     CancellationError,

@@ -2,16 +2,16 @@
 
 A sweep varies one of ``psi_db``, ``rho``, ``M``, ``K``, ``phi_db`` and
 produces one row per (point, scheme).  The analytic routes run at their
-default accuracy.  Outage comes from ``op_spsr``/``op_dpsr``, the
-best-source CDF averaged over the relay-to-destination gain by the
-Gauss-Legendre kernel of :mod:`swipt_plsec.analytic`; the paper's closed
-form and series cancel or stop converging inside the sweep envelope.
-Intercept comes from ``ip_*_quadrature``, the closed-form slot factors
-averaged over the jammer aggregate by the same kernel, or from
-``ip_*_no_jamming`` with the jammers silent; the intercept series is
-asymptotic.  Each point draws its Monte-Carlo seed from (master seed, point
-index), so points can be computed in any order, or concurrently, without
-changing results.  The Monte-Carlo run counts only the metrics ``outputs``
+default accuracy, and all come from :mod:`swipt_plsec.analytic`.  Outage
+comes from ``op_spsr``/``op_dpsr``, the best-source CDF averaged over the
+relay-to-destination gain by its Gauss-Legendre kernel.  Intercept comes
+from ``ip_*_quadrature``, the closed-form slot factors averaged over the
+jammer aggregate by the same kernel, or from ``ip_*_no_jamming`` with the
+jammers silent.  No cell comes from :mod:`swipt_plsec.reference`: the
+paper's outage closed form and series cancel or stop converging inside the
+sweep envelope, and its intercept series is asymptotic.  Each point draws
+its Monte-Carlo seed from (master seed, point index), so points can be
+computed in any order, or concurrently, without changing results.  The Monte-Carlo run counts only the metrics ``outputs``
 asks for; its estimates are bitwise those of a joint run.
 """
 
@@ -153,9 +153,8 @@ def sweep_values(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def _apply_variable(
-    p: SystemParams, s: ChannelStats, variable: str, value: float, scheme: SchemePoint,
-) -> tuple[SystemParams, ChannelStats]:
+def _apply_variable(p: SystemParams, variable: str, value: float,
+                    scheme: SchemePoint) -> SystemParams:
     rho = scheme.rho if scheme.kind == "spsr" and scheme.rho is not None else p.rho
     if variable == "psi_db":
         p = replace(p, rho=rho, psi=10.0 ** (value / 10.0))
@@ -167,7 +166,7 @@ def _apply_variable(
         p = replace(p, rho=rho, num_sources=int(value))
     elif variable == "K":
         p = replace(p, rho=rho, num_jammers=int(value))
-    return p, s
+    return p
 
 
 def analytic_op(p: SystemParams, s: ChannelStats, scheme_kind: str) -> float:
@@ -187,12 +186,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     the other's cell filled; the row error names the metric that failed.
     """
     rows: list[SweepRow] = []
+    s = spec.stats
     metrics = METRICS if spec.outputs == "both" else (spec.outputs,)
     for index, value in enumerate(sweep_values(spec.start, spec.stop, spec.step)):
         point_seed = derive_seed(spec.sim.seed, index)
         for scheme in spec.schemes:
             t0 = time.perf_counter()
-            p, s = _apply_variable(spec.params, spec.stats, spec.variable, value, scheme)
+            p = _apply_variable(spec.params, spec.variable, value, scheme)
             row = SweepRow(value=value, scheme=scheme.label)
             errors = []
             if spec.outputs in ("op", "both"):

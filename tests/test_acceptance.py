@@ -50,7 +50,7 @@ from swipt_plsec import (
     simulate_op,
     simulate_point,
 )
-from swipt_plsec.analytic import slot1_intercept_probability
+from swipt_plsec.reference import slot1_intercept_probability
 from swipt_plsec.channel import derive_seed, draw_channels, worker_stream
 
 from conftest import make_params

@@ -33,13 +33,15 @@ from swipt_plsec.analytic import (
     _gamma_average,
     _slot2_no_intercept,
     dpsr_slot2_factor,
-    dpsr_slot2_factor_quadrature,
-    dpsr_slot2_kernel,
     dpsr_slot2_outage_factor,
-    intercept_series_term,
-    slot1_intercept_probability,
     slot1_outage_factor,
     slot2_outage_factor,
+)
+from swipt_plsec.reference import (
+    dpsr_slot2_factor_quadrature,
+    dpsr_slot2_kernel,
+    intercept_series_term,
+    slot1_intercept_probability,
     slot2_outage_factor_quadrature,
 )
 from swipt_plsec.channel import best_source_cdf, erlang_pdf_xi
@@ -487,8 +489,9 @@ class TestAveragingKernel:
         # importing the package, resolving a scenario and evaluating a paper
         # form leave the node tables unbuilt
         code = ("import swipt_plsec.analytic as a; from swipt_plsec import resolve_scenario; "
+                "from swipt_plsec.reference import op_spsr_closed_form; "
                 "from conftest import make_params; "
-                "a.op_spsr_closed_form(make_params(), resolve_scenario('s1')); "
+                "op_spsr_closed_form(make_params(), resolve_scenario('s1')); "
                 "print(a._rules.cache_info().currsize)")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -497,8 +500,9 @@ class TestAveragingKernel:
 
     def test_weighted_blocks_are_built_on_first_use(self):
         code = ("import swipt_plsec.analytic as a; from swipt_plsec import resolve_scenario; "
+                "from swipt_plsec.reference import op_spsr_closed_form; "
                 "from conftest import make_params; "
-                "a.op_spsr_closed_form(make_params(), resolve_scenario('s1')); "
+                "op_spsr_closed_form(make_params(), resolve_scenario('s1')); "
                 "print(a._weighted_blocks.cache_info().currsize)")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -11,7 +11,7 @@ from swipt_plsec import (
     run_sweep,
     write_csv,
 )
-from swipt_plsec import montecarlo, sweep
+from swipt_plsec import analytic, montecarlo, reference, specfun, sweep
 from swipt_plsec.cli import main
 from swipt_plsec.montecarlo import SimConfig
 from swipt_plsec.sweep import SweepResult, SweepRow, sweep_values
@@ -135,6 +135,37 @@ class TestRunSweep:
         assert static.ip_analytic is not None
         assert static.error == "analytic op: planted failure"
         assert dynamic.error == "" and dynamic.op_analytic is not None
+
+    def test_no_cell_comes_from_a_reference_kernel(self, s1, monkeypatch):
+        # the adaptive quadrature, series and Bessel-K/Meijer-G kernels serve
+        # only the paper-form references; every sweep cell must be filled
+        # without them
+        reached = []
+
+        def forbid(name):
+            def kernel(*args, **kwargs):
+                reached.append(name)
+                raise AssertionError(f"sweep reached the reference kernel {name}")
+            return kernel
+
+        for module in (specfun, analytic, reference):
+            for name in ("integrate", "sum_series", "bessel_k", "meijer_g3013", "gamma_fn"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbid(name))
+        for jamming in (True, False):
+            for psi_db in (-10.0, 10.0, 40.0):
+                spec = SweepSpec(variable="M", start=1, stop=12, step=1,
+                                 params=make_params(psi_db=psi_db), stats=s1,
+                                 sim=tiny_sim(trials=256, jamming=jamming, e1_mode="exact"),
+                                 schemes=(SchemePoint("spsr", 0.225), SchemePoint("spsr", 0.875),
+                                          SchemePoint("dpsr")),
+                                 outputs="both")
+                rows = run_sweep(spec).rows
+                assert len(rows) == 36
+                for r in rows:
+                    assert r.error == ""
+                    assert r.op_analytic is not None and r.ip_analytic is not None
+        assert reached == []
 
 
 class TestCsvRoundTrip:
