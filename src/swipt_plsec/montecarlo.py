@@ -12,14 +12,19 @@ associative.  The partitions run concurrently on at most as many threads as
 the process has usable CPUs (inline when that is one); each thread owns its
 partition's stream, so the counts equal those of a sequential run bit for
 bit.
+
+Several schemes, ``(kind, rho)`` pairs that differ only in the splitting
+rule, can share one run: each chunk draws the union of the links they read
+once and counts every scheme on it (common random numbers).  Neither field
+enters the draw, so each scheme's counts are bitwise those of its own run.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Collection
+from dataclasses import dataclass, replace
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -127,56 +132,79 @@ def _links(metrics: Collection[str], c: SimConfig) -> set[str]:
 
 def _count_chunk(p: SystemParams, s: ChannelStats, c: SimConfig,
                  rng: np.random.Generator, n: int,
-                 metrics: Collection[str] = METRICS) -> tuple[int, int]:
+                 metrics: Collection[str] = METRICS,
+                 schemes: Sequence[tuple[str, float]] | None = None):
     """(op, ip) success counts of ``n`` trials; a metric not in ``metrics``
-    counts 0, and the links only it reads are skipped, not drawn."""
+    counts 0, and the links only it reads are skipped, not drawn.
+
+    ``schemes``, (kind, rho) pairs standing in for ``c.scheme`` and
+    ``p.rho``, are all counted on one draw of the links any of them reads,
+    and their (op, ip) pairs come back as a list in the same order.
+    """
+    single = schemes is None
+    if single:
+        schemes = ((c.scheme, p.rho),)
+    runs = [(replace(p, rho=rho), replace(c, scheme=kind)) for kind, rho in schemes]
     want_op, want_ip = "op" in metrics, "ip" in metrics
-    draw = draw_channels(s, p, rng, size=n, links=_links(metrics, c))
-    gamma_d = gamma_d_dpsr if c.scheme == "dpsr" else gamma_d_spsr
+    links = set().union(*(_links(metrics, rc) for _, rc in runs))
+    draw = draw_channels(s, p, rng, size=n, links=links)
     mode = c.e1_mode if c.jamming else "no-jamming"
     # with the jammers off, gamma_e reads the aggregate only for its shape
     xi = draw.xi if c.jamming else np.zeros(n)
-    op = ip = 0
+    counts = [[0, 0] for _ in runs]
     # the SNR stages are elementwise, so row slices give the same counts with
     # small temporaries
     for lo in range(0, n, ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
         sr = draw.gamma_sr_best[rows]
         rd = None if draw.gamma_rd is None else draw.gamma_rd[rows]
-        if want_op:
-            op += int(np.count_nonzero(gamma_d(p, sr, rd) < p.gamma_th))
-        if want_ip:
-            pair = gamma_e(p, draw.gamma_se[rows], sr, draw.gamma_re[rows], xi[rows],
-                           mode=mode, scheme=c.scheme, gamma_rd=rd)
-            ip += int(np.count_nonzero(pair.combined >= p.gamma_th))
-    return op, ip
+        for (rp, rc), count in zip(runs, counts):
+            if want_op:
+                gamma_d = gamma_d_dpsr if rc.scheme == "dpsr" else gamma_d_spsr
+                count[0] += int(np.count_nonzero(gamma_d(rp, sr, rd) < rp.gamma_th))
+            if want_ip:
+                pair = gamma_e(rp, draw.gamma_se[rows], sr, draw.gamma_re[rows], xi[rows],
+                               mode=mode, scheme=rc.scheme, gamma_rd=rd)
+                count[1] += int(np.count_nonzero(pair.combined >= rp.gamma_th))
+    counts = [tuple(count) for count in counts]
+    return counts[0] if single else counts
+
+
+def _sum_counts(parts: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
+    """Per-scheme (op, ip) sums of per-part count lists."""
+    return [(sum(op for op, _ in scheme), sum(ip for _, ip in scheme))
+            for scheme in zip(*parts)]
 
 
 def _worker_counts(p: SystemParams, s: ChannelStats, c: SimConfig,
-                   worker: int, n_worker: int, metrics: Collection[str]) -> tuple[int, int]:
+                   worker: int, n_worker: int, metrics: Collection[str],
+                   schemes: Sequence[tuple[str, float]]) -> list[tuple[int, int]]:
     rng = worker_stream(c.seed, worker)
-    op_total = ip_total = 0
-    for lo in range(0, n_worker, _CHUNK):
-        op, ip = _count_chunk(p, s, c, rng, min(_CHUNK, n_worker - lo), metrics)
-        op_total += op
-        ip_total += ip
-    return op_total, ip_total
+    return _sum_counts([_count_chunk(p, s, c, rng, min(_CHUNK, n_worker - lo), metrics, schemes)
+                        for lo in range(0, n_worker, _CHUNK)])
 
 
 def _simulate_counts(p: SystemParams, s: ChannelStats, c: SimConfig,
-                     metrics: Collection[str] = METRICS) -> tuple[int, int]:
+                     metrics: Collection[str] = METRICS,
+                     schemes: Sequence[tuple[str, float]] | None = None,
+                     ) -> list[tuple[int, int]]:
+    """Per-scheme (op, ip) counts; ``schemes=None`` is ``c.scheme`` at ``p.rho``."""
     if not metrics or not set(metrics) <= set(METRICS):
         raise ValueError(f"metrics must be a nonempty subset of {METRICS}, got {metrics!r}")
+    schemes = ((c.scheme, p.rho),) if schemes is None else tuple(schemes)
+    if not schemes:
+        raise ValueError("need at least one scheme")
     parts = [(worker, n) for worker, n in enumerate(c.partition()) if n > 0]
     threads = min(len(parts), _usable_cpus())
     if threads == 1:
-        counts = [_worker_counts(p, s, c, *part, metrics) for part in parts]
+        counts = [_worker_counts(p, s, c, *part, metrics, schemes) for part in parts]
     else:
         # numpy's bit generators and ufuncs release the GIL, so the
         # partitions really run side by side; each keeps its own stream
         with ThreadPoolExecutor(threads) as pool:
-            counts = list(pool.map(lambda part: _worker_counts(p, s, c, *part, metrics), parts))
-    return sum(op for op, _ in counts), sum(ip for _, ip in counts)
+            counts = list(pool.map(
+                lambda part: _worker_counts(p, s, c, *part, metrics, schemes), parts))
+    return _sum_counts(counts)
 
 
 def simulate_op(p: SystemParams, s: ChannelStats, c: SimConfig) -> EstimateWithCI:
@@ -185,7 +213,7 @@ def simulate_op(p: SystemParams, s: ChannelStats, c: SimConfig) -> EstimateWithC
     Draws only the SR and RD gains and skips the others' uniforms, so the
     estimate is bitwise that of :func:`simulate_point`.
     """
-    op, _ = _simulate_counts(p, s, c, ("op",))
+    [(op, _)] = _simulate_counts(p, s, c, ("op",))
     return EstimateWithCI.from_counts(op, c.trials)
 
 
@@ -196,15 +224,25 @@ def simulate_ip(p: SystemParams, s: ChannelStats, c: SimConfig) -> EstimateWithC
     the intercept does not read, so the estimate is bitwise that of
     :func:`simulate_point`.
     """
-    _, ip = _simulate_counts(p, s, c, ("ip",))
+    [(_, ip)] = _simulate_counts(p, s, c, ("ip",))
     return EstimateWithCI.from_counts(ip, c.trials)
 
 
 def simulate_point(
     p: SystemParams, s: ChannelStats, c: SimConfig, metrics: Collection[str] = METRICS,
-) -> tuple[EstimateWithCI | None, EstimateWithCI | None]:
+    schemes: Sequence[tuple[str, float]] | None = None,
+):
     """(op, ip) estimates of the ``metrics`` asked for (default both) from
-    one trial stream; a metric not asked for is ``None``."""
-    op, ip = _simulate_counts(p, s, c, metrics)
-    return (EstimateWithCI.from_counts(op, c.trials) if "op" in metrics else None,
-            EstimateWithCI.from_counts(ip, c.trials) if "ip" in metrics else None)
+    one trial stream; a metric not asked for is ``None``.
+
+    With ``schemes``, a sequence of (kind, rho) pairs, the run counts every
+    scheme on one draw per chunk and returns a list of (op, ip) pairs, one per
+    scheme; ``c.scheme`` and ``p.rho`` are then not read.  Each pair is
+    bitwise that of the one-scheme call with ``c.scheme=kind`` and
+    ``p.rho=rho``.
+    """
+    estimates = [
+        (EstimateWithCI.from_counts(op, c.trials) if "op" in metrics else None,
+         EstimateWithCI.from_counts(ip, c.trials) if "ip" in metrics else None)
+        for op, ip in _simulate_counts(p, s, c, metrics, schemes)]
+    return estimates[0] if schemes is None else estimates

@@ -11,8 +11,12 @@ jammers silent.  No cell comes from :mod:`swipt_plsec.reference`: the
 paper's outage closed form and series cancel or stop converging inside the
 sweep envelope, and its intercept series is asymptotic.  Each point draws
 its Monte-Carlo seed from (master seed, point index), so points can be
-computed in any order, or concurrently, without changing results.  The Monte-Carlo run counts only the metrics ``outputs``
-asks for; its estimates are bitwise those of a joint run.
+computed in any order, or concurrently, without changing results.  The rows
+of one point share that stream (common random numbers), and one Monte-Carlo
+run per point draws it once and counts every scheme on it; each row's
+estimates are bitwise those of a run of its scheme alone.  The run counts
+only the metrics ``outputs`` asks for; its estimates are bitwise those of a
+joint run.
 """
 
 from __future__ import annotations
@@ -122,6 +126,12 @@ class SweepSpec:
 
 @dataclass
 class SweepRow:
+    """One (point, scheme) cell set.
+
+    ``runtime_ms`` is the row's analytic time plus an equal share of its
+    point's Monte-Carlo time, which all the point's rows share.
+    """
+
     value: float
     scheme: str
     op_analytic: float | None = None
@@ -183,13 +193,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Execute the sweep; failures mark the row and the sweep continues.
 
     Each analytic metric is computed on its own, so a failure of one leaves
-    the other's cell filled; the row error names the metric that failed.
+    the other's cell filled; the row error names the metric that failed.  A
+    Monte-Carlo failure marks every row of its point, which share one run.
     """
     rows: list[SweepRow] = []
     s = spec.stats
     metrics = METRICS if spec.outputs == "both" else (spec.outputs,)
     for index, value in enumerate(sweep_values(spec.start, spec.stop, spec.step)):
-        point_seed = derive_seed(spec.sim.seed, index)
+        point, schemes = [], []  # (row, its errors) and (kind, rho) per scheme
         for scheme in spec.schemes:
             t0 = time.perf_counter()
             p = _apply_variable(spec.params, spec.variable, value, scheme)
@@ -205,17 +216,26 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     row.ip_analytic = analytic_ip(p, s, scheme.kind, spec.sim.jamming)
                 except (NumericalError, ValueError) as exc:
                     errors.append(f"analytic ip: {exc}")
-            try:
-                sim = replace(spec.sim, seed=point_seed, scheme=scheme.kind)
-                op_est, ip_est = simulate_point(p, s, sim, metrics=metrics)
+            row.runtime_ms = (time.perf_counter() - t0) * 1e3
+            point.append((row, errors))
+            schemes.append((scheme.kind, p.rho))
+        t0 = time.perf_counter()
+        try:
+            sim = replace(spec.sim, seed=derive_seed(spec.sim.seed, index))
+            # the schemes' params differ only in rho, which each pair carries
+            estimates = simulate_point(p, s, sim, metrics=metrics, schemes=schemes)
+            for (row, _), (op_est, ip_est) in zip(point, estimates):
                 if op_est is not None:
                     row.op_mc, row.op_ci = op_est.estimate, op_est.ci_halfwidth
                 if ip_est is not None:
                     row.ip_mc, row.ip_ci = ip_est.estimate, ip_est.ci_halfwidth
-            except ValueError as exc:
+        except ValueError as exc:
+            for _, errors in point:
                 errors.append(f"mc: {exc}")
+        mc_share_ms = (time.perf_counter() - t0) * 1e3 / len(point)
+        for row, errors in point:
             row.error = "; ".join(errors)
-            row.runtime_ms = (time.perf_counter() - t0) * 1e3
+            row.runtime_ms += mc_share_ms
             rows.append(row)
     return SweepResult(spec.variable, rows)
 

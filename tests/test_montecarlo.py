@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from swipt_plsec import (
 )
 from swipt_plsec import channel, montecarlo
 from swipt_plsec.channel import draw_channels, worker_stream
+from swipt_plsec.montecarlo import METRICS
 
 from conftest import make_params
 
@@ -320,3 +322,54 @@ class TestWorkerThreads:
             assert idents == {threading.get_ident()}  # inline, no pool
         monkeypatch.setattr(montecarlo, "_count_chunk", count_chunk)
         assert (op.successes, ip.successes) == _sequential_counts(p, s1, c)
+
+
+SCHEMES = (("spsr", 0.225), ("spsr", 0.875), ("dpsr", 0.5))
+
+
+class TestSchemeSets:
+    """Schemes of one point counted on one draw equal their own runs."""
+
+    # three chunks for one worker, and a remainder worker at 3
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("jamming,e1_mode", [(True, "exact"), (True, "approx"),
+                                                 (False, "exact")])
+    @pytest.mark.parametrize("metrics", [("op",), ("ip",), METRICS])
+    def test_each_scheme_equals_its_own_run(self, s1, workers, jamming, e1_mode, metrics):
+        p = make_params(num_sources=3, num_jammers=4)
+        c = SimConfig(trials=2 * montecarlo._CHUNK + 5, seed=23, workers=workers,
+                      jamming=jamming, e1_mode=e1_mode)
+        alone = [simulate_point(replace(p, rho=rho), s1, replace(c, scheme=kind), metrics)
+                 for kind, rho in SCHEMES]
+        for order in (SCHEMES, SCHEMES[::-1]):
+            shared = simulate_point(p, s1, c, metrics, schemes=order)
+            expected = alone if order == SCHEMES else alone[::-1]
+            assert shared == expected
+
+    def test_chunk_of_one_scheme_is_the_single_call(self, s1):
+        p = make_params(num_sources=2, num_jammers=3)
+        c = SimConfig(trials=1, seed=5, scheme="dpsr")
+        single = montecarlo._count_chunk(p, s1, c, worker_stream(c.seed, 0), 1003)
+        listed = montecarlo._count_chunk(p, s1, c, worker_stream(c.seed, 0), 1003, METRICS,
+                                         (("dpsr", p.rho),))
+        assert listed == [single]
+
+    def test_one_draw_per_chunk_whatever_the_scheme_count(self, s1, monkeypatch):
+        calls = []
+        draw = montecarlo.draw_channels
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["links"])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "draw_channels", counted)
+        p = make_params()
+        c = SimConfig(trials=2 * montecarlo._CHUNK + 5, seed=3)
+        simulate_point(p, s1, c, ("ip",), schemes=(("spsr", 0.3),))
+        simulate_point(p, s1, c, ("ip",), schemes=SCHEMES)
+        # spsr alone skips RD; dpsr reads it, so the shared draw takes it
+        assert calls == [{"sr", "se", "re", "je"}] * 3 + [{"sr", "se", "rd", "re", "je"}] * 3
+
+    def test_no_scheme_rejected(self, s1):
+        with pytest.raises(ValueError, match="scheme"):
+            simulate_point(make_params(), s1, SimConfig(trials=10), schemes=())

@@ -1,4 +1,7 @@
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -120,6 +123,77 @@ class TestRunSweep:
         rows = run_sweep(spec).rows
         # common random numbers: dynamic can only lower the outage count
         assert rows[1].op_mc <= rows[0].op_mc
+
+    def test_one_draw_per_chunk_per_worker_per_point(self, s1, monkeypatch):
+        # two workers of two chunks each at each of two points
+        lock = threading.Lock()
+        calls = 0
+        draw = montecarlo.draw_channels
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            with lock:
+                calls += 1
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "draw_channels", counted)
+        three = (SchemePoint("spsr", 0.225), SchemePoint("spsr", 0.875), SchemePoint("dpsr"))
+        for schemes in (three[:1], three):
+            calls = 0
+            spec = SweepSpec(variable="psi_db", start=0, stop=10, step=10,
+                             params=make_params(), stats=s1,
+                             sim=tiny_sim(trials=4 * montecarlo._CHUNK - 2, workers=2),
+                             schemes=schemes, outputs="op")
+            assert len(run_sweep(spec).rows) == 2 * len(schemes)
+            assert calls == 2 * 2 * 2
+
+    def test_mc_failure_marks_every_row_of_its_point(self, s1, monkeypatch):
+        gamma_e = montecarlo.gamma_e
+        failing_psi = 10.0 ** (5.0 / 10.0)
+
+        def planted(p, *args, **kwargs):
+            if p.psi == failing_psi:
+                raise ValueError("planted mc failure")
+            return gamma_e(p, *args, **kwargs)
+
+        def refuse(p, s):
+            raise QuadratureError("planted op failure", 0.5, 1.0)
+
+        monkeypatch.setattr(montecarlo, "gamma_e", planted)
+        monkeypatch.setattr(sweep, "op_spsr", refuse)
+        spec = SweepSpec(variable="psi_db", start=0, stop=10, step=5,
+                         params=make_params(), stats=s1, sim=tiny_sim(),
+                         schemes=(SchemePoint("spsr", 0.225), SchemePoint("dpsr")),
+                         outputs="both")
+        rows = run_sweep(spec).rows
+        assert [(r.value, r.scheme) for r in rows] == [
+            (v, label) for v in (0.0, 5.0, 10.0) for label in ("spsr@0.225", "dpsr")]
+        for r in rows:
+            assert r.ip_analytic is not None
+            assert (r.op_analytic is None) == (r.scheme == "spsr@0.225")
+            failed = r.value == 5.0
+            assert (r.op_mc is None and r.ip_mc is None and r.ip_ci is None) == failed
+            expected = ["analytic op: planted op failure"] if r.scheme == "spsr@0.225" else []
+            expected += ["mc: planted mc failure"] if failed else []
+            assert r.error == "; ".join(expected)
+
+    def test_runtime_is_analytic_time_plus_a_share_of_the_point_mc(self, s1, monkeypatch):
+        simulate = sweep.simulate_point
+
+        def slow(*args, **kwargs):
+            time.sleep(0.3)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "simulate_point", slow)
+        spec = SweepSpec(variable="psi_db", start=0, stop=0, step=1,
+                         params=make_params(), stats=s1, sim=tiny_sim(),
+                         schemes=(SchemePoint("spsr", 0.225), SchemePoint("spsr", 0.875),
+                                  SchemePoint("dpsr")),
+                         outputs="op")
+        rows = run_sweep(spec).rows
+        # each row carries a third of the 300 ms, not all of it
+        assert all(r.runtime_ms >= 100.0 for r in rows)
+        assert sum(r.runtime_ms for r in rows) < 600.0
 
     def test_failing_op_keeps_the_ip_cell(self, s1, monkeypatch):
         def refuse(p, s):
@@ -283,6 +357,28 @@ class TestCli:
         row, = read_csv(tmp_path / "s.csv").rows
         point.runtime_ms = row.runtime_ms = None
         assert point == row
+
+    @pytest.mark.parametrize("jamming", ["on", "off"])
+    def test_shared_point_run_equals_one_scheme_sweeps(self, tmp_path, jamming):
+        args = ["--scenario", "s1", "--sweep", "psi_db:0:10:10", "--trials", "6000",
+                "--workers", "2", "--outputs", "both", "--jamming", jamming,
+                "--e1-mode", "exact", "--seed", "11"]
+
+        def mc_columns(name, *scheme_args):
+            path = tmp_path / f"{name}.csv"
+            main(["sweep", *args, *scheme_args, "--output", str(path)])
+            return {(r.value, r.scheme): (r.op_mc, r.op_ci, r.ip_mc, r.ip_ci)
+                    for r in read_csv(path).rows}
+
+        shared = mc_columns("shared", "--scheme", "spsr,dpsr", "--rho", "0.225,0.875")
+        alone = {}
+        for i, scheme_args in enumerate((("--scheme", "spsr", "--rho", "0.225"),
+                                         ("--scheme", "spsr", "--rho", "0.875"),
+                                         ("--scheme", "dpsr"))):
+            alone.update(mc_columns(f"alone{i}", *scheme_args))
+        assert len(shared) == 6
+        assert all(None not in cells for cells in shared.values())
+        assert shared == alone
 
     def test_sweep_and_compare(self, tmp_path, capsys):
         out_csv = tmp_path / "s.csv"
