@@ -8,9 +8,9 @@ Outage: ``op_spsr`` and ``op_dpsr`` average the best-of-M CDF, at the
 source-side gain the threshold requires under a fixed or the optimal
 splitting ratio, over the exponential relay-to-destination gain.  That
 required gain is positive at every node, so they evaluate the CDF in plain
-array math, without the argument checks of ``best_source_cdf``; a call costs
-about 0.08-0.11 ms on a 2-vCPU VM (numpy 2.4.6), nearly all of it integrand
-arithmetic.  Intercept:
+array math, without the argument checks of ``best_source_cdf``, in one call
+over the nodes of both rules; a call costs about 0.04-0.06 ms on a 2-vCPU VM
+(numpy 2.4.6).  Intercept:
 ``ip_spsr_quadrature`` and ``ip_dpsr_quadrature`` average the probability
 that the second-slot wiretap SNR stays below threshold at a splitting ratio
 (fixed, or ``rho*`` of the relay-to-destination gain) and a jamming dilution
@@ -119,30 +119,34 @@ def _rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return _composite_rule(12), _composite_rule(16)
 
 
-# nodes per integrand call, so nested averages hold (128, 128) blocks, not (640, 640)
+# nodes per block; a nested average calls its integrand per block, so it
+# holds (128, 128) arrays, not (1120, 1120)
 _BLOCK = 128
 
 
 @functools.lru_cache(maxsize=32)
-def _weighted_blocks(lam: float, k: int) -> tuple[tuple, int]:
-    """(blocks, coarse count): the (nodes, Erlang-weighted weights) blocks of
-    both rules for X ~ Gamma(k, rate ``lam``), the coarse rule's first.
+def _weighted_blocks(lam: float, k: int) -> tuple[np.ndarray, np.ndarray, tuple, int]:
+    """(nodes, weights, blocks, coarse count) for X ~ Gamma(k, rate ``lam``):
+    the nodes of both rules, the coarse rule's first, their Erlang-weighted
+    weights, the slices of their ``_BLOCK``-node blocks (none straddles the
+    two rules) and the number of coarse blocks.
 
     Built once per (lam, k), on first use.  Read-only, because the threads of
     a spread average share them."""
-    blocks, sizes = [], []
-    for u, w in _rules():
-        x = np.exp(u) / lam
-        wx = w * x * erlang_pdf_xi(x, lam, k)
-        x.setflags(write=False)
-        wx.setflags(write=False)
-        rule = [(x[i:i + _BLOCK], wx[i:i + _BLOCK]) for i in range(0, x.size, _BLOCK)]
-        blocks += rule
-        sizes.append(len(rule))
-    return tuple(blocks), sizes[0]
+    rules = [(np.exp(u) / lam, w) for u, w in _rules()]
+    nodes = np.concatenate([x for x, _ in rules])
+    weights = np.concatenate([w * x * erlang_pdf_xi(x, lam, k) for x, w in rules])
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    coarse = rules[0][0].size
+    blocks = tuple(slice(i, min(i + _BLOCK, end))
+                   for start, end in ((0, coarse), (coarse, nodes.size))
+                   for i in range(start, end, _BLOCK))
+    return nodes, weights, blocks, -(-coarse // _BLOCK)
 
 
-def _gamma_average(f, lam: float, k: int, spec: QuadratureSpec, spread: bool = False):
+def _gamma_average(f, lam: float, k: int, spec: QuadratureSpec, spread: bool = False,
+                   flat: bool = False):
     """E[f(X)] for X ~ Gamma(k, rate ``lam``), by composite Gauss-Legendre in
     u = log(lam * x).
 
@@ -152,26 +156,36 @@ def _gamma_average(f, lam: float, k: int, spec: QuadratureSpec, spread: bool = F
     ``max(spec.rel_tol * |value|, spec.abs_tol)`` anywhere, or a value is
     not finite.
 
+    ``f`` is called once per ``_BLOCK``-node block, so a nested average holds
+    (128, 128) arrays.  With ``flat`` it is called once on the nodes of both
+    rules, and each block's dot product reads its slice of that one value
+    array: an elementwise ``f`` gives every block the same values, so the
+    value is the same bit for bit.  Only a 1-D average sets it; an average
+    nested inside it would hold (1120, 128) arrays, which cost more than the
+    calls they save.
+
     With ``spread`` the node blocks run on up to ``_usable_cpus()`` threads
     (inline when that is one).  Only the outermost average of a nested route
     sets it, so pools never nest.  The partial sums are added in block order
     either way, so the value does not depend on the thread count, and the
     first block that raises in that order is the one whose error propagates.
     """
-    blocks, n_coarse = _weighted_blocks(lam, k)
-
-    def block_sum(block):
-        nodes, weights = block
-        return f(nodes) @ weights
-
-    threads = min(len(blocks), _usable_cpus()) if spread else 1
-    if threads == 1:
-        parts = [block_sum(b) for b in blocks]
+    nodes, weights, blocks, n_coarse = _weighted_blocks(lam, k)
+    if flat:
+        values = f(nodes)
+        parts = [values[b] @ weights[b] for b in blocks]
     else:
-        # the kernel's ufuncs (k1, exp, sqrt) release the GIL, so blocks
-        # really run side by side
-        with ThreadPoolExecutor(threads) as pool:
-            parts = list(pool.map(block_sum, blocks))
+        def block_sum(b):
+            return f(nodes[b]) @ weights[b]
+
+        threads = min(len(blocks), _usable_cpus()) if spread else 1
+        if threads == 1:
+            parts = [block_sum(b) for b in blocks]
+        else:
+            # the kernel's ufuncs (k1, exp, sqrt) release the GIL, so blocks
+            # really run side by side
+            with ThreadPoolExecutor(threads) as pool:
+                parts = list(pool.map(block_sum, blocks))
     coarse, value = sum(parts[:n_coarse]), sum(parts[n_coarse:])
     err = np.abs(value - coarse)
     bad = ~(err <= np.maximum(spec.rel_tol * np.abs(value), spec.abs_tol))
@@ -209,7 +223,7 @@ def op_spsr(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONF
         return 1.0
     value = _gamma_average(
         lambda x: (-np.expm1(-s.lambda_sr * _spsr_threshold(p, x))) ** p.num_sources,
-        s.lambda_rd, 1, cfg.quad)
+        s.lambda_rd, 1, cfg.quad, flat=True)
     return float(value)
 
 
@@ -230,7 +244,7 @@ def op_dpsr(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONF
         return 0.0
     value = _gamma_average(
         lambda x: (-np.expm1(-s.lambda_sr * _dpsr_threshold(p, x))) ** p.num_sources,
-        s.lambda_rd, 1, cfg.quad)
+        s.lambda_rd, 1, cfg.quad, flat=True)
     return float(value)
 
 
@@ -310,7 +324,7 @@ def ip_spsr_quadrature(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = D
     _require_jamming(p)
     value = _gamma_average(
         lambda x: slot1_outage_factor(p, s, x) * slot2_outage_factor(p, s, x),
-        s.lambda_je, p.num_jammers, cfg.quad)
+        s.lambda_je, p.num_jammers, cfg.quad, flat=True)
     return 1.0 - float(value)
 
 

@@ -116,13 +116,14 @@ def rho_star(eta: float, gamma_rd):
     return float(out) if np.isscalar(gamma_rd) else out
 
 
-def _gamma_d_at(eta: float, rho, psi: float, gamma_sr, gamma_rd):
-    rho = np.asarray(rho, dtype=float)
+def _gamma_d_at(eta: float, rho: float, psi: float, gamma_sr, gamma_rd):
+    rho = np.float64(rho)
     num = eta * rho * (1.0 - rho) * psi * gamma_sr * gamma_rd
     den = eta * rho * gamma_rd + (1.0 - rho)
+    if 0 < rho < 1:
+        return num / den  # den >= 1 - rho > 0 for nonnegative gains
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-    return out
+        return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
 
 def gamma_d_spsr(p: SystemParams, gamma_sr, gamma_rd):

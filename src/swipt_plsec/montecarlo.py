@@ -144,7 +144,9 @@ def _count_chunk(p: SystemParams, s: ChannelStats, c: SimConfig,
     single = schemes is None
     if single:
         schemes = ((c.scheme, p.rho),)
-    runs = [(replace(p, rho=rho), replace(c, scheme=kind)) for kind, rho in schemes]
+    # replace validates every field again, so skip it where nothing changes
+    runs = [(p if rho == p.rho else replace(p, rho=rho),
+             c if kind == c.scheme else replace(c, scheme=kind)) for kind, rho in schemes]
     want_op, want_ip = "op" in metrics, "ip" in metrics
     links = set().union(*(_links(metrics, rc) for _, rc in runs))
     draw = draw_channels(s, p, rng, size=n, links=links)

@@ -6,7 +6,8 @@ derivations, and the benchmark checker takes the outage oracle from here.
 
 The paper's outage forms are ``op_spsr_closed_form`` (a Bessel-K sum over the
 M binomial terms, which cancels as M grows) and ``op_dpsr_series`` (a Bessel
-series, which stops converging at low power and large M).  The scalar
+series, which stops converging at low power and large M, and refuses with
+:class:`CancellationError` where its binomial terms cancel).  The scalar
 adaptive quadratures ``op_*_quadrature``, ``slot2_outage_factor_quadrature``
 and ``dpsr_slot2_factor_quadrature`` average a conditional probability over
 an exponential gain with ``scipy.quad``.  The paper's intercept forms are
@@ -43,6 +44,7 @@ from .analytic import (
 from .channel import ChannelStats, best_source_cdf
 from .core import SystemParams
 from .specfun import (
+    CancellationError,
     QuadratureSpec,
     SeriesNotConverged,
     bessel_k,
@@ -161,6 +163,12 @@ def op_dpsr_series(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAU
     over the M binomial arguments; the exponentials and the sum over ``b``
     stay scalar and left to right, so the value is that of the term-by-term
     loop bit for bit.
+
+    The binomial terms cancel as M and the power grow.  A converged sum whose
+    rounding bound eps*(1 + sum of |binomial terms| over all ``t``) exceeds
+    max(rel_tol*|value|, abs_tol) of ``cfg.quad`` raises
+    :class:`CancellationError`, carrying the value and the bound; at s1,
+    c_th 0.5 and 40 dB that happens from M = 16 on.
     """
     if p.gamma_th == 0:
         return 0.0
@@ -169,8 +177,10 @@ def op_dpsr_series(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAU
     xs = [b * s.lambda_sr * p.gamma_th / p.psi for b in range(1, p.num_sources + 1)]
     ln_xs = [math.log(x) for x in xs]
     zs = np.array([2.0 * math.sqrt(x * s.lambda_rd / p.eta) for x in xs])
+    magnitude = 1.0  # 1 + sum of |binomial terms|
 
     def term(t: int) -> float:
+        nonlocal magnitude
         ks = bessel_k(1.0 - t / 2.0, zs).tolist()
         head = (t + 1) * math.log(2.0) - math.lgamma(t + 1) + (t / 4.0 + 0.5) * ln_rd
         d = 3.0 * t / 4.0 + 0.5
@@ -178,7 +188,9 @@ def op_dpsr_series(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAU
         for coef, x, ln_x, k in zip(coefs, xs, ln_xs, ks):
             if not math.isfinite(k):
                 return math.inf
-            tot += coef * math.exp(head + d * ln_x - x) * k
+            part = coef * math.exp(head + d * ln_x - x) * k
+            tot += part
+            magnitude += abs(part)
         return (-1.0) ** t * tot
 
     res = sum_series(term, cfg.series_rel_tol, cfg.series_max_terms, initial=1.0)
@@ -186,6 +198,11 @@ def op_dpsr_series(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAU
         raise SeriesNotConverged(
             "dynamic-splitting outage series did not reach tolerance",
             res.value, res.error_estimate, res.terms)
+    bound = float(np.finfo(float).eps) * magnitude
+    if bound > max(cfg.quad.rel_tol * abs(res.value), cfg.quad.abs_tol):
+        raise CancellationError(
+            f"binomial terms of the outage series cancel: rounding bound {bound:.3e} on "
+            f"value {res.value:.6e}, above max(rel_tol*|value|, abs_tol)", res.value, bound)
     return res.value
 
 

@@ -13,7 +13,9 @@ the Chebyshev expansions of the Cephes library (scipy's ``k1``), about six
 times cheaper than ``kv(1, .)`` on an array and within a few ulps of it; the
 intercept kernel evaluates it on blocks of node pairs.  Only the reference
 routes integrate adaptively, so ``scipy.integrate`` is imported on the first
-``integrate`` call, not with this module.
+``integrate`` call, not with this module; likewise ``scipy.special`` is
+imported on the first call that needs it, which an outage-only sweep never
+makes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _special
 
 __all__ = [
     "CancellationError",
@@ -115,6 +116,8 @@ class SeriesResult:
 
 def gamma_fn(x: float) -> float:
     """Gamma function for positive real argument."""
+    from scipy import special as _special
+
     if x <= 0:
         raise ValueError(f"gamma_fn requires x > 0, got {x}")
     return float(_special.gamma(x))
@@ -131,6 +134,8 @@ def _require_positive(name: str, z) -> None:
 
 def bessel_k(v: float, z):
     """Modified Bessel function of the second kind K_v(z), real order, z > 0."""
+    from scipy import special as _special
+
     _require_positive("bessel_k", z)
     out = _special.kv(v, z)
     return float(out) if np.isscalar(z) else out
@@ -145,6 +150,8 @@ def bessel_k1(z):
     this function keeps the tiny and subnormal values until it underflows
     near z = 745.
     """
+    from scipy import special as _special
+
     _require_positive("bessel_k1", z)
     out = _special.k1(z)
     return float(out) if np.isscalar(z) else out
@@ -168,7 +175,6 @@ def integrate(
     routes integrate adaptively, and the import costs tens of MB resident.
     """
     from scipy import integrate as _scipy_integrate
-
 
     def checked(x: float) -> float:
         y = f(x)
@@ -229,6 +235,8 @@ def meijer_g3013(z: float, b1: float) -> float:
     quadrature error.  The integral is held to 1e-10 relative and 1e-60
     absolute error.
     """
+    from scipy import special as _special
+
     if z <= 0:
         raise ValueError("meijer_g3013 requires z > 0")
     mu = -b1

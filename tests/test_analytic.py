@@ -174,6 +174,10 @@ def _outcome(route, p, s):
         v = route(p, s)
     except SeriesNotConverged as e:
         return ("not converged", e.value, e.achieved_rel_tol, e.terms)
+    except CancellationError as e:
+        # a sum refused for cancellation carries its value, which keeps the
+        # loop's bits; TestOutageSeriesCancellation pins where it refuses
+        v = e.value
     return (type(v), v)
 
 
@@ -205,6 +209,44 @@ class TestOutageMatchesScalarLoops:
                          num_sources=m, num_jammers=1, c_th=0.5)
         assert _outcome(op_spsr_closed_form, p, s1) == _outcome(_scalar_op_spsr, p, s1)
         assert _outcome(op_dpsr_series, p, s1) == _outcome(_scalar_op_dpsr, p, s1)
+
+
+class TestOutageSeriesCancellation:
+    """The paper's dpsr series refuses, with CancellationError, where its
+    binomial terms cancel past the quadrature tolerance, as the slot-2
+    closed form does."""
+
+    # s1, psi 40 dB, c_th 0.5: the series' value and the kernel's at the cells
+    # where the series drifts from 5e-5 relative (M 24) to garbage (M 64)
+    @pytest.mark.parametrize("m,series,kernel", [
+        (24, 1.15188e-6, 1.15182e-6),
+        (40, -2.8643e-5, 9.9329e-7),
+        (48, 0.023766, 9.4701e-7),
+        (64, 1238.74, 8.8237e-7),
+    ])
+    def test_cancelled_cells_raise_with_their_value(self, s1, m, series, kernel):
+        p = make_params(psi_db=40.0, num_sources=m)
+        with pytest.raises(CancellationError) as exc:
+            op_dpsr_series(p, s1)
+        assert exc.value.value == pytest.approx(series, rel=1e-3)
+        assert exc.value.bound > max(1e-8 * abs(exc.value.value), 1e-12)
+        assert op_dpsr(p, s1) == pytest.approx(kernel, rel=1e-3)
+
+    def test_refusals_on_the_scalar_loop_grid(self, s1, s2):
+        # at 10-40 dB the cells at M 17, 40 and 64 refuse; at -10 dB the series
+        # stops converging first, and that error wins
+        refused = []
+        for name, s in (("s1", s1), ("s2", s2)):
+            for psi_db in (-10.0, 10.0, 25.0, 40.0):
+                for m in (1, 2, 3, 8, 17, 40, 64):
+                    try:
+                        op_dpsr_series(make_params(psi_db=psi_db, num_sources=m), s)
+                    except CancellationError:
+                        refused.append((name, psi_db, m))
+                    except SeriesNotConverged:
+                        assert psi_db == -10.0 and m >= 3
+        assert refused == [(name, psi_db, m) for name in ("s1", "s2")
+                           for psi_db in (10.0, 25.0, 40.0) for m in (17, 40, 64)]
 
 
 class TestOutageEnvelope:
@@ -510,9 +552,9 @@ class TestAveragingKernel:
         assert out.stdout.strip() == "0"
 
     def test_weighted_blocks_are_read_only(self):
-        blocks, _ = analytic._weighted_blocks(0.7, 3)
-        for nodes, weights in (blocks[0], blocks[-1]):
-            for table in (nodes, weights):
+        nodes, weights, blocks, _ = analytic._weighted_blocks(0.7, 3)
+        for b in (blocks[0], blocks[-1]):
+            for table in (nodes, weights, nodes[b], weights[b]):
                 with pytest.raises(ValueError, match="read-only"):
                     table[0] = 1.0
 
@@ -530,6 +572,75 @@ class TestAveragingKernel:
         assert _gamma_average(np.ones_like, 0.3141, 1, QuadratureSpec()) == mass
         with pytest.raises(AssertionError, match="rebuilt"):
             _gamma_average(np.ones_like, 0.3141, 2, QuadratureSpec())
+
+    @staticmethod
+    def _both_layouts(f, lam, k):
+        # (one integrand call over every node, one call per block), as bits
+        # or as the error each raises
+        out = []
+        for flat in (True, False):
+            try:
+                out.append(float(_gamma_average(f, lam, k, QuadratureSpec(), flat=flat)).hex())
+            except (QuadratureError, CancellationError) as exc:
+                out.append((type(exc), str(exc), dict(vars(exc))))
+        return out
+
+    @pytest.mark.parametrize("stats", ["s1", "s2"])
+    def test_one_call_average_equals_the_block_sums(self, request, stats):
+        s = request.getfixturevalue(stats)
+        thresholds = ((analytic._spsr_threshold, 0.225), (analytic._spsr_threshold, 0.875),
+                      (analytic._dpsr_threshold, 0.5))
+        misses = []
+        for psi_db in (-10.0, 10.0, 25.0, 40.0):
+            for m in range(1, 65):
+                for thr, rho in thresholds:
+                    p = make_params(psi_db=psi_db, rho=rho, num_sources=m)
+                    flat, blocked = self._both_layouts(
+                        lambda x: (-np.expm1(-s.lambda_sr * thr(p, x))) ** m, s.lambda_rd, 1)
+                    if flat != blocked:
+                        misses.append((thr.__name__, psi_db, m, rho))
+        assert not misses
+
+    @pytest.mark.parametrize("m", [2, 24])
+    def test_one_call_average_raises_as_the_blocks_do(self, s1, m):
+        # the static intercept average, which refuses for cancellation at
+        # M 24 and high power, and an unresolved step
+        refused = 0
+        for psi_db in (0.0, 10.0, 40.0):
+            for k in (1, 4, 8):
+                p = make_params(psi_db=psi_db, rho=0.225, num_sources=m, num_jammers=k)
+                flat, blocked = self._both_layouts(
+                    lambda x: slot1_outage_factor(p, s1, x) * slot2_outage_factor(p, s1, x),
+                    s1.lambda_je, k)
+                assert flat == blocked, (psi_db, k)
+                refused += flat[0] is CancellationError
+        assert (refused > 0) == (m == 24)
+        flat, blocked = self._both_layouts(lambda x: np.where(x > 1.3, 1.0, 0.0), 1.0, 1)
+        assert flat == blocked and flat[0] is QuadratureError
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_nested_dpsr_average_keeps_its_blocks(self, s1, monkeypatch, cpus):
+        # the outer average and the inner one per outer block both call their
+        # integrand on at most one block of nodes, whether spread or inline
+        sizes = []
+        factor = analytic.dpsr_slot2_outage_factor
+        slot1 = analytic.slot1_outage_factor
+
+        def recorded_factor(p, s, x, omega):
+            sizes.append(("inner", np.broadcast(x, omega).size))
+            return factor(p, s, x, omega)
+
+        def recorded_slot1(p, s, x):
+            sizes.append(("outer", np.size(x)))
+            return slot1(p, s, x)
+
+        monkeypatch.setattr(analytic, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(analytic, "dpsr_slot2_outage_factor", recorded_factor)
+        monkeypatch.setattr(analytic, "slot1_outage_factor", recorded_slot1)
+        ip_dpsr_quadrature(make_params(num_jammers=4), s1)
+        assert max(n for kind, n in sizes if kind == "outer") == analytic._BLOCK
+        assert max(n for kind, n in sizes if kind == "inner") == analytic._BLOCK ** 2
+        assert len(sizes) == 9 + 9 * 9
 
     # values of the nested scipy.quad routes at the figure_ip benchmark points
     @pytest.mark.parametrize("psi_db,spsr_lo,spsr_hi,dpsr", [

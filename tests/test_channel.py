@@ -10,7 +10,8 @@ from swipt_plsec import (
     erlang_pdf_xi,
     pathloss_rate,
 )
-from swipt_plsec.channel import ROW_BLOCK, _skip_uniforms, worker_stream
+from swipt_plsec import channel
+from swipt_plsec.channel import ROW_BLOCK, _fold_columns, _row_reduced_draw, _skip_uniforms, worker_stream
 from swipt_plsec.scenario import ScenarioError, load_scenario, parse_scenario, resolve_scenario
 from swipt_plsec.specfun import QuadratureSpec, integrate
 
@@ -199,6 +200,22 @@ class TestDrawChannels:
         for a, b in zip((got.gamma_sr_best, got.gamma_se, got.gamma_rd, got.gamma_re, got.xi), ref):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
         assert got_rng.random() == ref_rng.random()  # same stream position afterwards
+
+    @pytest.mark.parametrize("n", [1, 256, ROW_BLOCK + 3])
+    def test_best_of_m_max_equals_the_column_fold(self, n):
+        # short wide blocks take max(axis=1), tall ones the column fold; every
+        # width must give the fold's bits and leave the stream where it was
+        lam = 0.37
+        for width in range(1, 65):
+            got_rng, ref_rng = worker_stream(41, width), worker_stream(41, width)
+            got = _row_reduced_draw(got_rng, lam, n, width, best=True)
+            ref = np.empty(n)
+            for lo in range(0, n, ROW_BLOCK):
+                block = ref_rng.random((min(ROW_BLOCK, n - lo), width))
+                _fold_columns(np.maximum, block, ref[lo:lo + len(block)])
+            ref = channel._exp_inplace(ref, lam)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), width
+            assert got_rng.random() == ref_rng.random()
 
     def test_scalar_draw_is_the_first_row(self, s1):
         p = make_params(num_sources=3, num_jammers=9)

@@ -147,6 +147,42 @@ class TestDestinationSnr:
             assert gd(psi, gsr, grd + bump) >= base
 
 
+def _guarded_gamma_d(eta, rho, psi, gamma_sr, gamma_rd):
+    # the static destination SNR as first written: the division guarded
+    # against den = 0 at every splitting ratio
+    rho = np.asarray(rho, dtype=float)
+    num = eta * rho * (1.0 - rho) * psi * gamma_sr * gamma_rd
+    den = eta * rho * gamma_rd + (1.0 - rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+
+
+class TestDestinationSnrFastPath:
+    """Inside (0, 1) gamma_d_spsr divides directly; it must return the bits
+    of the guarded division it skips."""
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-12, 0.225, 0.5, 0.875, 1.0 - 1e-12, 1.0])
+    def test_equals_the_guarded_division(self, rho):
+        rng = np.random.default_rng(31)
+        p = make_params(rho=rho, psi_db=13.0)
+        gsr, grd = rng.exponential(1.5, size=(2, 1000))
+        gsr[:3], grd[3:6] = 0.0, 0.0
+        ref = _guarded_gamma_d(p.eta, p.rho, p.psi, gsr, grd)
+        got = gamma_d_spsr(p, gsr, grd)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        for a, b in zip(gsr[:20], grd[:20]):
+            v = gamma_d_spsr(p, float(a), float(b))
+            assert isinstance(v, float)
+            assert v.hex() == float(_guarded_gamma_d(p.eta, p.rho, p.psi, a, b)).hex()
+
+    def test_keeps_the_argument_checks(self):
+        p = make_params(rho=0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            gamma_d_spsr(p, np.array([1.0, -1e-300]), np.ones(2))
+        with pytest.raises(ValueError, match="nonnegative"):
+            gamma_d_spsr(p, 1.0, -1.0)
+
+
 class TestRhoStar:
     def test_unit_case(self):
         assert rho_star(1.0, 1.0) == pytest.approx(0.5, rel=1e-15)

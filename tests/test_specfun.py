@@ -205,6 +205,28 @@ class TestIntegrate:
         assert float(integrated) == pytest.approx(1.0, rel=1e-12)
 
 
+    def test_scipy_special_is_imported_on_first_use(self, tmp_path):
+        # an outage-only sweep calls no special function, so importing the
+        # CLI and running it leaves scipy.special unimported; the Bessel
+        # kernels still import it when first called
+        code = (
+            "import sys; from swipt_plsec.cli import main; "
+            "rc = main(['sweep', '--scenario', 's1', '--sweep', 'M:1:3:1', "
+            "'--outputs', 'op', '--scheme', 'spsr,dpsr', '--rho', '0.225', "
+            "'--trials', '400', '--output', sys.argv[1]]); "
+            "print(rc, 'scipy.special' in sys.modules); "
+            "from swipt_plsec.specfun import bessel_k1; "
+            "print(bessel_k1(1.0), 'scipy.special' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "s.csv")],
+                             capture_output=True, text=True, check=True, env=env)
+        swept, called = out.stdout.splitlines()[-2:]
+        assert swept == "0 False"
+        value, imported = called.split()
+        assert float(value) == pytest.approx(0.6019072301972346, rel=1e-14)
+        assert imported == "True"
+
+
 class TestMeijerInstance:
     @pytest.mark.parametrize("z,t,k", [(0.5, 0, 1), (1.0, 1, 1), (2.0, 0, 2), (0.7, 2, 1)])
     def test_against_mpmath(self, z, t, k):
