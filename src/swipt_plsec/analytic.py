@@ -19,9 +19,9 @@ closed Bessel form which refuses, with :class:`CancellationError`, where its
 alternating sum cancels; it takes K_1 from ``bessel_k1`` (Cephes ``k1``),
 within a few ulps of ``kv(1, .)`` and six times cheaper on the (128, 128)
 blocks of node pairs that dominate the dynamic-splitting route.  The outer
-average of ``ip_dpsr_quadrature`` runs its blocks on up to as many threads as
-the process has usable CPUs, and adds their partial sums in block order, so
-its value does not depend on the thread count.
+average of ``ip_dpsr_quadrature`` runs its blocks through ``core.spread_map``,
+on up to as many threads as the process has usable CPUs, and adds their
+partial sums in block order, so its value does not depend on the thread count.
 
 The paper's closed forms and series, and the scalar adaptive quadratures of
 the same averages, are test references in :mod:`swipt_plsec.reference`; no
@@ -35,14 +35,12 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelStats, erlang_pdf_xi
-from .core import SystemParams, rho_star
-from .core import usable_cpus as _usable_cpus
+from .core import SystemParams, rho_star, spread_map
 from .specfun import CancellationError, QuadratureError, QuadratureSpec, bessel_k1
 
 # Not called here: perfbench/layers.py rebinds these names to trace this
@@ -164,11 +162,12 @@ def _gamma_average(f, lam: float, k: int, spec: QuadratureSpec, spread: bool = F
     nested inside it would hold (1120, 128) arrays, which cost more than the
     calls they save.
 
-    With ``spread`` the node blocks run on up to ``_usable_cpus()`` threads
-    (inline when that is one).  Only the outermost average of a nested route
-    sets it, so pools never nest.  The partial sums are added in block order
-    either way, so the value does not depend on the thread count, and the
-    first block that raises in that order is the one whose error propagates.
+    With ``spread`` the node blocks go through ``core.spread_map``, whose
+    threads run them side by side (the kernel's ufuncs release the GIL).
+    Only the outermost average of a nested route sets it, so pools never
+    nest.  The partial sums are added in block order either way, so the
+    value does not depend on the thread count, and the first block that
+    raises in that order is the one whose error propagates.
     """
     nodes, weights, blocks, n_coarse = _weighted_blocks(lam, k)
     if flat:
@@ -178,14 +177,7 @@ def _gamma_average(f, lam: float, k: int, spec: QuadratureSpec, spread: bool = F
         def block_sum(b):
             return f(nodes[b]) @ weights[b]
 
-        threads = min(len(blocks), _usable_cpus()) if spread else 1
-        if threads == 1:
-            parts = [block_sum(b) for b in blocks]
-        else:
-            # the kernel's ufuncs (k1, exp, sqrt) release the GIL, so blocks
-            # really run side by side
-            with ThreadPoolExecutor(threads) as pool:
-                parts = list(pool.map(block_sum, blocks))
+        parts = spread_map(block_sum, blocks) if spread else [block_sum(b) for b in blocks]
     coarse, value = sum(parts[:n_coarse]), sum(parts[n_coarse:])
     err = np.abs(value - coarse)
     bad = ~(err <= np.maximum(spec.rel_tol * np.abs(value), spec.abs_tol))

@@ -102,10 +102,10 @@ def _build_params(args, rho: float) -> SystemParams:
     )
 
 
-def _build_sim(args, scheme: str) -> SimConfig:
+def _build_sim(args) -> SimConfig:
     trials = PAPER_FIDELITY_TRIALS if args.paper_fidelity else args.trials
     return SimConfig(trials=trials, seed=args.seed, workers=args.workers,
-                     scheme=scheme, jamming=args.jamming == "on", e1_mode=args.e1_mode)
+                     jamming=args.jamming == "on", e1_mode=args.e1_mode)
 
 
 def _cmd_point(args) -> int:
@@ -113,7 +113,7 @@ def _cmd_point(args) -> int:
     spec = SweepSpec(
         variable="psi_db", start=args.psi_db, stop=args.psi_db, step=1.0,
         params=_build_params(args, args.rho), stats=resolve_scenario(args.scenario),
-        sim=_build_sim(args, args.scheme), schemes=(scheme,),
+        sim=_build_sim(args), schemes=(scheme,),
     )
     result = run_sweep(spec)
     row = result.rows[0]
@@ -156,7 +156,7 @@ def _cmd_sweep(args) -> int:
     params = _build_params(args, args.rho[0] if var != "rho" else 0.5)
     spec = SweepSpec(
         variable=var, start=start, stop=stop, step=step,
-        params=params, stats=stats, sim=_build_sim(args, "spsr"),
+        params=params, stats=stats, sim=_build_sim(args),
         schemes=tuple(schemes), outputs=args.outputs,
     )
     result = run_sweep(spec)
@@ -263,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, NumericalError) as exc:
+    except (ValueError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

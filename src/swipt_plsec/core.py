@@ -6,13 +6,15 @@ the received power into a fraction ``rho`` harvested for its own transmission
 and ``1 - rho`` kept for the information signal, and forwards with the
 amplify-and-forward gain already folded into the SNR expressions.
 
-``usable_cpus`` is the one thread-count policy of the package: the MC engine
-and the intercept kernel both size their thread pools by it.
+``usable_cpus`` and ``spread_map`` are the one thread policy of the package:
+the MC partitions and the outer dynamic-splitting intercept average both run
+through ``spread_map``.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +40,18 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         return os.cpu_count() or 1
+
+
+def spread_map(fn, items) -> list:
+    """``[fn(x) for x in items]`` on up to ``usable_cpus()`` threads, inline
+    with no pool at one.  Results come back in item order, and the first item
+    in that order to raise is the one whose error propagates."""
+    items = list(items)
+    threads = min(len(items), usable_cpus())
+    if threads <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def snr_threshold(c_th: float) -> float:

@@ -8,29 +8,28 @@ run, and a joint run with the same configuration advance identical streams
 and report bitwise-identical estimates.  Trials are partitioned across
 workers whose streams derive from (master seed, worker index); partial
 estimates merge by integer count addition, which makes merging exact and
-associative.  The partitions run concurrently on at most as many threads as
-the process has usable CPUs (inline when that is one); each thread owns its
-partition's stream, so the counts equal those of a sequential run bit for
-bit.
+associative.  The partitions go through ``core.spread_map``, which runs them
+concurrently on at most as many threads as the process has usable CPUs
+(inline when that is one); each thread owns its partition's stream, so the
+counts equal those of a sequential run bit for bit.
 
-Several schemes, ``(kind, rho)`` pairs that differ only in the splitting
-rule, can share one run: each chunk draws the union of the links they read
-once and counts every scheme on it (common random numbers).  Neither field
-enters the draw, so each scheme's counts are bitwise those of its own run.
+A run counts a list of schemes, ``(kind, rho)`` pairs that differ only in
+the splitting rule: each chunk draws the union of the links they read once
+and counts every scheme on it (common random numbers).  Neither field enters
+the draw, so each scheme's counts are bitwise those of its own run.  The
+one-scheme calls are the one-element list ``(c.scheme, p.rho)``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Collection, Sequence
 
 import numpy as np
 
 from .channel import ROW_BLOCK, ChannelStats, draw_channels, worker_stream
-from .core import SystemParams, gamma_d_dpsr, gamma_d_spsr, gamma_e
-from .core import usable_cpus as _usable_cpus
+from .core import SCHEMES, SystemParams, gamma_d_dpsr, gamma_d_spsr, gamma_e, spread_map
 
 __all__ = ["METRICS", "SimConfig", "EstimateWithCI", "simulate_op", "simulate_ip",
            "simulate_point"]
@@ -47,6 +46,9 @@ _WILSON_SWITCH = 1e-4
 @dataclass(frozen=True)
 class SimConfig:
     """Trial-engine configuration.
+
+    Only the one-scheme calls read ``scheme``; a list of schemes carries
+    its own kinds.
 
     ``e1_mode`` picks the eavesdropper's first-slot SNR model: ``exact``
     keeps the unit noise term, ``approx`` uses the jamming-dominated form the
@@ -66,7 +68,7 @@ class SimConfig:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"need at least one worker, got {self.workers}")
-        if self.scheme not in ("spsr", "dpsr"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.e1_mode not in ("exact", "approx"):
             raise ValueError(f"unknown e1_mode {self.e1_mode!r}")
@@ -116,39 +118,29 @@ class EstimateWithCI:
         return abs(value - self.estimate) <= self.ci_halfwidth
 
 
-def _links(metrics: Collection[str], c: SimConfig) -> set[str]:
-    """Links whose gains the counts of ``metrics`` read."""
+def _links(metrics: Collection[str], kind: str, jamming: bool) -> set[str]:
+    """Links whose gains the counts of ``metrics`` read under scheme ``kind``."""
     links = set()
     if "op" in metrics:
         links |= {"sr", "rd"}
     if "ip" in metrics:
         links |= {"sr", "se", "re"}
-        if c.jamming:
+        if jamming:
             links.add("je")
-        if c.scheme == "dpsr":
+        if kind == "dpsr":
             links.add("rd")
     return links
 
 
 def _count_chunk(p: SystemParams, s: ChannelStats, c: SimConfig,
-                 rng: np.random.Generator, n: int,
-                 metrics: Collection[str] = METRICS,
-                 schemes: Sequence[tuple[str, float]] | None = None):
-    """(op, ip) success counts of ``n`` trials; a metric not in ``metrics``
-    counts 0, and the links only it reads are skipped, not drawn.
-
-    ``schemes``, (kind, rho) pairs standing in for ``c.scheme`` and
-    ``p.rho``, are all counted on one draw of the links any of them reads,
-    and their (op, ip) pairs come back as a list in the same order.
-    """
-    single = schemes is None
-    if single:
-        schemes = ((c.scheme, p.rho),)
-    # replace validates every field again, so skip it where nothing changes
-    runs = [(p if rho == p.rho else replace(p, rho=rho),
-             c if kind == c.scheme else replace(c, scheme=kind)) for kind, rho in schemes]
+                 rng: np.random.Generator, n: int, metrics: Collection[str],
+                 runs: Sequence[tuple[str, SystemParams]]) -> list[tuple[int, int]]:
+    """(op, ip) success counts of ``n`` trials, one pair per (kind, params)
+    run, all counted on one draw of the links any of them reads; a metric not
+    in ``metrics`` counts 0, and the links only it reads are skipped, not
+    drawn."""
     want_op, want_ip = "op" in metrics, "ip" in metrics
-    links = set().union(*(_links(metrics, rc) for _, rc in runs))
+    links = set().union(*(_links(metrics, kind, c.jamming) for kind, _ in runs))
     draw = draw_channels(s, p, rng, size=n, links=links)
     mode = c.e1_mode if c.jamming else "no-jamming"
     # with the jammers off, gamma_e reads the aggregate only for its shape
@@ -160,16 +152,15 @@ def _count_chunk(p: SystemParams, s: ChannelStats, c: SimConfig,
         rows = slice(lo, lo + ROW_BLOCK)
         sr = draw.gamma_sr_best[rows]
         rd = None if draw.gamma_rd is None else draw.gamma_rd[rows]
-        for (rp, rc), count in zip(runs, counts):
+        for (kind, rp), count in zip(runs, counts):
             if want_op:
-                gamma_d = gamma_d_dpsr if rc.scheme == "dpsr" else gamma_d_spsr
+                gamma_d = gamma_d_dpsr if kind == "dpsr" else gamma_d_spsr
                 count[0] += int(np.count_nonzero(gamma_d(rp, sr, rd) < rp.gamma_th))
             if want_ip:
                 pair = gamma_e(rp, draw.gamma_se[rows], sr, draw.gamma_re[rows], xi[rows],
-                               mode=mode, scheme=rc.scheme, gamma_rd=rd)
+                               mode=mode, scheme=kind, gamma_rd=rd)
                 count[1] += int(np.count_nonzero(pair.combined >= rp.gamma_th))
-    counts = [tuple(count) for count in counts]
-    return counts[0] if single else counts
+    return [tuple(count) for count in counts]
 
 
 def _sum_counts(parts: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
@@ -178,35 +169,27 @@ def _sum_counts(parts: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
             for scheme in zip(*parts)]
 
 
-def _worker_counts(p: SystemParams, s: ChannelStats, c: SimConfig,
-                   worker: int, n_worker: int, metrics: Collection[str],
-                   schemes: Sequence[tuple[str, float]]) -> list[tuple[int, int]]:
-    rng = worker_stream(c.seed, worker)
-    return _sum_counts([_count_chunk(p, s, c, rng, min(_CHUNK, n_worker - lo), metrics, schemes)
-                        for lo in range(0, n_worker, _CHUNK)])
-
-
 def _simulate_counts(p: SystemParams, s: ChannelStats, c: SimConfig,
-                     metrics: Collection[str] = METRICS,
-                     schemes: Sequence[tuple[str, float]] | None = None,
+                     metrics: Collection[str], schemes: Sequence[tuple[str, float]],
                      ) -> list[tuple[int, int]]:
-    """Per-scheme (op, ip) counts; ``schemes=None`` is ``c.scheme`` at ``p.rho``."""
+    """Per-scheme (op, ip) counts of the (kind, rho) ``schemes`` at ``p``."""
     if not metrics or not set(metrics) <= set(METRICS):
         raise ValueError(f"metrics must be a nonempty subset of {METRICS}, got {metrics!r}")
-    schemes = ((c.scheme, p.rho),) if schemes is None else tuple(schemes)
-    if not schemes:
-        raise ValueError("need at least one scheme")
+    if not schemes or not {kind for kind, _ in schemes} <= set(SCHEMES):
+        raise ValueError(f"need one or more schemes of kind {SCHEMES}, got {schemes!r}")
+    # replace validates every field again, so skip it where nothing changes
+    runs = [(kind, p if rho == p.rho else replace(p, rho=rho)) for kind, rho in schemes]
+
+    def partition_counts(part: tuple[int, int]) -> list[tuple[int, int]]:
+        worker, n_worker = part
+        rng = worker_stream(c.seed, worker)
+        return _sum_counts([_count_chunk(p, s, c, rng, min(_CHUNK, n_worker - lo), metrics, runs)
+                            for lo in range(0, n_worker, _CHUNK)])
+
+    # numpy's bit generators and ufuncs release the GIL, so the partitions
+    # really run side by side; each keeps its own stream
     parts = [(worker, n) for worker, n in enumerate(c.partition()) if n > 0]
-    threads = min(len(parts), _usable_cpus())
-    if threads == 1:
-        counts = [_worker_counts(p, s, c, *part, metrics, schemes) for part in parts]
-    else:
-        # numpy's bit generators and ufuncs release the GIL, so the
-        # partitions really run side by side; each keeps its own stream
-        with ThreadPoolExecutor(threads) as pool:
-            counts = list(pool.map(
-                lambda part: _worker_counts(p, s, c, *part, metrics, schemes), parts))
-    return _sum_counts(counts)
+    return _sum_counts(spread_map(partition_counts, parts))
 
 
 def simulate_op(p: SystemParams, s: ChannelStats, c: SimConfig) -> EstimateWithCI:
@@ -215,8 +198,7 @@ def simulate_op(p: SystemParams, s: ChannelStats, c: SimConfig) -> EstimateWithC
     Draws only the SR and RD gains and skips the others' uniforms, so the
     estimate is bitwise that of :func:`simulate_point`.
     """
-    [(op, _)] = _simulate_counts(p, s, c, ("op",))
-    return EstimateWithCI.from_counts(op, c.trials)
+    return simulate_point(p, s, c, ("op",))[0]
 
 
 def simulate_ip(p: SystemParams, s: ChannelStats, c: SimConfig) -> EstimateWithCI:
@@ -226,8 +208,7 @@ def simulate_ip(p: SystemParams, s: ChannelStats, c: SimConfig) -> EstimateWithC
     the intercept does not read, so the estimate is bitwise that of
     :func:`simulate_point`.
     """
-    [(_, ip)] = _simulate_counts(p, s, c, ("ip",))
-    return EstimateWithCI.from_counts(ip, c.trials)
+    return simulate_point(p, s, c, ("ip",))[1]
 
 
 def simulate_point(
@@ -243,8 +224,9 @@ def simulate_point(
     bitwise that of the one-scheme call with ``c.scheme=kind`` and
     ``p.rho=rho``.
     """
+    runs = ((c.scheme, p.rho),) if schemes is None else schemes
     estimates = [
         (EstimateWithCI.from_counts(op, c.trials) if "op" in metrics else None,
          EstimateWithCI.from_counts(ip, c.trials) if "ip" in metrics else None)
-        for op, ip in _simulate_counts(p, s, c, metrics, schemes)]
+        for op, ip in _simulate_counts(p, s, c, metrics, runs)]
     return estimates[0] if schemes is None else estimates

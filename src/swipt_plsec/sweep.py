@@ -9,7 +9,10 @@ from ``ip_*_quadrature``, the closed-form slot factors averaged over the
 jammer aggregate by the same kernel, or from ``ip_*_no_jamming`` with the
 jammers silent.  No cell comes from :mod:`swipt_plsec.reference`: the
 paper's outage closed form and series cancel or stop converging inside the
-sweep envelope, and its intercept series is asymptotic.  Each point draws
+sweep envelope, and its intercept series is asymptotic.  The swept variable
+is applied once per point, by the field and conversion ``_VARIABLE_FIELDS``
+gives it, and each scheme changes only ``rho`` (its own, or the point's), so
+the schemes of a point differ in nothing else.  Each point draws
 its Monte-Carlo seed from (master seed, point index), so points can be
 computed in any order, or concurrently, without changing results.  The rows
 of one point share that stream (common random numbers), and one Monte-Carlo
@@ -53,7 +56,15 @@ __all__ = [
     "read_csv",
 ]
 
-SWEEP_VARIABLES = ("psi_db", "rho", "M", "K", "phi_db")
+# swept variable -> (SystemParams field it sets, conversion of the grid value)
+_VARIABLE_FIELDS = {
+    "psi_db": ("psi", lambda v: 10.0 ** (v / 10.0)),
+    "rho": ("rho", float),
+    "M": ("num_sources", int),
+    "K": ("num_jammers", int),
+    "phi_db": ("phi", lambda v: 10.0 ** (v / 10.0)),
+}
+SWEEP_VARIABLES = tuple(_VARIABLE_FIELDS)
 
 _CSV_FIELDS = ("scheme", "op_analytic", "op_mc", "op_ci",
                "ip_analytic", "ip_mc", "ip_ci", "runtime_ms", "error")
@@ -163,22 +174,6 @@ def sweep_values(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def _apply_variable(p: SystemParams, variable: str, value: float,
-                    scheme: SchemePoint) -> SystemParams:
-    rho = scheme.rho if scheme.kind == "spsr" and scheme.rho is not None else p.rho
-    if variable == "psi_db":
-        p = replace(p, rho=rho, psi=10.0 ** (value / 10.0))
-    elif variable == "phi_db":
-        p = replace(p, rho=rho, phi=10.0 ** (value / 10.0))
-    elif variable == "rho":
-        p = replace(p, rho=value if scheme.kind == "spsr" else rho)
-    elif variable == "M":
-        p = replace(p, rho=rho, num_sources=int(value))
-    elif variable == "K":
-        p = replace(p, rho=rho, num_jammers=int(value))
-    return p
-
-
 def analytic_op(p: SystemParams, s: ChannelStats, scheme_kind: str) -> float:
     return op_dpsr(p, s) if scheme_kind == "dpsr" else op_spsr(p, s)
 
@@ -199,30 +194,33 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows: list[SweepRow] = []
     s = spec.stats
     metrics = METRICS if spec.outputs == "both" else (spec.outputs,)
+    field, convert = _VARIABLE_FIELDS[spec.variable]
     for index, value in enumerate(sweep_values(spec.start, spec.stop, spec.step)):
-        point, schemes = [], []  # (row, its errors) and (kind, rho) per scheme
-        for scheme in spec.schemes:
+        p = replace(spec.params, **{field: convert(value)})
+        # the schemes' params differ only in rho: a static curve's own, else the point's
+        schemes = [(sp.kind, p.rho if sp.rho is None else sp.rho) for sp in spec.schemes]
+        point = []  # (row, its errors) per scheme
+        for scheme, (kind, rho) in zip(spec.schemes, schemes):
             t0 = time.perf_counter()
-            p = _apply_variable(spec.params, spec.variable, value, scheme)
+            # replace validates every field again, so skip it where nothing changes
+            rp = p if rho == p.rho else replace(p, rho=rho)
             row = SweepRow(value=value, scheme=scheme.label)
             errors = []
             if spec.outputs in ("op", "both"):
                 try:
-                    row.op_analytic = analytic_op(p, s, scheme.kind)
+                    row.op_analytic = analytic_op(rp, s, kind)
                 except (NumericalError, ValueError) as exc:
                     errors.append(f"analytic op: {exc}")
             if spec.outputs in ("ip", "both"):
                 try:
-                    row.ip_analytic = analytic_ip(p, s, scheme.kind, spec.sim.jamming)
+                    row.ip_analytic = analytic_ip(rp, s, kind, spec.sim.jamming)
                 except (NumericalError, ValueError) as exc:
                     errors.append(f"analytic ip: {exc}")
             row.runtime_ms = (time.perf_counter() - t0) * 1e3
             point.append((row, errors))
-            schemes.append((scheme.kind, p.rho))
         t0 = time.perf_counter()
         try:
             sim = replace(spec.sim, seed=derive_seed(spec.sim.seed, index))
-            # the schemes' params differ only in rho, which each pair carries
             estimates = simulate_point(p, s, sim, metrics=metrics, schemes=schemes)
             for (row, _), (op_est, ip_est) in zip(point, estimates):
                 if op_est is not None:
@@ -305,19 +303,29 @@ def write_csv(result: SweepResult, path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> SweepResult:
+    """Read a :func:`write_csv` file back; raises ``ValueError`` naming the
+    file and line for an empty file, a foreign header, a row whose field
+    count differs from the header's, or a record the csv module rejects."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header[1:]) != _CSV_FIELDS:
-            raise ValueError(f"unexpected sweep CSV header in {path}")
-        variable = header[0]
-        rows = []
-        for rec in reader:
-            opt = [float(v) if v else None for v in rec[2:9]]
-            rows.append(SweepRow(
-                value=float(rec[0]), scheme=rec[1],
-                op_analytic=opt[0], op_mc=opt[1], op_ci=opt[2],
-                ip_analytic=opt[3], ip_mc=opt[4], ip_ci=opt[5],
-                runtime_ms=opt[6], error=rec[9] if len(rec) > 9 else "",
-            ))
-    return SweepResult(variable, rows)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected a sweep CSV header")
+            if tuple(header[1:]) != _CSV_FIELDS:
+                raise ValueError(f"unexpected sweep CSV header in {path}")
+            rows = []
+            for rec in reader:
+                if len(rec) != len(header):
+                    raise ValueError(f"{path}, line {reader.line_num}: {len(rec)} fields, "
+                                     f"the header has {len(header)}")
+                opt = [float(v) if v else None for v in rec[2:9]]
+                rows.append(SweepRow(
+                    value=float(rec[0]), scheme=rec[1],
+                    op_analytic=opt[0], op_mc=opt[1], op_ci=opt[2],
+                    ip_analytic=opt[3], ip_mc=opt[4], ip_ci=opt[5],
+                    runtime_ms=opt[6], error=rec[9],
+                ))
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    return SweepResult(header[0], rows)

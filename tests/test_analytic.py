@@ -28,7 +28,7 @@ from swipt_plsec import (
     op_spsr_closed_form,
     op_spsr_quadrature,
 )
-from swipt_plsec import analytic
+from swipt_plsec import analytic, core
 from swipt_plsec.analytic import (
     _gamma_average,
     _slot2_no_intercept,
@@ -634,7 +634,7 @@ class TestAveragingKernel:
             sizes.append(("outer", np.size(x)))
             return slot1(p, s, x)
 
-        monkeypatch.setattr(analytic, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(analytic, "dpsr_slot2_outage_factor", recorded_factor)
         monkeypatch.setattr(analytic, "slot1_outage_factor", recorded_slot1)
         ip_dpsr_quadrature(make_params(num_jammers=4), s1)
@@ -783,12 +783,12 @@ class TestSlot2KernelMatchesKv:
 
 class TestBlockThreads:
     """The outer average of ``ip_dpsr_quadrature`` maps its node blocks over
-    up to ``_usable_cpus()`` threads; values and errors must not depend on
+    up to ``core.usable_cpus()`` threads; values and errors must not depend on
     how many."""
 
     @staticmethod
     def _run(monkeypatch, cpus, fn):
-        monkeypatch.setattr(analytic, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, to expose shared state
         try:
@@ -836,7 +836,7 @@ class TestBlockThreads:
         idents, pools = set(), []
         in_flight = peak = 0
         factor = analytic.dpsr_slot2_factor
-        executor = analytic.ThreadPoolExecutor
+        executor = core.ThreadPoolExecutor
 
         def recorded_factor(*args):
             nonlocal in_flight, peak
@@ -855,7 +855,7 @@ class TestBlockThreads:
             return executor(*args, **kwargs)
 
         monkeypatch.setattr(analytic, "dpsr_slot2_factor", recorded_factor)
-        monkeypatch.setattr(analytic, "ThreadPoolExecutor", recorded_executor)
+        monkeypatch.setattr(core, "ThreadPoolExecutor", recorded_executor)
         p = make_params(num_jammers=4)
         self._run(monkeypatch, cpus, lambda: (ip_dpsr_quadrature(p, s1),
                                               ip_spsr_quadrature(make_params(rho=0.225), s1)))

@@ -18,7 +18,7 @@ from swipt_plsec import (
     simulate_op,
     simulate_point,
 )
-from swipt_plsec import channel, montecarlo
+from swipt_plsec import channel, core, montecarlo
 from swipt_plsec.channel import draw_channels, worker_stream
 from swipt_plsec.montecarlo import METRICS
 
@@ -270,7 +270,8 @@ class TestJammingOff:
         self._forbid_je(monkeypatch)
         for metrics in (("ip",), ("op", "ip")):
             rng = worker_stream(c.seed, 0)
-            assert montecarlo._count_chunk(p, s1, c, rng, n, metrics)[1] == expected
+            assert montecarlo._count_chunk(p, s1, c, rng, n, metrics,
+                                           [(c.scheme, p)])[0][1] == expected
             assert rng.random(5).tobytes() == after.tobytes()
 
 
@@ -279,7 +280,8 @@ def _sequential_counts(p, s, c):
     for worker, n_worker in enumerate(c.partition()):
         rng = worker_stream(c.seed, worker)
         for lo in range(0, n_worker, montecarlo._CHUNK):
-            op, ip = montecarlo._count_chunk(p, s, c, rng, min(montecarlo._CHUNK, n_worker - lo))
+            n = min(montecarlo._CHUNK, n_worker - lo)
+            [(op, ip)] = montecarlo._count_chunk(p, s, c, rng, n, METRICS, [(c.scheme, p)])
             op_total += op
             ip_total += ip
     return op_total, ip_total
@@ -289,8 +291,8 @@ class TestWorkerThreads:
     @pytest.mark.parametrize("cpus", [None, 1])
     def test_threads_capped_and_counts_sequential(self, s1, monkeypatch, cpus):
         if cpus is not None:
-            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-        cap = min(64, montecarlo._usable_cpus())
+            monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+        cap = min(64, core.usable_cpus())
         p = make_params(num_sources=3, num_jammers=2)
         c = SimConfig(trials=64 * 700 + 5, seed=13, workers=64)
         idents = set()
@@ -345,14 +347,6 @@ class TestSchemeSets:
             shared = simulate_point(p, s1, c, metrics, schemes=order)
             expected = alone if order == SCHEMES else alone[::-1]
             assert shared == expected
-
-    def test_chunk_of_one_scheme_is_the_single_call(self, s1):
-        p = make_params(num_sources=2, num_jammers=3)
-        c = SimConfig(trials=1, seed=5, scheme="dpsr")
-        single = montecarlo._count_chunk(p, s1, c, worker_stream(c.seed, 0), 1003)
-        listed = montecarlo._count_chunk(p, s1, c, worker_stream(c.seed, 0), 1003, METRICS,
-                                         (("dpsr", p.rho),))
-        assert listed == [single]
 
     def test_one_draw_per_chunk_whatever_the_scheme_count(self, s1, monkeypatch):
         calls = []

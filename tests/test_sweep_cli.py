@@ -1,4 +1,5 @@
 
+import csv
 import threading
 import time
 
@@ -443,3 +444,44 @@ class TestCli:
     def test_unknown_scenario_exit(self, capsys):
         assert main(["point", "--scenario", "missing-file"]) == 1
         assert "cannot resolve" in capsys.readouterr().err
+
+    def _short_row_csv(self, tmp_path):
+        path = tmp_path / "short.csv"
+        write_csv(SweepResult("psi_db", [SweepRow(value=1.0, scheme="dpsr")]), path)
+        header, row = path.read_text().splitlines()
+        path.write_text(f"{header}\n{row}\n1,dpsr,0.5\n")
+        return path
+
+    def test_read_csv_names_the_file_and_line_of_a_short_row(self, tmp_path):
+        path = self._short_row_csv(tmp_path)
+        with pytest.raises(ValueError, match=r"short\.csv, line 3: 3 fields, the header has 10"):
+            read_csv(path)
+
+    def test_compare_reports_a_short_row(self, tmp_path, capsys):
+        path = self._short_row_csv(tmp_path)
+        assert main(["compare", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 3" in err
+
+    def test_compare_reports_a_record_the_csv_module_rejects(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        row = SweepRow(value=1.0, scheme="x" * (csv.field_size_limit() + 1))
+        write_csv(SweepResult("psi_db", [row]), path)
+        with pytest.raises(ValueError, match=r"big\.csv, line 2: field larger than"):
+            read_csv(path)
+        assert main(["compare", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_compare_reports_an_empty_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=r"empty\.csv: empty file"):
+            read_csv(path)
+        assert main(["compare", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_compare_reports_a_missing_input(self, tmp_path, capsys):
+        path = tmp_path / "missing.csv"
+        assert main(["compare", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.csv" in err
