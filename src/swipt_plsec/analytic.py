@@ -18,7 +18,11 @@ that the second-slot wiretap SNR stays below threshold at a splitting ratio
 closed Bessel form which refuses, with :class:`CancellationError`, where its
 alternating sum cancels; it takes K_1 from ``bessel_k1`` (Cephes ``k1``),
 within a few ulps of ``kv(1, .)`` and six times cheaper on the (128, 128)
-blocks of node pairs that dominate the dynamic-splitting route.  The outer
+blocks of node pairs that dominate the dynamic-splitting route.  It skips
+``sqrt`` and K_1 in the terms whose factor exp(b*info) underflows to exactly
+0, near rho = 1 at small relay-to-destination gains, which leaves every bit
+of the sum as it is (at the ``figure_ip`` points 34-45% of the dynamic
+route's terms).  The outer
 average of ``ip_dpsr_quadrature`` runs its blocks through ``core.spread_map``,
 on up to as many threads as the process has usable CPUs, and adds their
 partial sums in block order, so its value does not depend on the thread count.
@@ -262,20 +266,46 @@ def _slot2_no_intercept(p: SystemParams, s: ChannelStats, rho, dilution):
     The alternating binomial sum cancels as M grows.  Raises
     :class:`CancellationError` where its rounding bound eps*(1 + sum |terms|)
     exceeds max(rel_tol*|value|, abs_tol) of the default quadrature spec;
-    the bound is at most eps*2**M, under 1e-12 for M <= 12."""
+    the bound is at most eps*2**M, under 1e-12 for M <= 12.
+
+    The b-th term carries the factor exp(b*info), and info depends on rho
+    alone.  Where that factor underflows to exactly 0 the term is a signed
+    zero (for 0 < harvest < inf), and adding it leaves ``acc`` and
+    ``magnitude`` bit for bit as they are.  So ``sqrt`` and K_1 run only on
+    the live entries, those whose factor is not 0: on the span of rho's
+    trailing axis that holds them all where rho spans the result's trailing
+    axis (the nested dynamic-splitting average), else on every entry.  A
+    factor that is 0 at b stays 0 at every larger b (info < 0 there), so the
+    loop ends at the first b with no live entry.  A harvest outside (0, inf)
+    has every term evaluated, so its NaN or error shows as in the full sum."""
     rho = np.asarray(rho, dtype=float)
-    harvest = s.lambda_sr * s.lambda_re * p.gamma_th / (p.eta * p.psi) * (dilution / rho)
+    harvest = np.asarray(
+        s.lambda_sr * s.lambda_re * p.gamma_th / (p.eta * p.psi) * (dilution / rho))
     if p.gamma_th == 0:
         return np.zeros_like(harvest)  # a zero threshold is always reached
     with np.errstate(divide="ignore"):
         info = -s.lambda_sr * p.gamma_th / ((1.0 - rho) * p.psi)
-    acc = 1.0
-    magnitude = 1.0  # 1 + sum of |terms|
+    # the largest b has the smallest factors: skip if one underflows there,
+    # and only where the skipped terms are exact zeros, 0 < harvest < inf
+    skip = (not (np.exp(p.num_sources * info) > 0).all()
+            and ((harvest > 0) & (harvest < np.inf)).all())
+    on_trailing_axis = info.ndim > 0 and info.shape[-1] == harvest.shape[-1]
+    acc = np.ones_like(harvest)
+    magnitude = np.ones_like(harvest)  # 1 + sum of |terms|
     for b, coef in _binom_coeffs(p.num_sources):
-        r = np.sqrt(b * harvest)
-        term = 2.0 * coef * np.exp(b * info) * r * bessel_k1(2.0 * r)
-        acc += term
-        magnitude += np.abs(term)
+        scale = np.exp(b * info)
+        span = ...
+        if skip:
+            live = scale > 0
+            if not live.any():
+                break
+            if on_trailing_axis:
+                cols = np.flatnonzero(live.reshape(-1, live.shape[-1]).any(axis=0))
+                span = (..., slice(cols[0], cols[-1] + 1))
+        r = np.sqrt(b * harvest[span])
+        term = 2.0 * coef * scale[span] * r * bessel_k1(2.0 * r)
+        acc[span] += term
+        magnitude[span] += np.abs(term)
     bound = np.finfo(float).eps * magnitude
     spec = DEFAULT_CONFIG.quad
     bad = bound > np.maximum(spec.rel_tol * np.abs(acc), spec.abs_tol)
@@ -285,7 +315,7 @@ def _slot2_no_intercept(p: SystemParams, s: ChannelStats, rho, dilution):
         raise CancellationError(
             f"binomial terms of the slot-2 factor cancel: rounding bound {e:.3e} on "
             f"value {v:.6e}, above max(rel_tol*|value|, abs_tol)", v, e)
-    return acc
+    return acc if acc.ndim else acc[()]  # a scalar for 0-d inputs
 
 
 def slot2_outage_factor(p: SystemParams, s: ChannelStats, x):

@@ -25,6 +25,7 @@ joint run.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -111,6 +112,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
+        for name in ("start", "stop", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.start > self.stop:
@@ -162,7 +166,12 @@ class SweepResult:
 
 
 def sweep_values(start: float, stop: float, step: float) -> list[float]:
-    """Grid start, start+step, ... up to stop (inclusive within half a step)."""
+    """Grid start, start+step, ... up to stop (inclusive within 1e-9 of a step).
+
+    Raises ``ValueError`` on a non-finite bound or step, or a step <= 0, on
+    which the grid would never end."""
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0:
+        raise ValueError(f"need a finite grid with step > 0, got {start!r}:{stop!r}:{step!r}")
     values = []
     i = 0
     while True:

@@ -45,7 +45,7 @@ from swipt_plsec.reference import (
     slot2_outage_factor_quadrature,
 )
 from swipt_plsec.channel import best_source_cdf, erlang_pdf_xi
-from swipt_plsec.specfun import QuadratureSpec, bessel_k, integrate, sum_series
+from swipt_plsec.specfun import QuadratureSpec, bessel_k, bessel_k1, integrate, sum_series
 
 from conftest import db, make_params
 
@@ -713,9 +713,10 @@ class TestCachedKernelOracle:
                 assert self._bits(ip_spsr_quadrature(p, s1)) == self._bits(ref), (psi_db, k)
 
 
-def _kv_slot2_no_intercept(p, s, rho, dilution):
-    # the slot-2 closed form as first written, with kv(1, .) for K_1;
-    # returns the value and its rounding bound eps*(1 + sum |terms|)
+def _every_term_slot2_no_intercept(p, s, rho, dilution, k1=bessel_k1):
+    # the slot-2 closed form as first written, every term evaluated, with
+    # ``k1`` for K_1; returns the value and its rounding bound
+    # eps*(1 + sum |terms|), or raises with both
     rho = np.asarray(rho, dtype=float)
     harvest = s.lambda_sr * s.lambda_re * p.gamma_th / (p.eta * p.psi) * (dilution / rho)
     with np.errstate(divide="ignore"):
@@ -725,7 +726,7 @@ def _kv_slot2_no_intercept(p, s, rho, dilution):
     for b in range(1, p.num_sources + 1):
         coef = (-1.0) ** b * math.comb(p.num_sources, b)
         r = np.sqrt(b * harvest)
-        term = 2.0 * coef * np.exp(b * info) * r * bessel_k(1, 2.0 * r)
+        term = 2.0 * coef * np.exp(b * info) * r * k1(2.0 * r)
         acc += term
         magnitude += np.abs(term)
     spec = AnalyticConfig().quad
@@ -735,6 +736,11 @@ def _kv_slot2_no_intercept(p, s, rho, dilution):
         i = np.argmax(np.ravel(bad))
         raise CancellationError("", float(np.ravel(acc)[i]), float(np.ravel(bound)[i]))
     return acc, bound
+
+
+def _kv_slot2_no_intercept(p, s, rho, dilution):
+    # the loop as first written, with kv(1, .) for K_1
+    return _every_term_slot2_no_intercept(p, s, rho, dilution, lambda z: bessel_k(1, z))
 
 
 class TestSlot2KernelMatchesKv:
@@ -779,6 +785,127 @@ class TestSlot2KernelMatchesKv:
                         continue
                     assert self._close(_slot2_no_intercept(p, s, rho, dilution), ref, bound)
         assert refused > 0
+
+
+def _omega_blocks(s):
+    # the relay-to-destination node blocks of both rules, as the nested
+    # average hands them to the slot-2 factor
+    nodes, _, blocks, _ = analytic._weighted_blocks(s.lambda_rd, 1)
+    return [nodes[b] for b in blocks]
+
+
+class TestSlot2SkipIsExact:
+    """``_slot2_no_intercept`` skips ``sqrt`` and K_1 where the prefactor
+    exp(b*info) underflows to 0.  The loop over every term is the oracle: the
+    values, and the value and bound of every refusal, must be its bits.  On
+    the node blocks K_1 must also see every entry whose prefactor is not 0,
+    tiny ones included: skipping those would change no bit here (their
+    terms fall below an ulp of a value near 1), so only the count tells an
+    exact skip from a truncation."""
+
+    DILUTIONS = np.array([1.0, 3.0, 30.0, 1e3])[:, None]
+
+    @staticmethod
+    def _counting_k1(monkeypatch):
+        sizes = []
+
+        def k1(z):
+            sizes.append(np.size(z))
+            return bessel_k1(z)
+
+        monkeypatch.setattr(analytic, "bessel_k1", k1)
+        return sizes
+
+    @staticmethod
+    def _live_count(p, s, rho, rows):
+        info = -s.lambda_sr * p.gamma_th / ((1.0 - rho) * p.psi)
+        return rows * sum(int(np.count_nonzero(np.exp(b * info) > 0))
+                          for b in range(1, p.num_sources + 1))
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            got = fn(*args)
+        except CancellationError as exc:
+            return ("refused", exc.value, exc.bound)
+        except ValueError as exc:
+            return ("error", str(exc))
+        if isinstance(got, tuple):
+            got = got[0]
+        return ("value", type(got), np.shape(got), np.asarray(got).tobytes())
+
+    @pytest.mark.parametrize("stats", ["s1", "s2"])
+    @pytest.mark.parametrize("psi_db", [-10.0, 0.0, 10.0, 25.0, 40.0])
+    def test_node_blocks_match_every_term_loop(self, request, monkeypatch, stats, psi_db):
+        s = request.getfixturevalue(stats)
+        sizes = self._counting_k1(monkeypatch)
+        skipped = 0
+        for m in range(1, 13):
+            p = make_params(psi_db=psi_db, num_sources=m)
+            for omega in _omega_blocks(s):
+                rho = core.rho_star(p.eta, omega)
+                args = (p, s, rho, self.DILUTIONS)
+                ref = self._outcome(_every_term_slot2_no_intercept, *args)
+                sizes.clear()
+                assert self._outcome(_slot2_no_intercept, *args) == ref, (m, omega[0])
+                live = self._live_count(p, s, rho, self.DILUTIONS.size)
+                assert sum(sizes) == live, (m, omega[0])
+                skipped += m * rho.size * self.DILUTIONS.size - live
+        assert skipped > 0
+
+    @pytest.mark.parametrize("stats", ["s1", "s2"])
+    @pytest.mark.parametrize("psi_db", [-10.0, 0.0, 10.0, 25.0, 40.0])
+    def test_scalar_inputs_and_rho_one_match_every_term_loop(self, request, stats, psi_db):
+        # fixed rho with x = 0 (dilution 1) as a float and as a 0-d array,
+        # and rho = 1, where every prefactor is 0
+        s = request.getfixturevalue(stats)
+        for m in range(1, 13):
+            p = make_params(psi_db=psi_db, num_sources=m)
+            for rho, dilution in ((0.225, 1.0), (0.875, np.asarray(1.0)), (0.05, 1e3),
+                                  (1.0, 1.0), (1.0, self.DILUTIONS)):
+                args = (p, s, rho, dilution)
+                assert (self._outcome(_slot2_no_intercept, *args)
+                        == self._outcome(_every_term_slot2_no_intercept, *args)), (m, rho)
+
+    @pytest.mark.parametrize("rho,dilution", [
+        (1.0 - 1e-6, [np.nan, 1.0]), (1.0 - 1e-6, [np.inf, 1.0]),
+        (1.0 - 1e-6, [0.0, 1.0]), (0.0, [1.0, 3.0])])
+    def test_harvest_outside_the_open_half_line_evaluates_every_term(self, s1, rho, dilution):
+        # every prefactor is 0 at rho near 1, but a NaN, infinite or zero
+        # harvest makes its term NaN, or K_1 refuse, in the every-term loop;
+        # rho = 0 gives an infinite harvest at live prefactors
+        p = make_params(psi_db=0.0, num_sources=3)
+        args = (p, s1, rho, np.array(dilution))
+        with np.errstate(all="ignore"):
+            ref = self._outcome(_every_term_slot2_no_intercept, *args)
+            assert self._outcome(_slot2_no_intercept, *args) == ref
+        assert ref[0] == "error" or np.isnan(np.frombuffer(ref[3])).any()
+
+    @pytest.mark.parametrize("stats", ["s1", "s2"])
+    @pytest.mark.parametrize("m", [16, 24, 40])
+    def test_refuses_the_cells_of_every_term_loop(self, request, stats, m):
+        s = request.getfixturevalue(stats)
+        refused = 0
+        for psi_db in (10.0, 25.0, 40.0):
+            p = make_params(psi_db=psi_db, num_sources=m)
+            for omega in _omega_blocks(s):
+                args = (p, s, core.rho_star(p.eta, omega), self.DILUTIONS)
+                ref = self._outcome(_every_term_slot2_no_intercept, *args)
+                assert self._outcome(_slot2_no_intercept, *args) == ref, (psi_db, omega[0])
+                refused += ref[0] == "refused"
+        assert refused > 0
+
+    @pytest.mark.parametrize("psi_db,expected", [(0.0, 1_379_840), (10.0, 1_667_680)])
+    def test_dpsr_average_hands_k1_only_live_terms(self, s1, monkeypatch, psi_db, expected):
+        # every outer aggregate node meets every live (b, gain node) pair
+        # once; the every-term loop would hand K_1 2 * 1120 * 1120 elements
+        p = make_params(psi_db=psi_db, num_sources=2, num_jammers=1)
+        gains = analytic._weighted_blocks(s1.lambda_rd, 1)[0]
+        outer = analytic._weighted_blocks(s1.lambda_je, 1)[0].size
+        live = self._live_count(p, s1, core.rho_star(p.eta, gains), outer)
+        sizes = self._counting_k1(monkeypatch)
+        ip_dpsr_quadrature(p, s1)
+        assert sum(sizes) == live == expected < 2 * gains.size * outer
 
 
 class TestBlockThreads:

@@ -1,5 +1,6 @@
 
 import csv
+import math
 import threading
 import time
 
@@ -41,6 +42,22 @@ class TestSweepValues:
         vals = sweep_values(0.1, 0.9, 0.2)
         assert vals == pytest.approx([0.1, 0.3, 0.5, 0.7, 0.9])
 
+    @pytest.mark.parametrize("grid", [
+        (0.0, math.inf, 1.0), (-math.inf, 0.0, 1.0), (0.0, 1.0, math.inf),
+        (math.nan, 1.0, 1.0), (0.0, math.nan, 1.0), (0.0, 1.0, math.nan),
+        (0.0, 1.0, 0.0), (0.0, 1.0, -1.0)])
+    def test_refuses_a_grid_that_never_ends(self, monkeypatch, grid):
+        # each grid would append forever; the loop rounds before its first
+        # append, so a round that raises shows the loop is never entered
+        def entered(*args):
+            raise AssertionError("entered the grid loop")
+
+        monkeypatch.setattr(sweep, "round", entered, raising=False)
+        with pytest.raises(AssertionError, match="entered"):
+            sweep_values(0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="finite grid with step > 0"):
+            sweep_values(*grid)
+
 
 class TestSweepSpec:
     def test_rho_sweep_must_stay_open(self, s1):
@@ -60,6 +77,15 @@ class TestSweepSpec:
             SweepSpec(variable="M", start=1, stop=3, step=0.5,
                       params=make_params(), stats=s1, sim=tiny_sim(),
                       schemes=(SchemePoint("spsr", 0.5),))
+
+    @pytest.mark.parametrize("variable", ["psi_db", "M"])
+    @pytest.mark.parametrize("field", ["start", "stop", "step"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_refused(self, s1, variable, field, bad):
+        grid = {"start": 1.0, "stop": 3.0, "step": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SweepSpec(variable=variable, params=make_params(), stats=s1, sim=tiny_sim(),
+                      schemes=(SchemePoint("spsr", 0.5),), **grid)
 
     def test_unknown_variable(self, s1):
         with pytest.raises(ValueError, match="variable"):
@@ -440,6 +466,17 @@ class TestCli:
                    "--e1-mode", "approx", "--outputs", "op", "--output", str(out_csv)])
         assert rc == 0
         assert len(read_csv(out_csv).rows) == 5
+
+    @pytest.mark.parametrize("grid,field", [
+        ("psi_db:0:inf:1", "stop"), ("M:1:inf:1", "stop"), ("psi_db:nan:1:1", "start"),
+        ("K:1:2:-inf", "step")])
+    def test_sweep_reports_a_non_finite_grid(self, tmp_path, capsys, grid, field):
+        out_csv = tmp_path / "g.csv"
+        assert main(["sweep", "--scenario", "s1", "--sweep", grid, "--scheme", "spsr",
+                     "--rho", "0.5", "--output", str(out_csv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{field} must be finite" in err
+        assert not out_csv.exists()
 
     def test_unknown_scenario_exit(self, capsys):
         assert main(["point", "--scenario", "missing-file"]) == 1
