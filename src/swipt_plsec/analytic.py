@@ -1,31 +1,30 @@
 """Semi-analytic outage and intercept probability evaluators: the sweep's routes.
 
-The sweep's routes all average a closed-form conditional probability over
+Every route averages a closed-form conditional probability over
 Gamma-distributed gains with one vectorised Gauss-Legendre kernel, which
-raises :class:`QuadratureError` where it misses its tolerance.  Its
-Erlang-weighted node tables are built once per (rate, order), on first use.
-Outage: ``op_spsr`` and ``op_dpsr`` average the best-of-M CDF, at the
-source-side gain the threshold requires under a fixed or the optimal
-splitting ratio, over the exponential relay-to-destination gain.  That
-required gain is positive at every node, so they evaluate the CDF in plain
-array math, without the argument checks of ``best_source_cdf``, in one call
-over the nodes of both rules; a call costs about 0.04-0.06 ms on a 2-vCPU VM
-(numpy 2.4.6).  Intercept:
-``ip_spsr_quadrature`` and ``ip_dpsr_quadrature`` average the probability
-that the second-slot wiretap SNR stays below threshold at a splitting ratio
-(fixed, or ``rho*`` of the relay-to-destination gain) and a jamming dilution
-``phi*x + 1`` over the Erlang jammer aggregate.  That slot-2 factor is a
-closed Bessel form which refuses, with :class:`CancellationError`, where its
-alternating sum cancels; it takes K_1 from ``bessel_k1`` (Cephes ``k1``),
-within a few ulps of ``kv(1, .)`` and six times cheaper on the (128, 128)
-blocks of node pairs that dominate the dynamic-splitting route.  It skips
-``sqrt`` and K_1 in the terms whose factor exp(b*info) underflows to exactly
-0, near rho = 1 at small relay-to-destination gains, which leaves every bit
-of the sum as it is (at the ``figure_ip`` points 34-45% of the dynamic
-route's terms).  The outer
-average of ``ip_dpsr_quadrature`` runs its blocks through ``core.spread_map``,
-on up to as many threads as the process has usable CPUs, and adds their
-partial sums in block order, so its value does not depend on the thread count.
+raises :class:`QuadratureError` where it misses its tolerance.  Each metric
+has one body, and its routes differ only in what they pass it:
+
+- ``_outage`` averages the best-of-M CDF, at the source-side gain the
+  threshold requires, over the relay-to-destination gain, in plain array
+  math over all nodes at once.  ``op_spsr`` takes that gain at the fixed
+  splitting ratio, ``op_dpsr`` at the optimal ratio ``rho*`` of each gain.
+- ``_intercept`` is 1 - E[slot1 * slot2] over the Erlang jammer aggregate,
+  or 1 - q1 * slot2(0) with the jammers silent.  The ``ip_spsr_*`` routes
+  pass the static slot-2 factor; the ``ip_dpsr_*`` routes pass
+  :func:`dpsr_slot2_factor`, that factor at ``rho*`` averaged over the
+  relay-to-destination gain, whose outer blocks run through
+  ``core.spread_map`` and are added in block order, so the value does not
+  depend on the thread count.
+
+The slot-2 factor is a closed Bessel form which refuses, with
+:class:`CancellationError`, where its alternating sum cancels.  It takes K_1
+from ``bessel_k1`` (Cephes ``k1``), within a few ulps of ``kv(1, .)`` and six
+times cheaper, and skips ``sqrt`` and K_1 in the terms whose factor
+exp(b*info) underflows to exactly 0, which leaves the sum's bits as they
+are.  The public slot factors pass their conditioning values (jammer
+aggregate, relay-to-destination gain) through one check, which refuses
+negative, NaN and infinite entries with ``ValueError``.
 
 The paper's closed forms and series, and the scalar adaptive quadratures of
 the same averages, are test references in :mod:`swipt_plsec.reference`; no
@@ -195,7 +194,17 @@ def _gamma_average(f, lam: float, k: int, spec: QuadratureSpec, spread: bool = F
 
 
 # ---------------------------------------------------------------------------
-# outage, static splitting
+# outage
+
+
+def _outage(p: SystemParams, s: ChannelStats, threshold, cfg: AnalyticConfig) -> float:
+    """The best-of-M CDF at the source-side gain ``threshold(p, x)`` averaged
+    over the relay-to-destination gain x ~ Exp(``lambda_rd``), in one call
+    over the nodes of both rules."""
+    value = _gamma_average(
+        lambda x: (-np.expm1(-s.lambda_sr * threshold(p, x))) ** p.num_sources,
+        s.lambda_rd, 1, cfg.quad, flat=True)
+    return float(value)
 
 
 def _spsr_threshold(p: SystemParams, x):
@@ -205,31 +214,20 @@ def _spsr_threshold(p: SystemParams, x):
     return p.gamma_th * (p.eta * p.rho * x + r1) / (p.eta * p.rho * r1 * p.psi * x)
 
 
-def op_spsr(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
-    """Outage probability under a fixed splitting ratio (the sweep's route).
+def _dpsr_threshold(p: SystemParams, x):
+    """:func:`_spsr_threshold` at the optimal ratio ``rho_star(eta, x)``."""
+    return p.gamma_th * (1.0 + np.sqrt(p.eta * x)) ** 2 / (p.eta * p.psi * x)
 
-    Averages the best-source CDF at the source-side gain the threshold
-    requires over the relay-to-destination gain with the vectorised
-    Gauss-Legendre kernel.  Endpoint splitting ratios give zero destination
-    SNR, hence probability 1.
-    """
+
+def op_spsr(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
+    """Outage probability under a fixed splitting ratio (the sweep's route):
+    :func:`_outage` with the threshold taken at ``p.rho``.  Endpoint splitting
+    ratios give zero destination SNR, hence probability 1."""
     if p.gamma_th == 0:
         return 0.0
     if p.rho in (0.0, 1.0):
         return 1.0
-    value = _gamma_average(
-        lambda x: (-np.expm1(-s.lambda_sr * _spsr_threshold(p, x))) ** p.num_sources,
-        s.lambda_rd, 1, cfg.quad, flat=True)
-    return float(value)
-
-
-# ---------------------------------------------------------------------------
-# outage, dynamic splitting
-
-
-def _dpsr_threshold(p: SystemParams, x):
-    """:func:`_spsr_threshold` at the optimal ratio ``rho_star(eta, x)``."""
-    return p.gamma_th * (1.0 + np.sqrt(p.eta * x)) ** 2 / (p.eta * p.psi * x)
+    return _outage(p, s, _spsr_threshold, cfg)
 
 
 def op_dpsr(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
@@ -238,22 +236,25 @@ def op_dpsr(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONF
     ratio of each relay-to-destination gain."""
     if p.gamma_th == 0:
         return 0.0
-    value = _gamma_average(
-        lambda x: (-np.expm1(-s.lambda_sr * _dpsr_threshold(p, x))) ** p.num_sources,
-        s.lambda_rd, 1, cfg.quad, flat=True)
-    return float(value)
+    return _outage(p, s, _dpsr_threshold, cfg)
 
 
 # ---------------------------------------------------------------------------
 # intercept building blocks
 
 
+def _conditioning(v) -> np.ndarray:
+    """``v`` as a float array; ``ValueError`` unless every entry is finite and >= 0."""
+    a = np.asarray(v, dtype=float)
+    if not ((a >= 0) & (a < np.inf)).all():
+        raise ValueError("conditioning values must be finite and nonnegative")
+    return a
+
+
 def slot1_outage_factor(p: SystemParams, s: ChannelStats, x):
     """Probability the first-slot wiretap SNR stays below threshold, given
     jammer aggregate ``x`` (jamming-dominated approximation)."""
-    if np.any(np.asarray(x) < 0):
-        raise ValueError("jammer aggregate must be nonnegative")
-    out = -np.expm1(-p.gamma_th * s.lambda_se * p.phi * np.asarray(x, dtype=float) / p.psi)
+    out = -np.expm1(-p.gamma_th * s.lambda_se * p.phi * _conditioning(x) / p.psi)
     return float(out) if np.isscalar(x) else out
 
 
@@ -321,62 +322,20 @@ def _slot2_no_intercept(p: SystemParams, s: ChannelStats, rho, dilution):
 def slot2_outage_factor(p: SystemParams, s: ChannelStats, x):
     """Probability the second-slot wiretap SNR stays below threshold, given
     jammer aggregate ``x``, under static splitting (closed Bessel form)."""
-    if np.any(np.asarray(x) < 0):
-        raise ValueError("jammer aggregate must be nonnegative")
+    xs = _conditioning(x)
     if not 0 < p.rho < 1:
         raise ValueError("static splitting needs rho in (0, 1)")
-    out = _slot2_no_intercept(p, s, p.rho, p.phi * np.asarray(x, dtype=float) + 1.0)
+    out = _slot2_no_intercept(p, s, p.rho, p.phi * xs + 1.0)
     return float(out) if np.isscalar(x) else out
-
-
-# ---------------------------------------------------------------------------
-# intercept, static splitting
-
-
-def ip_spsr_quadrature(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
-    """Intercept probability under static splitting (the sweep's route).
-
-    Averages the product of the per-slot no-intercept factors over the
-    Erlang jammer aggregate with the vectorised Gauss-Legendre kernel.
-    """
-    if p.gamma_th == 0:
-        return 1.0
-    if not 0 < p.rho < 1:
-        raise ValueError("static-splitting intercept needs rho in (0, 1)")
-    _require_jamming(p)
-    value = _gamma_average(
-        lambda x: slot1_outage_factor(p, s, x) * slot2_outage_factor(p, s, x),
-        s.lambda_je, p.num_jammers, cfg.quad, flat=True)
-    return 1.0 - float(value)
-
-
-def ip_spsr_no_jamming(p: SystemParams, s: ChannelStats) -> float:
-    """Static-splitting intercept probability with the jammers silent.
-
-    No aggregate to average over: closed form from the two slot factors with
-    the jamming terms zeroed (the first-slot SNR is then exactly
-    psi * gamma_se).
-    """
-    if p.gamma_th == 0:
-        return 1.0
-    if not 0 < p.rho < 1:
-        raise ValueError("static-splitting intercept needs rho in (0, 1)")
-    q1 = -math.expm1(-p.gamma_th * s.lambda_se / p.psi)
-    return 1.0 - q1 * slot2_outage_factor(p, s, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# intercept, dynamic splitting
 
 
 def dpsr_slot2_outage_factor(p: SystemParams, s: ChannelStats, x, omega):
     """Probability the second-slot wiretap SNR stays below threshold given the
     jammer aggregate ``x`` and the relay-to-destination gain ``omega`` that
     fixes the optimal splitting ratio (the two arrays broadcast)."""
-    if np.any(np.asarray(x) < 0) or np.any(np.asarray(omega) < 0):
-        raise ValueError("conditioning values must be nonnegative")
-    out = _slot2_no_intercept(p, s, rho_star(p.eta, omega),
-                              p.phi * np.asarray(x, dtype=float) + 1.0)
+    xs = _conditioning(x)
+    _conditioning(omega)
+    out = _slot2_no_intercept(p, s, rho_star(p.eta, omega), p.phi * xs + 1.0)
     return float(out) if np.isscalar(x) and np.isscalar(omega) else out
 
 
@@ -389,24 +348,59 @@ def dpsr_slot2_factor(p: SystemParams, s: ChannelStats, x, cfg: AnalyticConfig =
     return float(out) if np.isscalar(x) else out
 
 
-def ip_dpsr_quadrature(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
-    """Intercept probability under dynamic splitting (the sweep's route).
+# ---------------------------------------------------------------------------
+# intercept
 
-    Averages the slot-1 factor times :func:`dpsr_slot2_factor` over the
-    Erlang jammer aggregate with the vectorised Gauss-Legendre kernel.
-    """
+
+def _intercept(p: SystemParams, s: ChannelStats, slot2, cfg: AnalyticConfig,
+               jamming: bool, elementwise: bool = True) -> float:
+    """1 - E[slot1(x) * slot2(x)] over the Erlang jammer aggregate x, or with
+    the jammers silent 1 - q1 * slot2(0), q1 the slot-1 factor at SNR
+    psi*gamma_se.  An elementwise ``slot2`` is averaged in one call over all
+    nodes; an averaged one (dynamic splitting) has its blocks spread."""
+    if not jamming:
+        q1 = -math.expm1(-p.gamma_th * s.lambda_se / p.psi)
+        return 1.0 - q1 * slot2(0.0)
+    _require_jamming(p)
+    value = _gamma_average(lambda x: slot1_outage_factor(p, s, x) * slot2(x),
+                           s.lambda_je, p.num_jammers, cfg.quad,
+                           spread=not elementwise, flat=elementwise)
+    return 1.0 - float(value)
+
+
+def ip_spsr_quadrature(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
+    """Intercept probability under static splitting (the sweep's route): the
+    product of the two slot factors averaged over the jammer aggregate."""
     if p.gamma_th == 0:
         return 1.0
-    _require_jamming(p)
-    value = _gamma_average(
-        lambda x: slot1_outage_factor(p, s, x) * dpsr_slot2_factor(p, s, x, cfg),
-        s.lambda_je, p.num_jammers, cfg.quad, spread=True)
-    return 1.0 - float(value)
+    if not 0 < p.rho < 1:
+        raise ValueError("static-splitting intercept needs rho in (0, 1)")
+    return _intercept(p, s, lambda x: slot2_outage_factor(p, s, x), cfg, jamming=True)
+
+
+def ip_spsr_no_jamming(p: SystemParams, s: ChannelStats) -> float:
+    """Static-splitting intercept probability with the jammers silent: the
+    two slot factors with the jamming terms zeroed, no average."""
+    if p.gamma_th == 0:
+        return 1.0
+    if not 0 < p.rho < 1:
+        raise ValueError("static-splitting intercept needs rho in (0, 1)")
+    return _intercept(p, s, lambda x: slot2_outage_factor(p, s, x), DEFAULT_CONFIG,
+                      jamming=False)
+
+
+def ip_dpsr_quadrature(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
+    """Intercept probability under dynamic splitting (the sweep's route): the
+    slot-1 factor times :func:`dpsr_slot2_factor` averaged over the jammer
+    aggregate."""
+    if p.gamma_th == 0:
+        return 1.0
+    return _intercept(p, s, lambda x: dpsr_slot2_factor(p, s, x, cfg), cfg, jamming=True,
+                      elementwise=False)
 
 
 def ip_dpsr_no_jamming(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
     """Dynamic-splitting intercept probability with the jammers silent."""
     if p.gamma_th == 0:
         return 1.0
-    q1 = -math.expm1(-p.gamma_th * s.lambda_se / p.psi)
-    return 1.0 - q1 * dpsr_slot2_factor(p, s, 0.0, cfg)
+    return _intercept(p, s, lambda x: dpsr_slot2_factor(p, s, x, cfg), cfg, jamming=False)

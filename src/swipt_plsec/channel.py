@@ -40,11 +40,14 @@ LINK_KEYS: dict[str, tuple[str, str]] = {
 
 def pathloss_rate(distance: float, chi: float) -> float:
     """Exponential rate parameter d**chi for a link of length ``distance``."""
-    if distance <= 0:
-        raise ValueError(f"distance must be positive, got {distance}")
-    if chi <= 0:
-        raise ValueError(f"pathloss exponent must be positive, got {chi}")
-    return float(distance) ** chi
+    if not 0 < distance < math.inf:
+        raise ValueError(f"distance must be finite and positive, got {distance}")
+    if not 0 < chi < math.inf:
+        raise ValueError(f"pathloss exponent must be finite and positive, got {chi}")
+    try:
+        return float(distance) ** chi
+    except OverflowError:
+        raise ValueError(f"rate {distance}**{chi} is beyond float range") from None
 
 
 def best_source_cdf(x, lam: float, num_sources: int):
@@ -97,10 +100,10 @@ class ChannelStats:
     def __post_init__(self):
         for name in LINK_KEYS:
             value = getattr(self, f"lambda_{name}")
-            if value <= 0:
-                raise ValueError(f"lambda_{name} must be positive, got {value}")
-        if self.chi is not None and self.chi <= 0:
-            raise ValueError(f"pathloss exponent must be positive, got {self.chi}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"lambda_{name} must be finite and positive, got {value}")
+        if self.chi is not None and not 0 < self.chi < math.inf:
+            raise ValueError(f"pathloss exponent must be finite and positive, got {self.chi}")
 
     @classmethod
     def from_positions(

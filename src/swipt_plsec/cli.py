@@ -4,13 +4,16 @@ Subcommands: ``point`` (one parameter point, run as a one-point psi sweep),
 ``sweep`` (one variable sweep written as CSV), ``compare`` (analytic-vs-MC
 agreement report on a sweep CSV), ``scenario-check`` (validate a scenario
 file and print its rates).
-All dB-valued inputs convert to linear as 10**(x/10) at this boundary; the
-library below is strictly linear.
+All dB-valued inputs convert to linear as 10**(x/10) at this boundary (a
+value beyond float range is an error); the library below is strictly linear.
+The gate options (``--gap-allowance``, ``--max-flagged``, ``--fail-on-flags``)
+must be finite, since a NaN gate would never fail.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .channel import LINK_KEYS, pathloss_rate
@@ -21,6 +24,7 @@ from .specfun import NumericalError
 from .sweep import (
     SchemePoint,
     SweepSpec,
+    _db_to_linear,
     compare_report,
     read_csv,
     run_sweep,
@@ -31,10 +35,6 @@ __all__ = ["main"]
 
 TABLE_RHOS = (0.225, 0.325, 0.5, 0.875, 0.915)
 PAPER_FIDELITY_TRIALS = 5_000_000
-
-
-def _db_to_linear(x: float) -> float:
-    return 10.0 ** (x / 10.0)
 
 
 def _parse_rho_list(text: str) -> list[float]:
@@ -60,6 +60,16 @@ def _parse_sweep(text: str) -> tuple[str, float, float, float]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad sweep bounds in {text!r}") from None
     return var, start, stop, step
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _add_model_args(sub: argparse.ArgumentParser, for_sweep: bool) -> None:
@@ -240,15 +250,15 @@ def main(argv: list[str] | None = None) -> int:
                          help="variable in {psi_db, rho, M, K, phi_db} and grid")
     p_sweep.add_argument("--outputs", choices=("op", "ip", "both"), default="both")
     p_sweep.add_argument("--output", required=True, help="CSV destination")
-    p_sweep.add_argument("--fail-on-flags", type=float, default=None, metavar="FRACTION",
+    p_sweep.add_argument("--fail-on-flags", type=_finite_float, default=None, metavar="FRACTION",
                          help="exit nonzero when more than this fraction of rows is flagged")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cmp = subs.add_parser("compare", help="report analytic-vs-MC agreement for a sweep CSV")
     p_cmp.add_argument("--input", required=True)
-    p_cmp.add_argument("--gap-allowance", type=float, default=0.01,
+    p_cmp.add_argument("--gap-allowance", type=_finite_float, default=0.01,
                        help="absolute model-gap allowance added to 3*ci (default 0.01)")
-    p_cmp.add_argument("--max-flagged", type=float, default=None, metavar="FRACTION",
+    p_cmp.add_argument("--max-flagged", type=_finite_float, default=None, metavar="FRACTION",
                        help="exit nonzero above this flagged fraction (default: report only)")
     p_cmp.set_defaults(func=_cmd_compare)
 

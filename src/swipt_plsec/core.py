@@ -60,9 +60,12 @@ def snr_threshold(c_th: float) -> float:
     The factor 2 in the exponent accounts for the two-slot relaying protocol
     halving the effective rate.
     """
-    if c_th < 0:
-        raise ValueError(f"target rate must be nonnegative, got {c_th}")
-    return 2.0 ** (2.0 * c_th) - 1.0
+    if not 0 <= c_th < np.inf:
+        raise ValueError(f"target rate must be finite and nonnegative, got {c_th}")
+    try:
+        return 2.0 ** (2.0 * c_th) - 1.0
+    except OverflowError:
+        raise ValueError(f"target rate {c_th} gives an SNR threshold beyond float range") from None
 
 
 def achievable_rate(gamma):
@@ -96,10 +99,10 @@ class SystemParams:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         if not 0 <= self.rho <= 1:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
-        if self.psi <= 0:
-            raise ValueError(f"psi must be positive, got {self.psi}")
-        if self.phi < 0:
-            raise ValueError(f"phi must be nonnegative, got {self.phi}")
+        if not 0 < self.psi < np.inf:
+            raise ValueError(f"psi must be finite and positive, got {self.psi}")
+        if not 0 <= self.phi < np.inf:
+            raise ValueError(f"phi must be finite and nonnegative, got {self.phi}")
         if self.num_sources < 1:
             raise ValueError(f"need at least one source, got {self.num_sources}")
         if self.num_jammers < 1:

@@ -57,13 +57,22 @@ __all__ = [
     "read_csv",
 ]
 
+
+def _db_to_linear(db: float) -> float:
+    """10**(db/10); ``ValueError`` where that is beyond float range."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db:g} dB is beyond float range in linear units") from None
+
+
 # swept variable -> (SystemParams field it sets, conversion of the grid value)
 _VARIABLE_FIELDS = {
-    "psi_db": ("psi", lambda v: 10.0 ** (v / 10.0)),
+    "psi_db": ("psi", _db_to_linear),
     "rho": ("rho", float),
     "M": ("num_sources", int),
     "K": ("num_jammers", int),
-    "phi_db": ("phi", lambda v: 10.0 ** (v / 10.0)),
+    "phi_db": ("phi", _db_to_linear),
 }
 SWEEP_VARIABLES = tuple(_VARIABLE_FIELDS)
 
@@ -264,8 +273,10 @@ def compare_report(result: SweepResult, gap_allowance: float = 0.01) -> CompareR
     """Flag rows where |analytic - mc| exceeds 3*ci + ``gap_allowance``.
 
     The allowance absorbs the first-slot modeling gap between the analytic
-    intercept expressions and an exact-mode simulation.
+    intercept expressions and an exact-mode simulation; it must be finite.
     """
+    if not math.isfinite(gap_allowance):
+        raise ValueError(f"gap_allowance must be finite, got {gap_allowance!r}")
     per_scheme: dict[str, dict[str, float]] = {}
     flagged = []
     n_compared = 0

@@ -505,6 +505,19 @@ class TestInterceptPieces:
         v = dpsr_slot2_outage_factor(p, s1, 1.0, 2.0)
         assert 0.0 <= v <= 1.0
 
+    @pytest.mark.parametrize("bad", [
+        math.nan, math.inf, np.array([math.nan, 1.0]), np.array([math.inf, 1.0]),
+    ], ids=["nan", "inf", "nan-entry", "inf-entry"])
+    @pytest.mark.parametrize("factor", [
+        lambda p, s, v: slot1_outage_factor(p, s, v),
+        lambda p, s, v: slot2_outage_factor(p, s, v),
+        lambda p, s, v: dpsr_slot2_outage_factor(p, s, v, 1.0),
+        lambda p, s, v: dpsr_slot2_outage_factor(p, s, 1.0, v),
+    ], ids=["slot1-x", "slot2-x", "dpsr-x", "dpsr-omega"])
+    def test_slot_factors_refuse_non_finite_conditioning_values(self, s1, factor, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            factor(make_params(), s1, bad)
+
     def test_dpsr_kernel_positive_decreasing_in_x(self, s1):
         p = make_params()
         k0 = dpsr_slot2_kernel(p, s1, 0.0, 1)

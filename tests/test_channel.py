@@ -102,9 +102,14 @@ class TestChannelStats:
         with pytest.raises(ValueError, match="missing"):
             ChannelStats.from_positions({"S": (0, 0)}, chi=2.5)
 
-    def test_nonpositive_rate_rejected(self):
+    @pytest.mark.parametrize("field,value", [("lambda_sr", 0.0)] + [
+        (field, value) for field in ("lambda_sr", "lambda_rd", "lambda_re", "lambda_je",
+                                     "lambda_se", "chi")
+        for value in (math.nan, math.inf)])
+    def test_nonpositive_rate_rejected(self, field, value):
+        kwargs = dict(lambda_sr=1, lambda_rd=1, lambda_re=1, lambda_je=1, lambda_se=1)
         with pytest.raises(ValueError):
-            ChannelStats(lambda_sr=0.0, lambda_rd=1, lambda_re=1, lambda_je=1, lambda_se=1)
+            ChannelStats(**{**kwargs, field: value})
 
 
 class TestScenarioFiles:
@@ -124,6 +129,15 @@ class TestScenarioFiles:
     def test_unknown_key_rejected(self):
         with pytest.raises(ScenarioError, match="unknown key"):
             parse_scenario("wavelength = 3\n")
+
+    @pytest.mark.parametrize("line", ["lambda.sr = nan", "lambda.se = inf", "chi = nan",
+                                      "positions.R = nan, 0", "chi = 1e6"])
+    def test_non_finite_value_file_rejected(self, line):
+        # a later line overrides the geometry's; at chi 1e6 a rate overflows
+        geometry = ["chi = 2.5", "positions.S = 0, 0", "positions.R = 5, 0", "positions.D = 1, 0",
+                    "positions.E = 0.5, 1.5", "positions.J = 0.5, 1"]
+        with pytest.raises(ScenarioError):
+            parse_scenario("\n".join(geometry + [line]))
 
     def test_incomplete_geometry_rejected(self):
         with pytest.raises(ScenarioError, match="incomplete"):

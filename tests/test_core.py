@@ -65,6 +65,9 @@ class TestSystemParams:
     @pytest.mark.parametrize("kwargs", [
         dict(eta=0.0), dict(eta=1.2), dict(rho=-0.1), dict(rho=1.1),
         dict(num_sources=0), dict(num_jammers=0), dict(c_th=-1.0),
+        dict(psi_db=math.nan), dict(psi_db=math.inf), dict(phi_db=math.nan),
+        dict(phi_db=math.inf), dict(c_th=math.nan), dict(c_th=math.inf),
+        dict(c_th=1000.0),  # 2**2000 is beyond float range
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

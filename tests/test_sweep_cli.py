@@ -321,6 +321,12 @@ class TestCompareReport:
         assert len(report.flagged) == report.n_compared
         assert report.flagged_fraction == 1.0
 
+    @pytest.mark.parametrize("allowance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gap_allowance_refused(self, allowance):
+        # a NaN bound flags nothing, so the gate would always pass
+        with pytest.raises(ValueError, match="gap_allowance must be finite"):
+            compare_report(self._result(), gap_allowance=allowance)
+
     def test_missing_metrics_skipped(self):
         result = self._result()
         for row in result.rows:
@@ -477,6 +483,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{field} must be finite" in err
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("args,message", [
+        (["point", "--psi-db", "4000"], "4000 dB is beyond float range"),
+        (["point", "--phi-db", "4000"], "4000 dB is beyond float range"),
+        (["sweep", "--sweep", "psi_db:3100:3100:1"], "3100 dB is beyond float range"),
+        (["sweep", "--sweep", "phi_db:3100:3100:1"], "3100 dB is beyond float range"),
+        # a NaN psi would count no trial as an outage: MC estimates of 0 with CIs
+        (["sweep", "--sweep", "M:1:2:1", "--psi-db", "nan"], "psi must be finite"),
+        (["sweep", "--sweep", "M:1:2:1", "--phi-db", "nan"], "phi must be finite"),
+        (["sweep", "--sweep", "M:1:2:1", "--c-th", "nan"], "target rate must be finite"),
+    ], ids=["point-psi-db", "point-phi-db", "sweep-psi-db", "sweep-phi-db", "psi-nan",
+            "phi-nan", "c-th-nan"])
+    def test_unusable_model_value_reported(self, tmp_path, capsys, args, message):
+        out_csv = tmp_path / "o.csv"
+        extra = ["--output", str(out_csv)] if args[0] == "sweep" else []
+        assert main([*args, "--scenario", "s1", "--trials", "1000", *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["compare", "--max-flagged", "0", "--gap-allowance", "nan"],
+        ["compare", "--max-flagged", "nan"],
+        ["compare", "--gap-allowance", "inf"],
+        ["sweep", "--fail-on-flags", "nan"]],
+        ids=["gap-allowance-nan", "max-flagged-nan", "gap-allowance-inf", "fail-on-flags-nan"])
+    def test_non_finite_gate_refused(self, tmp_path, capsys, args):
+        # a NaN gate never fails: every comparison with it is false
+        path = tmp_path / "flagged.csv"
+        rows = [SweepRow(value=1.0, scheme="dpsr", op_analytic=0.9, op_mc=0.1, op_ci=0.001)]
+        write_csv(SweepResult("psi_db", rows), path)
+        where = (["--input", str(path)] if args[0] == "compare" else
+                 ["--scenario", "s1", "--sweep", "psi_db:2:2:1", "--scheme", "dpsr",
+                  "--trials", "1000", "--outputs", "op", "--output", str(tmp_path / "s.csv")])
+        with pytest.raises(SystemExit) as exc:
+            main([*args, *where])
+        assert exc.value.code == 2
+        assert "expected a finite number" in capsys.readouterr().err
 
     def test_unknown_scenario_exit(self, capsys):
         assert main(["point", "--scenario", "missing-file"]) == 1
