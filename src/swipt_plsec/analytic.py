@@ -24,7 +24,8 @@ times cheaper, and skips ``sqrt`` and K_1 in the terms whose factor
 exp(b*info) underflows to exactly 0, which leaves the sum's bits as they
 are.  The public slot factors pass their conditioning values (jammer
 aggregate, relay-to-destination gain) through one check, which refuses
-negative, NaN and infinite entries with ``ValueError``.
+negative, NaN and infinite entries with ``ValueError``; ``_intercept``
+refuses a psi at which gamma_th/psi overflows the same way.
 
 The paper's closed forms and series, and the scalar adaptive quadratures of
 the same averages, are test references in :mod:`swipt_plsec.reference`; no
@@ -357,7 +358,11 @@ def _intercept(p: SystemParams, s: ChannelStats, slot2, cfg: AnalyticConfig,
     """1 - E[slot1(x) * slot2(x)] over the Erlang jammer aggregate x, or with
     the jammers silent 1 - q1 * slot2(0), q1 the slot-1 factor at SNR
     psi*gamma_se.  An elementwise ``slot2`` is averaged in one call over all
-    nodes; an averaged one (dynamic splitting) has its blocks spread."""
+    nodes; an averaged one (dynamic splitting) has its blocks spread.
+    Raises ``ValueError`` where psi is so small that gamma_th/psi, which
+    scales every slot factor's argument, overflows."""
+    if not math.isfinite(p.gamma_th / p.psi):
+        raise ValueError(f"psi = {p.psi:g} is too small: gamma_th/psi overflows")
     if not jamming:
         q1 = -math.expm1(-p.gamma_th * s.lambda_se / p.psi)
         return 1.0 - q1 * slot2(0.0)

@@ -4,6 +4,8 @@ Every link gain |h|^2 is exponential with rate parameter lambda = d**chi, so
 the mean gain is 1/lambda (short links have small rates and strong gains).
 The best of the M source-to-relay gains is selected per block; the K
 jammer-to-eavesdropper gains enter only through their sum, which is Erlang.
+Sampling gives each link its own stream, keyed by (seed, worker, link), and
+draws each gain from its own law in one value per trial.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ __all__ = [
     "pathloss_rate",
     "best_source_cdf",
     "erlang_pdf_xi",
-    "worker_stream",
+    "link_streams",
     "derive_seed",
     "draw_channels",
 ]
@@ -159,8 +161,8 @@ class ChannelStats:
 
 @dataclass(frozen=True)
 class ChannelDraw:
-    """One realization (or a batch) of every channel gain needed for a trial;
-    a link the draw skipped is ``None``."""
+    """One realization (or a batch) of the channel gains, one value per trial
+    and link; a link the draw had no stream for is ``None``."""
 
     gamma_sr_best: object
     gamma_se: object
@@ -175,169 +177,78 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def worker_stream(master_seed: int, worker_index: int) -> np.random.Generator:
-    """Independent counter-based stream for one worker of one run.
+def link_streams(master_seed: int, worker_index: int,
+                 links: Collection[str]) -> dict[str, np.random.Generator]:
+    """Independent counter-based streams for the ``links`` of one worker of one run.
 
-    Streams are keyed purely by (master seed, worker index), so a partitioned
-    run reproduces bit-for-bit for a fixed worker count regardless of
-    execution order.
-    """
-    seq = np.random.SeedSequence([int(master_seed), int(worker_index)])
-    return np.random.Generator(np.random.Philox(seq))
-
-
-# Rows per block of the best-of-M and Erlang draws, and per slice of the MC
-# engine's SNR stages.  Consecutive blocks read the generator exactly as one
-# (size, width) call would.  2^14-row blocks keep the scratch in cache; 2^16
-# was no faster and left a higher, more variable peak resident set with two
-# worker threads.
-ROW_BLOCK = 1 << 14
-# numpy sums a row shorter than 8 left to right and a longer one pairwise
-_PAIRWISE_MIN = 8
-# The best-of-M max either folds a block column by column, one ufunc call per
-# column, or reduces it with max(axis=1), one inner loop per row.  A column
-# call costs about as much as 12 rows of the reduction, so a block with fewer
-# than 12 rows per column is reduced (256 x 64: 86 -> 37 us) and a taller one
-# folded (16384 x 8: 190 us, where the reduction takes 1450 us).  Max is
-# exact, so both give the same bits.
-_ROWS_PER_COLUMN_CALL = 12
+    Each is keyed purely by (master seed, worker index, link index in
+    ``LINK_KEYS``), so a link's values depend neither on the other links
+    drawn nor on execution order, and a partitioned run reproduces bit for
+    bit for a fixed worker count."""
+    unknown = set(links) - set(LINK_KEYS)
+    if unknown:
+        raise ValueError(f"unknown links: {sorted(unknown)}")
+    return {link: np.random.Generator(np.random.Philox(
+                np.random.SeedSequence([int(master_seed), int(worker_index), index])))
+            for index, link in enumerate(LINK_KEYS) if link in links}
 
 
-def _exp_inplace(u: np.ndarray, lam: float) -> np.ndarray:
-    """Inverse-CDF Exp(lam) transform ``-log1p(-u) / lam``, written over ``u``."""
+def _exp_draw(rng: np.random.Generator, lam: float, n: int) -> np.ndarray:
+    """Exp(lam) gains by the inverse CDF ``-log1p(-u) / lam``."""
+    u = rng.random(n)
     np.negative(u, out=u)
     np.log1p(u, out=u)
     return np.divide(u, -lam, out=u)
 
 
-def _exp_draw(rng: np.random.Generator, lam: float, n: int) -> np.ndarray:
-    # inverse-CDF sampling keeps the draw <-> uniform correspondence explicit
-    return _exp_inplace(rng.random(n), lam)
-
-
-def _fold_columns(op, block: np.ndarray, out: np.ndarray) -> None:
-    np.copyto(out, block[:, 0])
-    for j in range(1, block.shape[1]):
-        op(out, block[:, j], out=out)
-
-
-def _row_reduced_draw(rng: np.random.Generator, lam: float, n: int, width: int,
-                      best: bool) -> np.ndarray:
-    """Per-row max (``best``) or sum of ``width`` Exp(lam) draws, ``n`` rows.
-
-    Bitwise equal to ``(-log1p(-rng.random((n, width))) / lam)`` reduced by
-    ``max(axis=1)`` or ``sum(axis=1)``.  The max is taken over the uniforms and
-    transformed once per row, which the monotone transform allows; a short
-    row is summed column by column, in numpy's own left-to-right order.
-    """
-    out = np.empty(n)
-    buf = np.empty((min(n, ROW_BLOCK), width))
-    for lo in range(0, n, ROW_BLOCK):
-        block = rng.random(out=buf[:min(ROW_BLOCK, n - lo)])
-        rows = out[lo:lo + len(block)]
-        if best:
-            if len(block) < _ROWS_PER_COLUMN_CALL * width:
-                np.max(block, axis=1, out=rows)
-            else:
-                _fold_columns(np.maximum, block, rows)
-        elif width < _PAIRWISE_MIN:
-            _fold_columns(np.add, _exp_inplace(block, lam), rows)
-        else:
-            np.sum(_exp_inplace(block, lam), axis=1, out=rows)
-    return _exp_inplace(out, lam) if best else out
-
-
-# links in the order their uniforms are drawn
-_DRAW_ORDER = ("sr", "se", "rd", "re", "je")
-# 64-bit words Philox yields per counter step; ``random`` reads one per uniform
-_PHILOX_WORDS = 4
-
-
-def _skip_uniforms(rng: np.random.Generator, k: int) -> None:
-    """Move ``rng`` past ``k`` uniforms, exactly as ``rng.random(k)`` would.
-
-    A Philox generator hands out the words left in its buffer, jumps its
-    counter over the whole 4-word steps with ``advance`` and draws the
-    remainder, so its counter, ``buffer_pos`` and every later draw equal
-    those after ``rng.random(k)``.  ``advance`` clears a pending 32-bit half
-    word, which ``random`` keeps, so such a state, like any other generator,
-    draws and discards ``ROW_BLOCK`` uniforms at a time.
-    """
-    bitgen = rng.bit_generator
-    if isinstance(bitgen, np.random.Philox):
-        state = bitgen.state
-        if not state["has_uint32"]:
-            left = _PHILOX_WORDS - state["buffer_pos"]
-            if k > left:
-                rng.random(left)
-                steps, k = divmod(k - left, _PHILOX_WORDS)
-                bitgen.advance(steps)
-            rng.random(k)
-            return
-    buf = np.empty(min(k, ROW_BLOCK))
-    for lo in range(0, k, ROW_BLOCK):
-        rng.random(out=buf[:min(ROW_BLOCK, k - lo)])
-
-
-def _link_width(p: SystemParams, link: str) -> int:
-    """Uniforms one trial draws for ``link``."""
-    return {"sr": p.num_sources, "je": p.num_jammers}.get(link, 1)
+def _best_of_m_draw(rng: np.random.Generator, lam: float, m: int, n: int) -> np.ndarray:
+    """Largest of ``m`` i.i.d. Exp(lam) gains, one uniform per row: the inverse
+    of the CDF (1 - exp(-lam g))**m, ``-log(-expm1(log(u) / m)) / lam``
+    (Devroye 1986, ch. 2), which keeps its precision where u**(1/m) is near 1."""
+    u = rng.random(n)
+    with np.errstate(divide="ignore"):  # u = 0 gives log 0 = -inf, hence gain 0
+        np.log(u, out=u)
+    np.divide(u, m, out=u)
+    np.expm1(u, out=u)
+    np.negative(u, out=u)
+    np.log(u, out=u)
+    return np.divide(u, -lam, out=u)
 
 
 def _draw_link(stats: ChannelStats, p: SystemParams, rng: np.random.Generator,
                link: str, n: int) -> np.ndarray:
     lam = getattr(stats, f"lambda_{link}")
     if link == "sr":
-        return _row_reduced_draw(rng, lam, n, p.num_sources, best=True)
+        return _best_of_m_draw(rng, lam, p.num_sources, n)
     if link == "je":
-        return _row_reduced_draw(rng, lam, n, p.num_jammers, best=False)
+        # the sum of K i.i.d. Exp(lam) gains is Gamma(K, 1/lam)
+        xi = rng.standard_gamma(p.num_jammers, n)
+        return np.divide(xi, lam, out=xi)
     return _exp_draw(rng, lam, n)
 
 
 def draw_channels(
     stats: ChannelStats,
     p: SystemParams,
-    rng: np.random.Generator,
+    streams: Mapping[str, np.random.Generator],
     size: int | None = None,
-    links: Collection[str] = LINK_KEYS,
 ) -> ChannelDraw:
-    """Draw the gains of ``links`` (default: all five) for ``size`` trials,
-    or a single-trial scalar draw.
+    """Draw the gains of the links in ``streams`` (see :func:`link_streams`),
+    each from its own stream, for ``size`` trials, or a single-trial scalar
+    draw; a link without a stream is ``None``.
 
-    The source-to-relay selection takes the max over ``num_sources`` draws;
-    the selected source's eavesdropper-link gain is a fresh exponential,
-    independent of the selection, because selection conditions only on the
-    source-to-relay gains.  Draw order is fixed: SR block, SE, RD, RE, JE block.
-    Each gain is the inverse-CDF transform ``-log1p(-u) / lambda`` of one
-    uniform, so the result equals the plain form
-    ``(-log1p(-rng.random((size, M))) / lambda_sr).max(axis=1)`` and so on,
-    bit for bit.  The SR and JE blocks are drawn and reduced ``ROW_BLOCK`` rows
-    at a time, which bounds their scratch whatever ``size`` is.
-
-    A link left out of ``links`` is ``None`` in the result and is skipped,
-    not drawn: the stream moves past its uniforms (``size * M`` for SR,
-    ``size * K`` for JE, ``size`` for the others) as the draw would have, so
-    the links drawn, and every later draw, are bitwise those of the full draw.
+    Each gain is one value per trial from its own law: SR, the best of
+    ``num_sources`` gains, by the inverse CDF of their max; JE, the sum of
+    ``num_jammers`` gains, by one Gamma(K) draw; SE, RD and RE by the
+    exponential inverse CDF.  The selected source's eavesdropper-link gain
+    is independent of the selection, which conditions only on the SR gains.
+    A stream yields the same values however its rows are split across calls.
     """
     n = 1 if size is None else int(size)
     if n < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    unknown = set(links) - set(LINK_KEYS)
-    if unknown:
-        raise ValueError(f"unknown links: {sorted(unknown)}")
-    gains = []
-    skip = 0
-    for link in _DRAW_ORDER:
-        if link not in links:
-            gains.append(None)
-            skip += n * _link_width(p, link)
-            continue
-        if skip:
-            _skip_uniforms(rng, skip)
-            skip = 0
-        gains.append(_draw_link(stats, p, rng, link, n))
-    if skip:
-        _skip_uniforms(rng, skip)
+    gains = {link: _draw_link(stats, p, rng, link, n) for link, rng in streams.items()}
     if size is None:
-        gains = [None if g is None else float(g[0]) for g in gains]
-    return ChannelDraw(*gains)
+        gains = {link: float(g[0]) for link, g in gains.items()}
+    return ChannelDraw(gamma_sr_best=gains.get("sr"), gamma_se=gains.get("se"),
+                       gamma_rd=gains.get("rd"), gamma_re=gains.get("re"), xi=gains.get("je"))

@@ -2,19 +2,20 @@
 
 A run counts the metrics its caller asks for: outage (OP), intercept (IP) or
 both.  It draws only the links those metrics read -- OP reads SR and RD; IP
-reads SR, SE and RE, JE when the jammers are on, and RD under dpsr -- and
-skips the uniforms of the others, so an outage-only run, an intercept-only
-run, and a joint run with the same configuration advance identical streams
-and report bitwise-identical estimates.  Trials are partitioned across
-workers whose streams derive from (master seed, worker index); partial
-estimates merge by integer count addition, which makes merging exact and
-associative.  The partitions go through ``core.spread_map``, which runs them
-concurrently on at most as many threads as the process has usable CPUs
-(inline when that is one); each thread owns its partition's stream, so the
-counts equal those of a sequential run bit for bit.
+reads SR, SE and RE, JE when the jammers are on, and RD under dpsr.  Every
+link has its own stream, keyed by (master seed, worker index, link), so a
+link's values do not depend on which others are drawn: an outage-only run,
+an intercept-only run and a joint run with the same configuration report
+bitwise-identical estimates.  Trials are partitioned across workers, each
+drawing and counting ``ROW_BLOCK`` trials at a time; partial estimates merge
+by integer count addition, which makes merging exact and associative.  The
+partitions go through ``core.spread_map``, which runs them concurrently on
+at most as many threads as the process has usable CPUs (inline when that is
+one); each thread owns its partition's streams, so the counts equal those of
+a sequential run bit for bit.
 
 A run counts a list of schemes, ``(kind, rho)`` pairs that differ only in
-the splitting rule: each chunk draws the union of the links they read once
+the splitting rule: each block draws the union of the links they read once
 and counts every scheme on it (common random numbers).  Neither field enters
 the draw, so each scheme's counts are bitwise those of its own run.  The
 one-scheme calls are the one-element list ``(c.scheme, p.rho)``.
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Collection, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from .channel import ROW_BLOCK, ChannelStats, draw_channels, worker_stream
+from .channel import ChannelStats, draw_channels, link_streams
 from .core import SCHEMES, SystemParams, gamma_d_dpsr, gamma_d_spsr, gamma_e, spread_map
 
 __all__ = ["METRICS", "SimConfig", "EstimateWithCI", "simulate_op", "simulate_ip",
@@ -37,8 +38,11 @@ __all__ = ["METRICS", "SimConfig", "EstimateWithCI", "simulate_op", "simulate_ip
 # the metrics a run can count
 METRICS = ("op", "ip")
 
-# trials per draw call; it fixes which uniform feeds which variable
-_CHUNK = 1 << 18
+# Trials drawn and counted at a time.  A stream yields the same values
+# whatever the rows per call, so this fixes no result; 2^14 rows keep the
+# scratch in cache, where 2^18-row draws raised the peak resident set.
+ROW_BLOCK = 1 << 14
+
 _Z95 = 1.96
 _WILSON_SWITCH = 1e-4
 
@@ -132,35 +136,30 @@ def _links(metrics: Collection[str], kind: str, jamming: bool) -> set[str]:
     return links
 
 
-def _count_chunk(p: SystemParams, s: ChannelStats, c: SimConfig,
-                 rng: np.random.Generator, n: int, metrics: Collection[str],
+def _count_block(p: SystemParams, s: ChannelStats, c: SimConfig,
+                 streams: Mapping[str, np.random.Generator], n: int,
+                 metrics: Collection[str],
                  runs: Sequence[tuple[str, SystemParams]]) -> list[tuple[int, int]]:
     """(op, ip) success counts of ``n`` trials, one pair per (kind, params)
-    run, all counted on one draw of the links any of them reads; a metric not
-    in ``metrics`` counts 0, and the links only it reads are skipped, not
-    drawn."""
-    want_op, want_ip = "op" in metrics, "ip" in metrics
-    links = set().union(*(_links(metrics, kind, c.jamming) for kind, _ in runs))
-    draw = draw_channels(s, p, rng, size=n, links=links)
+    run, all counted on one draw of the links in ``streams``; a metric not in
+    ``metrics`` counts 0."""
+    draw = draw_channels(s, p, streams, size=n)
     mode = c.e1_mode if c.jamming else "no-jamming"
     # with the jammers off, gamma_e reads the aggregate only for its shape
     xi = draw.xi if c.jamming else np.zeros(n)
-    counts = [[0, 0] for _ in runs]
-    # the SNR stages are elementwise, so row slices give the same counts with
-    # small temporaries
-    for lo in range(0, n, ROW_BLOCK):
-        rows = slice(lo, lo + ROW_BLOCK)
-        sr = draw.gamma_sr_best[rows]
-        rd = None if draw.gamma_rd is None else draw.gamma_rd[rows]
-        for (kind, rp), count in zip(runs, counts):
-            if want_op:
-                gamma_d = gamma_d_dpsr if kind == "dpsr" else gamma_d_spsr
-                count[0] += int(np.count_nonzero(gamma_d(rp, sr, rd) < rp.gamma_th))
-            if want_ip:
-                pair = gamma_e(rp, draw.gamma_se[rows], sr, draw.gamma_re[rows], xi[rows],
-                               mode=mode, scheme=kind, gamma_rd=rd)
-                count[1] += int(np.count_nonzero(pair.combined >= rp.gamma_th))
-    return [tuple(count) for count in counts]
+    sr, rd = draw.gamma_sr_best, draw.gamma_rd
+    counts = []
+    for kind, rp in runs:
+        op = ip = 0
+        if "op" in metrics:
+            gamma_d = gamma_d_dpsr if kind == "dpsr" else gamma_d_spsr
+            op = int(np.count_nonzero(gamma_d(rp, sr, rd) < rp.gamma_th))
+        if "ip" in metrics:
+            pair = gamma_e(rp, draw.gamma_se, sr, draw.gamma_re, xi,
+                           mode=mode, scheme=kind, gamma_rd=rd)
+            ip = int(np.count_nonzero(pair.combined >= rp.gamma_th))
+        counts.append((op, ip))
+    return counts
 
 
 def _sum_counts(parts: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
@@ -179,15 +178,17 @@ def _simulate_counts(p: SystemParams, s: ChannelStats, c: SimConfig,
         raise ValueError(f"need one or more schemes of kind {SCHEMES}, got {schemes!r}")
     # replace validates every field again, so skip it where nothing changes
     runs = [(kind, p if rho == p.rho else replace(p, rho=rho)) for kind, rho in schemes]
+    links = set().union(*(_links(metrics, kind, c.jamming) for kind, _ in runs))
 
     def partition_counts(part: tuple[int, int]) -> list[tuple[int, int]]:
         worker, n_worker = part
-        rng = worker_stream(c.seed, worker)
-        return _sum_counts([_count_chunk(p, s, c, rng, min(_CHUNK, n_worker - lo), metrics, runs)
-                            for lo in range(0, n_worker, _CHUNK)])
+        streams = link_streams(c.seed, worker, links)
+        return _sum_counts([_count_block(p, s, c, streams, min(ROW_BLOCK, n_worker - lo),
+                                         metrics, runs)
+                            for lo in range(0, n_worker, ROW_BLOCK)])
 
     # numpy's bit generators and ufuncs release the GIL, so the partitions
-    # really run side by side; each keeps its own stream
+    # really run side by side; each keeps its own streams
     parts = [(worker, n) for worker, n in enumerate(c.partition()) if n > 0]
     return _sum_counts(spread_map(partition_counts, parts))
 
@@ -195,8 +196,8 @@ def _simulate_counts(p: SystemParams, s: ChannelStats, c: SimConfig,
 def simulate_op(p: SystemParams, s: ChannelStats, c: SimConfig) -> EstimateWithCI:
     """Fraction of trials whose destination SNR falls below the threshold.
 
-    Draws only the SR and RD gains and skips the others' uniforms, so the
-    estimate is bitwise that of :func:`simulate_point`.
+    Draws only the SR and RD gains, each from its own stream, so the estimate
+    is bitwise that of :func:`simulate_point`.
     """
     return simulate_point(p, s, c, ("op",))[0]
 
@@ -204,9 +205,9 @@ def simulate_op(p: SystemParams, s: ChannelStats, c: SimConfig) -> EstimateWithC
 def simulate_ip(p: SystemParams, s: ChannelStats, c: SimConfig) -> EstimateWithCI:
     """Fraction of trials whose combined eavesdropper SNR reaches the threshold.
 
-    Skips the uniforms of RD under spsr and of JE with the jammers off, which
-    the intercept does not read, so the estimate is bitwise that of
-    :func:`simulate_point`.
+    Builds no stream for RD under spsr or for JE with the jammers off, which
+    the intercept does not read; the links it draws come from their own
+    streams, so the estimate is bitwise that of :func:`simulate_point`.
     """
     return simulate_point(p, s, c, ("ip",))[1]
 
@@ -216,10 +217,10 @@ def simulate_point(
     schemes: Sequence[tuple[str, float]] | None = None,
 ):
     """(op, ip) estimates of the ``metrics`` asked for (default both) from
-    one trial stream; a metric not asked for is ``None``.
+    one run of per-link streams; a metric not asked for is ``None``.
 
     With ``schemes``, a sequence of (kind, rho) pairs, the run counts every
-    scheme on one draw per chunk and returns a list of (op, ip) pairs, one per
+    scheme on one draw per block and returns a list of (op, ip) pairs, one per
     scheme; ``c.scheme`` and ``p.rho`` are then not read.  Each pair is
     bitwise that of the one-scheme call with ``c.scheme=kind`` and
     ``p.rho=rho``.

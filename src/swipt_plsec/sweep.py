@@ -15,11 +15,13 @@ gives it, and each scheme changes only ``rho`` (its own, or the point's), so
 the schemes of a point differ in nothing else.  Each point draws
 its Monte-Carlo seed from (master seed, point index), so points can be
 computed in any order, or concurrently, without changing results.  The rows
-of one point share that stream (common random numbers), and one Monte-Carlo
-run per point draws it once and counts every scheme on it; each row's
-estimates are bitwise those of a run of its scheme alone.  The run counts
-only the metrics ``outputs`` asks for; its estimates are bitwise those of a
-joint run.
+of one point share its per-link streams (common random numbers), and one
+Monte-Carlo run per point draws them once and counts every scheme on the
+draw; each row's estimates are bitwise those of a run of its scheme alone.
+The run counts only the metrics ``outputs`` asks for and draws only the
+links they read, so its estimates are bitwise those of a joint run.  A grid
+value that gives no usable parameters marks its point's rows, and the sweep
+goes on.
 """
 
 from __future__ import annotations
@@ -207,14 +209,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Each analytic metric is computed on its own, so a failure of one leaves
     the other's cell filled; the row error names the metric that failed.  A
-    Monte-Carlo failure marks every row of its point, which share one run.
+    Monte-Carlo failure marks every row of its point, which share one run,
+    and so does a grid value that gives no usable parameters.
     """
     rows: list[SweepRow] = []
     s = spec.stats
     metrics = METRICS if spec.outputs == "both" else (spec.outputs,)
     field, convert = _VARIABLE_FIELDS[spec.variable]
     for index, value in enumerate(sweep_values(spec.start, spec.stop, spec.step)):
-        p = replace(spec.params, **{field: convert(value)})
+        try:
+            p = replace(spec.params, **{field: convert(value)})
+        except ValueError as exc:  # an unusable point marks its rows only
+            rows.extend(SweepRow(value=value, scheme=sp.label, error=f"params: {exc}")
+                        for sp in spec.schemes)
+            continue
         # the schemes' params differ only in rho: a static curve's own, else the point's
         schemes = [(sp.kind, p.rho if sp.rho is None else sp.rho) for sp in spec.schemes]
         point = []  # (row, its errors) per scheme

@@ -51,7 +51,7 @@ from swipt_plsec import (
     simulate_point,
 )
 from swipt_plsec.reference import slot1_intercept_probability
-from swipt_plsec.channel import derive_seed, draw_channels, worker_stream
+from swipt_plsec.channel import derive_seed, draw_channels, link_streams
 
 from conftest import make_params
 
@@ -365,7 +365,7 @@ class TestCriterion6Properties:
 
     def test_dynamic_dominates_static_per_trial(self):
         p = make_params(rho=0.55)
-        draw = draw_channels(S1, p, worker_stream(608, 0), size=1_000_000)
+        draw = draw_channels(S1, p, link_streams(608, 0, ("sr", "rd")), size=1_000_000)
         static = gamma_d_spsr(p, draw.gamma_sr_best, draw.gamma_rd)
         dynamic = gamma_d_dpsr(p, draw.gamma_sr_best, draw.gamma_rd)
         ok = bool(np.all(dynamic >= static - 1e-12))
@@ -428,7 +428,7 @@ class TestCriterion6Properties:
 
     def test_best_source_distribution_ks(self):
         p = make_params(num_sources=2)
-        draw = draw_channels(S1, p, worker_stream(609, 0), size=1_000_000)
+        draw = draw_channels(S1, p, link_streams(609, 0, ("sr",)), size=1_000_000)
         stat = scipy_stats.kstest(
             draw.gamma_sr_best, lambda x: best_source_cdf(x, S1.lambda_sr, 2)).statistic
         report("criterion-6 best-source KS", stat < 0.002, f"KS statistic {stat:.5f} at 10^6 draws")
@@ -436,7 +436,7 @@ class TestCriterion6Properties:
 
     def test_jammer_aggregate_chi_square(self):
         p = make_params(num_jammers=3)
-        draw = draw_channels(S1, p, worker_stream(610, 0), size=100_000)
+        draw = draw_channels(S1, p, link_streams(610, 0, ("je",)), size=100_000)
         dist = scipy_stats.gamma(a=3, scale=1.0 / S1.lambda_je)
         edges = dist.ppf(np.linspace(0, 1, 21))
         counts, _ = np.histogram(draw.xi, bins=edges)

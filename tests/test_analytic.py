@@ -402,6 +402,15 @@ class TestUnitIntervalInvariant:
         for v in (ip_dpsr(p, s1), ip_dpsr_quadrature(p, s1), ip_dpsr_no_jamming(p, s1)):
             assert lo <= v <= hi
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("route", [ip_spsr_quadrature, ip_spsr_no_jamming,
+                                       ip_dpsr_quadrature, ip_dpsr_no_jamming],
+                             ids=lambda f: f.__name__)
+    def test_intercept_refuses_a_psi_whose_scale_overflows(self, s1, route):
+        # at psi = 1e-310 (-3100 dB) gamma_th/psi is beyond float range
+        with pytest.raises(ValueError, match=r"psi = 1e-310 is too small"):
+            route(make_params(psi_db=-3100.0, rho=0.55), s1)
+
 
 class TestInterceptPieces:
     def test_slot1_mass_vs_quadrature(self):

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from swipt_plsec import (
     ChannelStats,
@@ -10,8 +12,8 @@ from swipt_plsec import (
     erlang_pdf_xi,
     pathloss_rate,
 )
-from swipt_plsec import channel
-from swipt_plsec.channel import ROW_BLOCK, _fold_columns, _row_reduced_draw, _skip_uniforms, worker_stream
+from swipt_plsec.channel import LINK_KEYS, link_streams
+from swipt_plsec.montecarlo import ROW_BLOCK
 from swipt_plsec.scenario import ScenarioError, load_scenario, parse_scenario, resolve_scenario
 from swipt_plsec.specfun import QuadratureSpec, integrate
 
@@ -164,27 +166,27 @@ class TestScenarioFiles:
 class TestDrawChannels:
     def test_deterministic_streams(self, s1):
         p = make_params(num_sources=3, num_jammers=2)
-        a = draw_channels(s1, p, worker_stream(99, 0), size=1000)
-        b = draw_channels(s1, p, worker_stream(99, 0), size=1000)
+        a = draw_channels(s1, p, link_streams(99, 0, LINK_KEYS), size=1000)
+        b = draw_channels(s1, p, link_streams(99, 0, LINK_KEYS), size=1000)
         assert np.array_equal(a.gamma_sr_best, b.gamma_sr_best)
         assert np.array_equal(a.xi, b.xi)
 
     def test_distinct_workers_distinct_draws(self, s1):
         p = make_params()
-        a = draw_channels(s1, p, worker_stream(99, 0), size=100)
-        b = draw_channels(s1, p, worker_stream(99, 1), size=100)
+        a = draw_channels(s1, p, link_streams(99, 0, LINK_KEYS), size=100)
+        b = draw_channels(s1, p, link_streams(99, 1, LINK_KEYS), size=100)
         assert not np.array_equal(a.gamma_rd, b.gamma_rd)
 
     def test_scalar_draw(self, s1):
         p = make_params()
-        d = draw_channels(s1, p, worker_stream(1, 0))
+        d = draw_channels(s1, p, link_streams(1, 0, LINK_KEYS))
         assert isinstance(d.gamma_se, float) and d.gamma_se >= 0
 
     def test_marginal_means(self, s1):
         # single source, single jammer: plain exponential means 1/lambda
         p = make_params(num_sources=1, num_jammers=1)
         n = 200_000
-        d = draw_channels(s1, p, worker_stream(2024, 0), size=n)
+        d = draw_channels(s1, p, link_streams(2024, 0, LINK_KEYS), size=n)
         for arr, lam in ((d.gamma_sr_best, s1.lambda_sr), (d.gamma_se, s1.lambda_se),
                          (d.gamma_rd, s1.lambda_rd), (d.gamma_re, s1.lambda_re),
                          (d.xi, s1.lambda_je)):
@@ -194,134 +196,133 @@ class TestDrawChannels:
     def test_best_of_m_stochastically_larger(self, s1):
         p1 = make_params(num_sources=1)
         p3 = make_params(num_sources=3)
-        a = draw_channels(s1, p1, worker_stream(7, 0), size=50_000)
-        b = draw_channels(s1, p3, worker_stream(7, 0), size=50_000)
+        a = draw_channels(s1, p1, link_streams(7, 0, LINK_KEYS), size=50_000)
+        b = draw_channels(s1, p3, link_streams(7, 0, LINK_KEYS), size=50_000)
         assert b.gamma_sr_best.mean() > a.gamma_sr_best.mean() * 1.3
-
-    @pytest.mark.parametrize("m,k", [(1, 1), (3, 4), (8, 8), (9, 9)])
-    def test_row_blocks_match_the_plain_draw_bitwise(self, s1, m, k):
-        # several full row blocks and a partial one; the plain form is the oracle
-        p = make_params(num_sources=m, num_jammers=k)
-        n = 3 * ROW_BLOCK + 123
-        got_rng, ref_rng = worker_stream(5, 0), worker_stream(5, 0)
-        got = draw_channels(s1, p, got_rng, size=n)
-
-        def exp(lam, shape):
-            return -np.log1p(-ref_rng.random(shape)) / lam
-
-        ref = (exp(s1.lambda_sr, (n, m)).max(axis=1), exp(s1.lambda_se, n),
-               exp(s1.lambda_rd, n), exp(s1.lambda_re, n), exp(s1.lambda_je, (n, k)).sum(axis=1))
-        for a, b in zip((got.gamma_sr_best, got.gamma_se, got.gamma_rd, got.gamma_re, got.xi), ref):
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-        assert got_rng.random() == ref_rng.random()  # same stream position afterwards
-
-    @pytest.mark.parametrize("n", [1, 256, ROW_BLOCK + 3])
-    def test_best_of_m_max_equals_the_column_fold(self, n):
-        # short wide blocks take max(axis=1), tall ones the column fold; every
-        # width must give the fold's bits and leave the stream where it was
-        lam = 0.37
-        for width in range(1, 65):
-            got_rng, ref_rng = worker_stream(41, width), worker_stream(41, width)
-            got = _row_reduced_draw(got_rng, lam, n, width, best=True)
-            ref = np.empty(n)
-            for lo in range(0, n, ROW_BLOCK):
-                block = ref_rng.random((min(ROW_BLOCK, n - lo), width))
-                _fold_columns(np.maximum, block, ref[lo:lo + len(block)])
-            ref = channel._exp_inplace(ref, lam)
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), width
-            assert got_rng.random() == ref_rng.random()
 
     def test_scalar_draw_is_the_first_row(self, s1):
         p = make_params(num_sources=3, num_jammers=9)
-        one = draw_channels(s1, p, worker_stream(3, 0))
-        batch = draw_channels(s1, p, worker_stream(3, 0), size=1)
+        one = draw_channels(s1, p, link_streams(3, 0, LINK_KEYS))
+        batch = draw_channels(s1, p, link_streams(3, 0, LINK_KEYS), size=1)
         assert one.gamma_sr_best == batch.gamma_sr_best[0]
         assert one.xi == batch.xi[0]
-
-
-def _same_position(a: np.random.Generator, b: np.random.Generator) -> None:
-    sa, sb = a.bit_generator.state, b.bit_generator.state
-    if "buffer_pos" in sa:  # Philox: counter and place in the 4-word buffer
-        assert np.array_equal(sa["state"]["counter"], sb["state"]["counter"])
-        assert sa["buffer_pos"] == sb["buffer_pos"]
-    assert sa["has_uint32"] == sb["has_uint32"] and sa["uinteger"] == sb["uinteger"]
-    assert np.array_equal(a.random(11).view(np.uint64), b.random(11).view(np.uint64))
-    assert a.integers(0, 2 ** 32, size=3, dtype=np.uint32).tolist() \
-        == b.integers(0, 2 ** 32, size=3, dtype=np.uint32).tolist()
-
-
-# shorter than, equal to and longer than the buffer, and across many blocks,
-# whole row blocks of the fallback and a partial one
-SKIPS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 4 * 1021 + 3, 3 * ROW_BLOCK + 5, 1_000_003)
-
-
-class TestSkipUniforms:
-    # 0..4 uniforms drawn leave 0, 3, 2, 1, 0 words in the Philox buffer
-    @pytest.mark.parametrize("offset", [0, 1, 2, 3, 4, 6])
-    @pytest.mark.parametrize("k", SKIPS)
-    def test_philox_skip_equals_the_draw(self, offset, k):
-        got, ref = worker_stream(17, offset), worker_stream(17, offset)
-        got.random(offset)
-        ref.random(offset)
-        _skip_uniforms(got, k)
-        ref.random(k)
-        _same_position(got, ref)
-
-    @pytest.mark.parametrize("k", SKIPS)
-    def test_fallback_skip_equals_the_draw(self, k):
-        got, ref = np.random.default_rng(23), np.random.default_rng(23)
-        got.random(3)
-        ref.random(3)
-        _skip_uniforms(got, k)
-        ref.random(k)
-        _same_position(got, ref)
-
-    @pytest.mark.parametrize("k", [1, 9, 1_000_003])
-    def test_pending_half_word_keeps_the_draw(self, k):
-        # advance would drop a buffered 32-bit half word that random keeps
-        got, ref = worker_stream(29, 0), worker_stream(29, 0)
-        for rng in (got, ref):
-            rng.random(2)
-            state = rng.bit_generator.state
-            state["has_uint32"], state["uinteger"] = 1, 123456789
-            rng.bit_generator.state = state
-        _skip_uniforms(got, k)
-        ref.random(k)
-        _same_position(got, ref)
 
 
 FIELDS = {"sr": "gamma_sr_best", "se": "gamma_se", "rd": "gamma_rd", "re": "gamma_re",
           "je": "xi"}
 
 
+class _Uniforms:
+    """A stand-in stream whose ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.array(u, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+# KS statistic bound: the 0.1% critical value 1.95/sqrt(n) of the one-sample test
+KS_N = 200_000
+KS_BOUND = 1.95 / math.sqrt(KS_N)
+
+
+class TestDrawLaws:
+    """Each link gain is one value per trial from its own law."""
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 64])
+    def test_best_of_m_follows_the_best_source_cdf(self, s1, m):
+        d = draw_channels(s1, make_params(num_sources=m), link_streams(611, m, ("sr",)),
+                          size=KS_N)
+        stat = scipy_stats.kstest(
+            d.gamma_sr_best, lambda x: best_source_cdf(x, s1.lambda_sr, m)).statistic
+        assert stat < KS_BOUND
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_jammer_sum_follows_the_erlang_cdf(self, s1, k):
+        d = draw_channels(s1, make_params(num_jammers=k), link_streams(612, k, ("je",)),
+                          size=KS_N)
+        erlang = scipy_stats.gamma(a=k, scale=1.0 / s1.lambda_je)
+        assert scipy_stats.kstest(d.xi, erlang.cdf).statistic < KS_BOUND
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [1, 2, 64])
+    def test_best_of_m_at_the_ends_of_the_unit_interval(self, s1, m):
+        # u = 0 is the smallest uniform and 1 - 2^-53 the largest
+        d = draw_channels(s1, make_params(num_sources=m), {"sr": _Uniforms([0.0, 1 - 2.0 ** -53])},
+                          size=2)
+        low, high = d.gamma_sr_best
+        assert low == 0.0
+        assert math.isfinite(high) and high > 0
+        # the survival 1 - (1 - exp(-lam g))^M at the largest gain gives back 2^-53
+        survival = -math.expm1(m * math.log1p(-math.exp(-s1.lambda_sr * high)))
+        assert survival == pytest.approx(2.0 ** -53, rel=1e-9)
+
+    @pytest.mark.parametrize("m,k", [(1, 1), (3, 4), (8, 9)])
+    def test_one_call_equals_row_blocks(self, s1, m, k):
+        # several full blocks and a partial one, on every link
+        p = make_params(num_sources=m, num_jammers=k)
+        n = 3 * ROW_BLOCK + 123
+        whole = draw_channels(s1, p, link_streams(5, 0, LINK_KEYS), size=n)
+        streams = link_streams(5, 0, LINK_KEYS)
+        blocks = [draw_channels(s1, p, streams, size=min(ROW_BLOCK, n - lo))
+                  for lo in range(0, n, ROW_BLOCK)]
+        for field in FIELDS.values():
+            joined = np.concatenate([getattr(b, field) for b in blocks])
+            assert np.array_equal(getattr(whole, field).view(np.uint64), joined.view(np.uint64))
+
+
 class TestDrawSubset:
+    def test_streams_are_keyed_by_seed_worker_and_link(self):
+        streams = link_streams(5, 2, LINK_KEYS)
+        for index, link in enumerate(LINK_KEYS):
+            ref = np.random.Generator(np.random.Philox(np.random.SeedSequence([5, 2, index])))
+            assert np.array_equal(streams[link].random(4), ref.random(4))
+
     @pytest.mark.parametrize("links", [
         {"sr", "rd"}, {"sr", "se", "re", "je"}, {"sr", "se", "rd", "re", "je"},
         {"se"}, {"je"}, {"rd", "je"}, set(),
     ])
-    def test_subset_fields_and_stream_match_the_full_draw(self, s1, links):
+    def test_subset_fields_match_the_full_draw(self, s1, links):
+        # a link's values do not depend on the other links drawn
         p = make_params(num_sources=3, num_jammers=4)
         n = ROW_BLOCK + 7
-        got_rng, ref_rng = worker_stream(8, 1), worker_stream(8, 1)
-        got_rng.random(1)  # start mid-buffer
-        ref_rng.random(1)
-        got = draw_channels(s1, p, got_rng, size=n, links=links)
-        ref = draw_channels(s1, p, ref_rng, size=n)
+        streams = link_streams(8, 1, links)
+        assert set(streams) == links  # only the links asked for are built
+        got = draw_channels(s1, p, streams, size=n)
+        ref = draw_channels(s1, p, link_streams(8, 1, LINK_KEYS), size=n)
         for link, field in FIELDS.items():
             if link in links:
                 assert np.array_equal(getattr(got, field).view(np.uint64),
                                       getattr(ref, field).view(np.uint64))
             else:
                 assert getattr(got, field) is None
-        _same_position(got_rng, ref_rng)
+
+    @pytest.mark.parametrize("link,others", [
+        pytest.param(link, set(others), id=f"{link}-beside-{'+'.join(others) or 'none'}")
+        for link in LINK_KEYS
+        for r in range(len(LINK_KEYS))
+        for others in itertools.combinations([k for k in LINK_KEYS if k != link], r)])
+    def test_link_values_and_stream_position_ignore_the_other_links(self, s1, link, others):
+        # every link drawn alone, and beside each subset of the other four,
+        # gives the same values and leaves its stream at the same position
+        p = make_params(num_sources=5, num_jammers=3)
+        alone = link_streams(21, 3, {link})
+        shared = link_streams(21, 3, others | {link})
+        for size in (1000, 17):
+            ref = getattr(draw_channels(s1, p, alone, size=size), FIELDS[link])
+            got = getattr(draw_channels(s1, p, shared, size=size), FIELDS[link])
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(shared[link].random(4), alone[link].random(4))
 
     def test_scalar_subset_is_the_first_row(self, s1):
         p = make_params(num_sources=3, num_jammers=9)
-        one = draw_channels(s1, p, worker_stream(3, 0), links=("sr", "rd"))
-        full = draw_channels(s1, p, worker_stream(3, 0))
+        one = draw_channels(s1, p, link_streams(3, 0, ("sr", "rd")))
+        full = draw_channels(s1, p, link_streams(3, 0, LINK_KEYS))
         assert (one.gamma_sr_best, one.gamma_rd) == (full.gamma_sr_best, full.gamma_rd)
         assert one.gamma_se is None and one.xi is None
 
-    def test_unknown_link_rejected(self, s1):
+    def test_unknown_link_rejected(self):
         with pytest.raises(ValueError, match="unknown links"):
-            draw_channels(s1, make_params(), worker_stream(1, 0), size=4, links=("sr", "sd"))
+            link_streams(1, 0, ("sr", "sd"))

@@ -18,9 +18,9 @@ from swipt_plsec import (
     simulate_op,
     simulate_point,
 )
-from swipt_plsec import channel, core, montecarlo
-from swipt_plsec.channel import draw_channels, worker_stream
-from swipt_plsec.montecarlo import METRICS
+from swipt_plsec import core, montecarlo
+from swipt_plsec.channel import LINK_KEYS, draw_channels, link_streams
+from swipt_plsec.montecarlo import METRICS, ROW_BLOCK
 
 from conftest import make_params
 
@@ -124,7 +124,7 @@ class TestEngine:
     def test_dynamic_dominates_static_per_trial(self, s1):
         # common draws: the optimal ratio can never do worse
         p = make_params(rho=0.55)
-        draw = draw_channels(s1, p, worker_stream(123, 0), size=200_000)
+        draw = draw_channels(s1, p, link_streams(123, 0, ("sr", "rd")), size=200_000)
         static = gamma_d_spsr(p, draw.gamma_sr_best, draw.gamma_rd)
         dynamic = gamma_d_dpsr(p, draw.gamma_sr_best, draw.gamma_rd)
         assert np.all(dynamic >= static - 1e-12)
@@ -145,32 +145,34 @@ class TestEngine:
 
 # (op, ip) success counts of simulate_point at s1, trials=600_001, seed=7, for
 # (workers, scheme) in (1, spsr), (1, dpsr), (3, spsr), (3, dpsr); recorded with
-# the engine that drew each (n, M) and (n, K) block in one call and reduced it
-# with max(axis=1) and sum(axis=1)
+# the engine that gives each link its own Philox stream keyed by (seed, worker,
+# link index), draws the best-of-M gain by the inverse CDF of the max and the
+# jammer sum by standard_gamma(K), and counts ROW_BLOCK trials at a time.  The
+# outage counts read no JE gain, so they do not change with K.
 PINNED_COUNTS = {
-    (1, 1): ((189361, 40432), (176090, 30610), (190823, 40012), (177495, 30203)),
-    (1, 4): ((189691, 1071), (176431, 652), (190823, 1056), (177495, 654)),
-    (1, 8): ((189882, 33), (176643, 29), (190823, 39), (177495, 25)),
-    (1, 9): ((190038, 20), (176637, 10), (190823, 14), (177495, 12)),
-    (3, 1): ((39578, 83128), (34591, 62613), (39673, 83104), (34833, 62397)),
-    (3, 4): ((39632, 2928), (34599, 1799), (39673, 2948), (34833, 1793)),
-    (3, 8): ((39564, 100), (34629, 76), (39673, 105), (34833, 62)),
-    (3, 9): ((39377, 55), (34418, 30), (39673, 42), (34833, 35)),
-    (8, 1): ((14848, 132348), (11494, 101300), (15253, 132213), (11818, 101264)),
-    (8, 4): ((14991, 6531), (11550, 4015), (15253, 6603), (11818, 4019)),
-    (8, 8): ((14939, 253), (11588, 151), (15253, 248), (11818, 154)),
-    (8, 9): ((14990, 122), (11576, 89), (15253, 117), (11818, 83)),
-    (9, 1): ((14051, 138933), (10721, 106774), (13997, 138288), (10656, 106169)),
-    (9, 4): ((14045, 7176), (10721, 4546), (13997, 6995), (10656, 4219)),
-    (9, 8): ((14044, 269), (10745, 167), (13997, 263), (10656, 168)),
-    (9, 9): ((14010, 141), (10695, 99), (13997, 133), (10656, 99)),
+    (1, 1): ((190121, 40322), (176868, 30535), (190555, 40166), (177542, 30608)),
+    (1, 4): ((190121, 1068), (176868, 653), (190555, 1104), (177542, 647)),
+    (1, 8): ((190121, 37), (176868, 21), (190555, 29), (177542, 14)),
+    (1, 9): ((190121, 12), (176868, 11), (190555, 17), (177542, 13)),
+    (3, 1): ((40001, 83067), (34962, 62391), (39705, 83082), (34657, 62280)),
+    (3, 4): ((40001, 2952), (34962, 1798), (39705, 2962), (34657, 1823)),
+    (3, 8): ((40001, 108), (34962, 59), (39705, 91), (34657, 55)),
+    (3, 9): ((40001, 47), (34962, 31), (39705, 51), (34657, 33)),
+    (8, 1): ((15082, 132450), (11564, 101588), (15034, 132439), (11568, 101641)),
+    (8, 4): ((15082, 6467), (11564, 3909), (15034, 6510), (11568, 4026)),
+    (8, 8): ((15082, 265), (11564, 177), (15034, 247), (11568, 174)),
+    (8, 9): ((15082, 110), (11564, 76), (15034, 119), (11568, 73)),
+    (9, 1): ((14103, 138601), (10684, 106561), (14062, 138369), (10689, 106487)),
+    (9, 4): ((14103, 7084), (10684, 4262), (14062, 7100), (10689, 4411)),
+    (9, 8): ((14103, 297), (10684, 198), (14062, 281), (10689, 200)),
+    (9, 9): ((14103, 122), (10684, 88), (14062, 131), (10689, 83)),
 }
 
 
 class TestStreams:
     @pytest.mark.parametrize("m,k", sorted(PINNED_COUNTS))
     def test_counts_are_pinned(self, s1, m, k):
-        # 600_001 trials: full and partial chunks, and a remainder worker at 3
+        # 600_001 trials: full and partial blocks, and a remainder worker at 3
         p = make_params(num_sources=m, num_jammers=k)
         got = []
         for workers in (1, 3):
@@ -182,12 +184,12 @@ class TestStreams:
 
 
 class TestMetricSubsets:
-    # three chunks for one worker, and a remainder worker at 3
+    # three blocks for one worker, and a remainder worker at 3
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("scheme", ["spsr", "dpsr"])
     def test_one_metric_counts_equal_the_joint_run(self, s1, workers, scheme):
         p = make_params(num_sources=3, num_jammers=4)
-        c = SimConfig(trials=2 * montecarlo._CHUNK + 5, seed=31, workers=workers,
+        c = SimConfig(trials=2 * ROW_BLOCK + 5, seed=31, workers=workers,
                       scheme=scheme)
         op_joint, ip_joint = simulate_point(p, s1, c)
         assert simulate_point(p, s1, c, metrics=("op",)) == (op_joint, None)
@@ -219,9 +221,9 @@ class TestMetricSubsets:
             simulate_point(make_params(), s1, SimConfig(trials=10), metrics=metrics)
 
 
-def _full_draw_ip_count(p, s, c, rng, n):
-    # the intercept count of one chunk from a draw of all five links
-    d = draw_channels(s, p, rng, size=n)
+def _full_draw_ip_count(p, s, c, streams, n):
+    # the intercept count of one block from a draw of all five links
+    d = draw_channels(s, p, streams, size=n)
     pair = gamma_e(p, d.gamma_se, d.gamma_sr_best, d.gamma_re, d.xi, mode="no-jamming",
                    scheme=c.scheme, gamma_rd=d.gamma_rd)
     return int(np.count_nonzero(pair.combined >= p.gamma_th))
@@ -229,66 +231,64 @@ def _full_draw_ip_count(p, s, c, rng, n):
 
 class TestJammingOff:
     """With the jammers off the intercept reads no jammer gain, so its runs
-    skip the JE uniforms instead of drawing them."""
+    build no JE stream; each other link's values are those of a run that
+    also draws JE."""
 
     @staticmethod
-    def _forbid_je(monkeypatch):
-        row_reduced_draw = channel._row_reduced_draw
+    def _record_links(monkeypatch):
+        built = []
+        streams = montecarlo.link_streams
 
-        def guarded(rng, lam, n, width, best):
-            if not best:
-                raise AssertionError("JE block drawn with the jammers off")
-            return row_reduced_draw(rng, lam, n, width, best)
+        def recorded(seed, worker, links):
+            built.append(set(links))
+            return streams(seed, worker, links)
 
-        monkeypatch.setattr(channel, "_row_reduced_draw", guarded)
+        monkeypatch.setattr(montecarlo, "link_streams", recorded)
+        return built
 
-    # three chunks for one worker, and a remainder worker at 3
+    # three blocks for one worker, and a remainder worker at 3
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("scheme", ["spsr", "dpsr"])
     def test_counts_equal_those_of_the_full_draw(self, s1, monkeypatch, workers, scheme):
         p = make_params(num_sources=3, num_jammers=4)
-        c = SimConfig(trials=2 * montecarlo._CHUNK + 5, seed=17, workers=workers,
+        c = SimConfig(trials=2 * ROW_BLOCK + 5, seed=17, workers=workers,
                       scheme=scheme, jamming=False)
         expected = 0
         for worker, n_worker in enumerate(c.partition()):
-            rng = worker_stream(c.seed, worker)
-            for lo in range(0, n_worker, montecarlo._CHUNK):
-                expected += _full_draw_ip_count(p, s1, c, rng,
-                                                min(montecarlo._CHUNK, n_worker - lo))
-        self._forbid_je(monkeypatch)
+            streams = link_streams(c.seed, worker, LINK_KEYS)
+            for lo in range(0, n_worker, ROW_BLOCK):
+                expected += _full_draw_ip_count(p, s1, c, streams, min(ROW_BLOCK, n_worker - lo))
+        built = self._record_links(monkeypatch)
         assert simulate_ip(p, s1, c).successes == expected
         assert simulate_point(p, s1, c)[1].successes == expected
+        assert len(built) == 2 * workers and not any("je" in links for links in built)
 
     @pytest.mark.parametrize("scheme", ["spsr", "dpsr"])
-    def test_chunk_leaves_the_stream_where_the_full_draw_does(self, s1, monkeypatch, scheme):
+    def test_no_je_stream_whatever_the_metrics(self, s1, monkeypatch, scheme):
         p = make_params(num_sources=2, num_jammers=8)
-        c = SimConfig(trials=1, seed=5, scheme=scheme, jamming=False)
-        n = 1003
-        full = worker_stream(c.seed, 0)
-        expected = _full_draw_ip_count(p, s1, c, full, n)
-        after = full.random(5)
-        self._forbid_je(monkeypatch)
+        c = SimConfig(trials=1003, seed=5, scheme=scheme, jamming=False)
+        expected = _full_draw_ip_count(p, s1, c, link_streams(c.seed, 0, LINK_KEYS), c.trials)
+        built = self._record_links(monkeypatch)
         for metrics in (("ip",), ("op", "ip")):
-            rng = worker_stream(c.seed, 0)
-            assert montecarlo._count_chunk(p, s1, c, rng, n, metrics,
-                                           [(c.scheme, p)])[0][1] == expected
-            assert rng.random(5).tobytes() == after.tobytes()
+            assert simulate_point(p, s1, c, metrics)[1].successes == expected
+        ip_links = {"sr", "se", "re"} | ({"rd"} if scheme == "dpsr" else set())
+        assert built == [ip_links, ip_links | {"rd"}]
 
 
 def _sequential_counts(p, s, c):
     op_total = ip_total = 0
     for worker, n_worker in enumerate(c.partition()):
-        rng = worker_stream(c.seed, worker)
-        for lo in range(0, n_worker, montecarlo._CHUNK):
-            n = min(montecarlo._CHUNK, n_worker - lo)
-            [(op, ip)] = montecarlo._count_chunk(p, s, c, rng, n, METRICS, [(c.scheme, p)])
+        streams = link_streams(c.seed, worker, LINK_KEYS)
+        for lo in range(0, n_worker, ROW_BLOCK):
+            n = min(ROW_BLOCK, n_worker - lo)
+            [(op, ip)] = montecarlo._count_block(p, s, c, streams, n, METRICS, [(c.scheme, p)])
             op_total += op
             ip_total += ip
     return op_total, ip_total
 
 
 class TestWorkerThreads:
-    @pytest.mark.parametrize("cpus", [None, 1])
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 4])
     def test_threads_capped_and_counts_sequential(self, s1, monkeypatch, cpus):
         if cpus is not None:
             monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
@@ -298,7 +298,7 @@ class TestWorkerThreads:
         idents = set()
         lock = threading.Lock()
         in_flight = peak = 0
-        count_chunk = montecarlo._count_chunk
+        count_block = montecarlo._count_block
 
         def recorded(*args):
             nonlocal in_flight, peak
@@ -307,12 +307,12 @@ class TestWorkerThreads:
                 in_flight += 1
                 peak = max(peak, in_flight)
             try:
-                return count_chunk(*args)
+                return count_block(*args)
             finally:
                 with lock:
                     in_flight -= 1
 
-        monkeypatch.setattr(montecarlo, "_count_chunk", recorded)
+        monkeypatch.setattr(montecarlo, "_count_block", recorded)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, to expose shared state
         try:
@@ -322,7 +322,7 @@ class TestWorkerThreads:
         assert len(idents) <= cap and peak <= cap
         if cap == 1:
             assert idents == {threading.get_ident()}  # inline, no pool
-        monkeypatch.setattr(montecarlo, "_count_chunk", count_chunk)
+        monkeypatch.setattr(montecarlo, "_count_block", count_block)
         assert (op.successes, ip.successes) == _sequential_counts(p, s1, c)
 
 
@@ -332,14 +332,14 @@ SCHEMES = (("spsr", 0.225), ("spsr", 0.875), ("dpsr", 0.5))
 class TestSchemeSets:
     """Schemes of one point counted on one draw equal their own runs."""
 
-    # three chunks for one worker, and a remainder worker at 3
+    # three blocks for one worker, and a remainder worker at 3
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("jamming,e1_mode", [(True, "exact"), (True, "approx"),
                                                  (False, "exact")])
     @pytest.mark.parametrize("metrics", [("op",), ("ip",), METRICS])
     def test_each_scheme_equals_its_own_run(self, s1, workers, jamming, e1_mode, metrics):
         p = make_params(num_sources=3, num_jammers=4)
-        c = SimConfig(trials=2 * montecarlo._CHUNK + 5, seed=23, workers=workers,
+        c = SimConfig(trials=2 * ROW_BLOCK + 5, seed=23, workers=workers,
                       jamming=jamming, e1_mode=e1_mode)
         alone = [simulate_point(replace(p, rho=rho), s1, replace(c, scheme=kind), metrics)
                  for kind, rho in SCHEMES]
@@ -348,20 +348,20 @@ class TestSchemeSets:
             expected = alone if order == SCHEMES else alone[::-1]
             assert shared == expected
 
-    def test_one_draw_per_chunk_whatever_the_scheme_count(self, s1, monkeypatch):
+    def test_one_draw_per_block_whatever_the_scheme_count(self, s1, monkeypatch):
         calls = []
         draw = montecarlo.draw_channels
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs["links"])
-            return draw(*args, **kwargs)
+        def counted(stats, p, streams, **kwargs):
+            calls.append(set(streams))
+            return draw(stats, p, streams, **kwargs)
 
         monkeypatch.setattr(montecarlo, "draw_channels", counted)
         p = make_params()
-        c = SimConfig(trials=2 * montecarlo._CHUNK + 5, seed=3)
+        c = SimConfig(trials=2 * ROW_BLOCK + 5, seed=3)
         simulate_point(p, s1, c, ("ip",), schemes=(("spsr", 0.3),))
         simulate_point(p, s1, c, ("ip",), schemes=SCHEMES)
-        # spsr alone skips RD; dpsr reads it, so the shared draw takes it
+        # spsr alone reads no RD; dpsr reads it, so the shared draw takes it
         assert calls == [{"sr", "se", "re", "je"}] * 3 + [{"sr", "se", "rd", "re", "je"}] * 3
 
     def test_no_scheme_rejected(self, s1):

@@ -18,7 +18,7 @@ from swipt_plsec import (
 )
 from swipt_plsec import analytic, montecarlo, reference, specfun, sweep
 from swipt_plsec.cli import main
-from swipt_plsec.montecarlo import SimConfig
+from swipt_plsec.montecarlo import ROW_BLOCK, SimConfig
 from swipt_plsec.sweep import SweepResult, SweepRow, sweep_values
 
 from conftest import make_params
@@ -151,8 +151,8 @@ class TestRunSweep:
         # common random numbers: dynamic can only lower the outage count
         assert rows[1].op_mc <= rows[0].op_mc
 
-    def test_one_draw_per_chunk_per_worker_per_point(self, s1, monkeypatch):
-        # two workers of two chunks each at each of two points
+    def test_one_draw_per_block_per_worker_per_point(self, s1, monkeypatch):
+        # two workers of two blocks each at each of two points
         lock = threading.Lock()
         calls = 0
         draw = montecarlo.draw_channels
@@ -169,7 +169,7 @@ class TestRunSweep:
             calls = 0
             spec = SweepSpec(variable="psi_db", start=0, stop=10, step=10,
                              params=make_params(), stats=s1,
-                             sim=tiny_sim(trials=4 * montecarlo._CHUNK - 2, workers=2),
+                             sim=tiny_sim(trials=4 * ROW_BLOCK - 2, workers=2),
                              schemes=schemes, outputs="op")
             assert len(run_sweep(spec).rows) == 2 * len(schemes)
             assert calls == 2 * 2 * 2
@@ -441,8 +441,8 @@ class TestCli:
         assert main(base + ["--e1-mode", "approx", "--fail-on-flags", "0.1"]) == 0
 
     def test_one_metric_sweeps_write_the_joint_mc_columns(self, tmp_path):
-        # two workers of just over one chunk each: skips within and between chunks
-        trials = str(2 * montecarlo._CHUNK + 3)
+        # two workers of just over one block each
+        trials = str(2 * ROW_BLOCK + 3)
         cols = {}
         for outputs in ("op", "ip", "both"):
             path = tmp_path / f"{outputs}.csv"
@@ -487,14 +487,11 @@ class TestCli:
     @pytest.mark.parametrize("args,message", [
         (["point", "--psi-db", "4000"], "4000 dB is beyond float range"),
         (["point", "--phi-db", "4000"], "4000 dB is beyond float range"),
-        (["sweep", "--sweep", "psi_db:3100:3100:1"], "3100 dB is beyond float range"),
-        (["sweep", "--sweep", "phi_db:3100:3100:1"], "3100 dB is beyond float range"),
         # a NaN psi would count no trial as an outage: MC estimates of 0 with CIs
         (["sweep", "--sweep", "M:1:2:1", "--psi-db", "nan"], "psi must be finite"),
         (["sweep", "--sweep", "M:1:2:1", "--phi-db", "nan"], "phi must be finite"),
         (["sweep", "--sweep", "M:1:2:1", "--c-th", "nan"], "target rate must be finite"),
-    ], ids=["point-psi-db", "point-phi-db", "sweep-psi-db", "sweep-phi-db", "psi-nan",
-            "phi-nan", "c-th-nan"])
+    ], ids=["point-psi-db", "point-phi-db", "psi-nan", "phi-nan", "c-th-nan"])
     def test_unusable_model_value_reported(self, tmp_path, capsys, args, message):
         out_csv = tmp_path / "o.csv"
         extra = ["--output", str(out_csv)] if args[0] == "sweep" else []
@@ -502,6 +499,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("grid,good,message", [
+        ("psi_db:3000:3100:100", 3000.0, "3100 dB is beyond float range"),
+        ("phi_db:3000:3100:100", 3000.0, "3100 dB is beyond float range"),
+        # -3300 dB underflows psi to 0
+        ("psi_db:-3300:-300:3000", -300.0, "psi must be finite and positive"),
+    ])
+    def test_unusable_sweep_point_marks_its_rows(self, tmp_path, capsys, grid, good, message):
+        out_csv = tmp_path / "o.csv"
+        assert main(["sweep", "--scenario", "s1", "--sweep", grid, "--outputs", "op",
+                     "--trials", "100", "--output", str(out_csv)]) == 1
+        rows = read_csv(out_csv).rows
+        assert len(rows) == 4  # two points of spsr@0.5 and dpsr
+        for row in rows:
+            if row.value == good:
+                assert row.error == "" and row.op_analytic is not None and row.op_mc is not None
+            else:
+                assert message in row.error and row.op_analytic is None and row.op_mc is None
+        assert capsys.readouterr().err.count(message) == 2
 
     @pytest.mark.parametrize("args", [
         ["compare", "--max-flagged", "0", "--gap-allowance", "nan"],
