@@ -9,7 +9,6 @@ Monte-Carlo engine and a sweep harness that emits plot-ready CSV.
 """
 
 from .analytic import (
-    AnalyticConfig,
     ip_dpsr_no_jamming,
     ip_dpsr_quadrature,
     ip_spsr_no_jamming,
@@ -37,6 +36,7 @@ from .core import (
 )
 from .montecarlo import EstimateWithCI, SimConfig, simulate_ip, simulate_op, simulate_point
 from .reference import (
+    AnalyticConfig,
     ip_dpsr,
     ip_spsr,
     op_dpsr_quadrature,

@@ -2,8 +2,9 @@
 
 Every route averages a closed-form conditional probability over
 Gamma-distributed gains with one vectorised Gauss-Legendre kernel, which
-raises :class:`QuadratureError` where it misses its tolerance.  Each metric
-has one body, and its routes differ only in what they pass it:
+raises :class:`QuadratureError` where it misses ``_TOL``, the one tolerance
+of every route here.  Each metric has one body, and its routes differ only
+in what they pass it:
 
 - ``_outage`` averages the best-of-M CDF, at the source-side gain the
   threshold requires, over the relay-to-destination gain, in plain array
@@ -25,7 +26,8 @@ exp(b*info) underflows to exactly 0, which leaves the sum's bits as they
 are.  The public slot factors pass their conditioning values (jammer
 aggregate, relay-to-destination gain) through one check, which refuses
 negative, NaN and infinite entries with ``ValueError``; ``_intercept``
-refuses a psi at which gamma_th/psi overflows the same way.
+refuses a psi at which gamma_th/psi overflows the same way, and the slot-2
+factor one at which its Bessel argument overflows.
 
 The paper's closed forms and series, and the scalar adaptive quadratures of
 the same averages, are test references in :mod:`swipt_plsec.reference`; no
@@ -39,13 +41,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelStats, erlang_pdf_xi
 from .core import SystemParams, rho_star, spread_map
-from .specfun import CancellationError, QuadratureError, QuadratureSpec, bessel_k1
+from .specfun import (CancellationError, QuadratureError, QuadratureSpec, bessel_k1,
+                      refuse_beyond)
 
 # Not called here: perfbench/layers.py rebinds these names to trace this
 # module's calls into the layer below, so they stay bound.
@@ -53,7 +55,6 @@ from .channel import best_source_cdf  # noqa: F401
 from .specfun import bessel_k, integrate, sum_series  # noqa: F401
 
 __all__ = [
-    "AnalyticConfig",
     "op_spsr",
     "op_dpsr",
     "ip_spsr_quadrature",
@@ -67,23 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AnalyticConfig:
-    """Truncation and quadrature settings for the analytic evaluators; the
-    series settings reach only the paper forms of :mod:`swipt_plsec.reference`."""
-
-    series_rel_tol: float = 1e-8
-    series_max_terms: int = 200
-    quad: QuadratureSpec = QuadratureSpec()
-
-    def __post_init__(self):
-        if self.series_rel_tol <= 0:
-            raise ValueError("series_rel_tol must be positive")
-        if self.series_max_terms < 1:
-            raise ValueError("series_max_terms must be >= 1")
-
-
-DEFAULT_CONFIG = AnalyticConfig()
+_TOL = QuadratureSpec()  # the tolerance of the kernel's estimate and the slot-2 bound
 
 
 def _binom_coeffs(m: int) -> list[tuple[int, float]]:
@@ -147,16 +132,14 @@ def _weighted_blocks(lam: float, k: int) -> tuple[np.ndarray, np.ndarray, tuple,
     return nodes, weights, blocks, -(-coarse // _BLOCK)
 
 
-def _gamma_average(f, lam: float, k: int, spec: QuadratureSpec, spread: bool = False,
-                   flat: bool = False):
+def _gamma_average(f, lam: float, k: int, spread: bool = False, flat: bool = False):
     """E[f(X)] for X ~ Gamma(k, rate ``lam``), by composite Gauss-Legendre in
     u = log(lam * x).
 
     ``f`` maps a node array on its trailing axis to values of the same
     trailing length; any leading axes carry through, so averages nest by
-    broadcasting.  Raises :class:`QuadratureError` when the estimate exceeds
-    ``max(spec.rel_tol * |value|, spec.abs_tol)`` anywhere, or a value is
-    not finite.
+    broadcasting.  Raises :class:`QuadratureError` where a value is not
+    finite or the estimate exceeds ``_TOL``.
 
     ``f`` is called once per ``_BLOCK``-node block, so a nested average holds
     (128, 128) arrays.  With ``flat`` it is called once on the nodes of both
@@ -183,14 +166,8 @@ def _gamma_average(f, lam: float, k: int, spec: QuadratureSpec, spread: bool = F
 
         parts = spread_map(block_sum, blocks) if spread else [block_sum(b) for b in blocks]
     coarse, value = sum(parts[:n_coarse]), sum(parts[n_coarse:])
-    err = np.abs(value - coarse)
-    bad = ~(err <= np.maximum(spec.rel_tol * np.abs(value), spec.abs_tol))
-    if np.any(bad):
-        i = np.argmax(np.ravel(bad))
-        v, e = float(np.ravel(value)[i]), float(np.ravel(err)[i])
-        raise QuadratureError(
-            f"Gauss-Legendre average reached error {e:.3e} on value {v:.6e}, "
-            f"above max(rel_tol*|value|, abs_tol)", v, e)
+    refuse_beyond(value, np.abs(value - coarse), _TOL, QuadratureError,
+                  "Gauss-Legendre average reached error")
     return value
 
 
@@ -198,13 +175,14 @@ def _gamma_average(f, lam: float, k: int, spec: QuadratureSpec, spread: bool = F
 # outage
 
 
-def _outage(p: SystemParams, s: ChannelStats, threshold, cfg: AnalyticConfig) -> float:
+def _outage(p: SystemParams, s: ChannelStats, threshold) -> float:
     """The best-of-M CDF at the source-side gain ``threshold(p, x)`` averaged
     over the relay-to-destination gain x ~ Exp(``lambda_rd``), in one call
     over the nodes of both rules."""
-    value = _gamma_average(
-        lambda x: (-np.expm1(-s.lambda_sr * threshold(p, x))) ** p.num_sources,
-        s.lambda_rd, 1, cfg.quad, flat=True)
+    with np.errstate(divide="ignore", over="ignore"):  # tiny psi: CDF 1, its limit
+        value = _gamma_average(
+            lambda x: (-np.expm1(-s.lambda_sr * threshold(p, x))) ** p.num_sources,
+            s.lambda_rd, 1, flat=True)
     return float(value)
 
 
@@ -220,7 +198,7 @@ def _dpsr_threshold(p: SystemParams, x):
     return p.gamma_th * (1.0 + np.sqrt(p.eta * x)) ** 2 / (p.eta * p.psi * x)
 
 
-def op_spsr(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
+def op_spsr(p: SystemParams, s: ChannelStats) -> float:
     """Outage probability under a fixed splitting ratio (the sweep's route):
     :func:`_outage` with the threshold taken at ``p.rho``.  Endpoint splitting
     ratios give zero destination SNR, hence probability 1."""
@@ -228,16 +206,16 @@ def op_spsr(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONF
         return 0.0
     if p.rho in (0.0, 1.0):
         return 1.0
-    return _outage(p, s, _spsr_threshold, cfg)
+    return _outage(p, s, _spsr_threshold)
 
 
-def op_dpsr(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
+def op_dpsr(p: SystemParams, s: ChannelStats) -> float:
     """Outage probability under per-realization optimal splitting (the
     sweep's route): :func:`op_spsr` with the threshold taken at the optimal
     ratio of each relay-to-destination gain."""
     if p.gamma_th == 0:
         return 0.0
-    return _outage(p, s, _dpsr_threshold, cfg)
+    return _outage(p, s, _dpsr_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +233,8 @@ def _conditioning(v) -> np.ndarray:
 def slot1_outage_factor(p: SystemParams, s: ChannelStats, x):
     """Probability the first-slot wiretap SNR stays below threshold, given
     jammer aggregate ``x`` (jamming-dominated approximation)."""
-    out = -np.expm1(-p.gamma_th * s.lambda_se * p.phi * _conditioning(x) / p.psi)
+    with np.errstate(over="ignore"):  # tiny psi: the exponent's -inf gives the limit 1
+        out = -np.expm1(-p.gamma_th * s.lambda_se * p.phi * _conditioning(x) / p.psi)
     return float(out) if np.isscalar(x) else out
 
 
@@ -266,9 +245,11 @@ def _slot2_no_intercept(p: SystemParams, s: ChannelStats, rho, dilution):
     in slot 2, so the probability is 1 there.
 
     The alternating binomial sum cancels as M grows.  Raises
-    :class:`CancellationError` where its rounding bound eps*(1 + sum |terms|)
-    exceeds max(rel_tol*|value|, abs_tol) of the default quadrature spec;
-    the bound is at most eps*2**M, under 1e-12 for M <= 12.
+    :class:`CancellationError` where its value is not finite or its rounding
+    bound eps*(1 + sum |terms|) exceeds ``_TOL``; the bound is at most
+    eps*2**M, under 1e-12 for M <= 12.  Raises ``ValueError`` where psi
+    alone (every ``dilution / rho`` finite) makes a Bessel argument overflow;
+    exponents that overflow to -inf give factors of 0, their limit, silently.
 
     The b-th term carries the factor exp(b*info), and info depends on rho
     alone.  Where that factor underflows to exactly 0 the term is a signed
@@ -281,42 +262,37 @@ def _slot2_no_intercept(p: SystemParams, s: ChannelStats, rho, dilution):
     loop ends at the first b with no live entry.  A harvest outside (0, inf)
     has every term evaluated, so its NaN or error shows as in the full sum."""
     rho = np.asarray(rho, dtype=float)
-    harvest = np.asarray(
-        s.lambda_sr * s.lambda_re * p.gamma_th / (p.eta * p.psi) * (dilution / rho))
-    if p.gamma_th == 0:
-        return np.zeros_like(harvest)  # a zero threshold is always reached
-    with np.errstate(divide="ignore"):
+    ratio = dilution / rho
+    with np.errstate(divide="ignore", over="ignore"):
+        harvest = np.asarray(s.lambda_sr * s.lambda_re * p.gamma_th / (p.eta * p.psi) * ratio)
+        if not p.num_sources * harvest.max(initial=0.0) < np.inf and np.isfinite(ratio).all():
+            raise ValueError(f"psi = {p.psi:g} is too small: the slot-2 Bessel argument overflows")
+        if p.gamma_th == 0:
+            return np.zeros_like(harvest)  # a zero threshold is always reached
         info = -s.lambda_sr * p.gamma_th / ((1.0 - rho) * p.psi)
-    # the largest b has the smallest factors: skip if one underflows there,
-    # and only where the skipped terms are exact zeros, 0 < harvest < inf
-    skip = (not (np.exp(p.num_sources * info) > 0).all()
-            and ((harvest > 0) & (harvest < np.inf)).all())
-    on_trailing_axis = info.ndim > 0 and info.shape[-1] == harvest.shape[-1]
-    acc = np.ones_like(harvest)
-    magnitude = np.ones_like(harvest)  # 1 + sum of |terms|
-    for b, coef in _binom_coeffs(p.num_sources):
-        scale = np.exp(b * info)
-        span = ...
-        if skip:
-            live = scale > 0
-            if not live.any():
-                break
-            if on_trailing_axis:
-                cols = np.flatnonzero(live.reshape(-1, live.shape[-1]).any(axis=0))
-                span = (..., slice(cols[0], cols[-1] + 1))
-        r = np.sqrt(b * harvest[span])
-        term = 2.0 * coef * scale[span] * r * bessel_k1(2.0 * r)
-        acc[span] += term
-        magnitude[span] += np.abs(term)
-    bound = np.finfo(float).eps * magnitude
-    spec = DEFAULT_CONFIG.quad
-    bad = bound > np.maximum(spec.rel_tol * np.abs(acc), spec.abs_tol)
-    if np.any(bad):
-        i = np.argmax(np.ravel(bad))
-        v, e = float(np.ravel(acc)[i]), float(np.ravel(bound)[i])
-        raise CancellationError(
-            f"binomial terms of the slot-2 factor cancel: rounding bound {e:.3e} on "
-            f"value {v:.6e}, above max(rel_tol*|value|, abs_tol)", v, e)
+        # the largest b has the smallest factors: skip if one underflows there,
+        # and only where the skipped terms are exact zeros, 0 < harvest < inf
+        skip = (not (np.exp(p.num_sources * info) > 0).all()
+                and ((harvest > 0) & (harvest < np.inf)).all())
+        on_trailing_axis = info.ndim > 0 and info.shape[-1] == harvest.shape[-1]
+        acc = np.ones_like(harvest)
+        magnitude = np.ones_like(harvest)  # 1 + sum of |terms|
+        for b, coef in _binom_coeffs(p.num_sources):
+            scale = np.exp(b * info)
+            span = ...
+            if skip:
+                live = scale > 0
+                if not live.any():
+                    break
+                if on_trailing_axis:
+                    cols = np.flatnonzero(live.reshape(-1, live.shape[-1]).any(axis=0))
+                    span = (..., slice(cols[0], cols[-1] + 1))
+            r = np.sqrt(b * harvest[span])
+            term = 2.0 * coef * scale[span] * r * bessel_k1(2.0 * r)
+            acc[span] += term
+            magnitude[span] += np.abs(term)
+    refuse_beyond(acc, np.finfo(float).eps * magnitude, _TOL, CancellationError,
+                  "binomial terms of the slot-2 factor cancel: rounding bound")
     return acc if acc.ndim else acc[()]  # a scalar for 0-d inputs
 
 
@@ -340,12 +316,11 @@ def dpsr_slot2_outage_factor(p: SystemParams, s: ChannelStats, x, omega):
     return float(out) if np.isscalar(x) and np.isscalar(omega) else out
 
 
-def dpsr_slot2_factor(p: SystemParams, s: ChannelStats, x, cfg: AnalyticConfig = DEFAULT_CONFIG):
+def dpsr_slot2_factor(p: SystemParams, s: ChannelStats, x):
     """Dynamic-splitting analogue of :func:`slot2_outage_factor`: the
     conditional factor averaged over the relay-to-destination gain."""
     xs = np.asarray(x, dtype=float)[..., None]
-    out = _gamma_average(lambda w: dpsr_slot2_outage_factor(p, s, xs, w),
-                         s.lambda_rd, 1, cfg.quad)
+    out = _gamma_average(lambda w: dpsr_slot2_outage_factor(p, s, xs, w), s.lambda_rd, 1)
     return float(out) if np.isscalar(x) else out
 
 
@@ -353,8 +328,8 @@ def dpsr_slot2_factor(p: SystemParams, s: ChannelStats, x, cfg: AnalyticConfig =
 # intercept
 
 
-def _intercept(p: SystemParams, s: ChannelStats, slot2, cfg: AnalyticConfig,
-               jamming: bool, elementwise: bool = True) -> float:
+def _intercept(p: SystemParams, s: ChannelStats, slot2, jamming: bool,
+               elementwise: bool = True) -> float:
     """1 - E[slot1(x) * slot2(x)] over the Erlang jammer aggregate x, or with
     the jammers silent 1 - q1 * slot2(0), q1 the slot-1 factor at SNR
     psi*gamma_se.  An elementwise ``slot2`` is averaged in one call over all
@@ -368,19 +343,19 @@ def _intercept(p: SystemParams, s: ChannelStats, slot2, cfg: AnalyticConfig,
         return 1.0 - q1 * slot2(0.0)
     _require_jamming(p)
     value = _gamma_average(lambda x: slot1_outage_factor(p, s, x) * slot2(x),
-                           s.lambda_je, p.num_jammers, cfg.quad,
-                           spread=not elementwise, flat=elementwise)
+                           s.lambda_je, p.num_jammers, spread=not elementwise,
+                           flat=elementwise)
     return 1.0 - float(value)
 
 
-def ip_spsr_quadrature(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
+def ip_spsr_quadrature(p: SystemParams, s: ChannelStats) -> float:
     """Intercept probability under static splitting (the sweep's route): the
     product of the two slot factors averaged over the jammer aggregate."""
     if p.gamma_th == 0:
         return 1.0
     if not 0 < p.rho < 1:
         raise ValueError("static-splitting intercept needs rho in (0, 1)")
-    return _intercept(p, s, lambda x: slot2_outage_factor(p, s, x), cfg, jamming=True)
+    return _intercept(p, s, lambda x: slot2_outage_factor(p, s, x), jamming=True)
 
 
 def ip_spsr_no_jamming(p: SystemParams, s: ChannelStats) -> float:
@@ -390,22 +365,21 @@ def ip_spsr_no_jamming(p: SystemParams, s: ChannelStats) -> float:
         return 1.0
     if not 0 < p.rho < 1:
         raise ValueError("static-splitting intercept needs rho in (0, 1)")
-    return _intercept(p, s, lambda x: slot2_outage_factor(p, s, x), DEFAULT_CONFIG,
-                      jamming=False)
+    return _intercept(p, s, lambda x: slot2_outage_factor(p, s, x), jamming=False)
 
 
-def ip_dpsr_quadrature(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
+def ip_dpsr_quadrature(p: SystemParams, s: ChannelStats) -> float:
     """Intercept probability under dynamic splitting (the sweep's route): the
     slot-1 factor times :func:`dpsr_slot2_factor` averaged over the jammer
     aggregate."""
     if p.gamma_th == 0:
         return 1.0
-    return _intercept(p, s, lambda x: dpsr_slot2_factor(p, s, x, cfg), cfg, jamming=True,
+    return _intercept(p, s, lambda x: dpsr_slot2_factor(p, s, x), jamming=True,
                       elementwise=False)
 
 
-def ip_dpsr_no_jamming(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAULT_CONFIG) -> float:
+def ip_dpsr_no_jamming(p: SystemParams, s: ChannelStats) -> float:
     """Dynamic-splitting intercept probability with the jammers silent."""
     if p.gamma_th == 0:
         return 1.0
-    return _intercept(p, s, lambda x: dpsr_slot2_factor(p, s, x, cfg), cfg, jamming=False)
+    return _intercept(p, s, lambda x: dpsr_slot2_factor(p, s, x), jamming=False)

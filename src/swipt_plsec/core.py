@@ -30,7 +30,7 @@ __all__ = [
     "gamma_e",
 ]
 
-E1_MODES = ("exact", "approx", "no-jamming")
+E1_MODES = ("exact", "approx")
 SCHEMES = ("spsr", "dpsr")
 
 
@@ -181,8 +181,9 @@ def gamma_e(
     """Eavesdropper SNRs in both slots under jamming dilution.
 
     ``mode`` selects the first-slot denominator: ``exact`` keeps the unit
-    noise term (psi * gamma_se / (phi * xi + 1)), ``approx`` drops it, and
-    ``no-jamming`` zeroes the jamming term in both slots.  ``scheme='dpsr'``
+    noise term (psi * gamma_se / (phi * xi + 1)), ``approx`` drops it.  With
+    the jammers silent, ``exact`` at ``xi = 0`` zeroes the jamming term in
+    both slots.  ``scheme='dpsr'``
     substitutes the per-realization optimal splitting ratio, which requires
     ``gamma_rd``.
     """
@@ -201,11 +202,7 @@ def gamma_e(
     else:
         rho = p.rho
 
-    if mode == "no-jamming":
-        phi_xi = np.zeros_like(np.asarray(xi, dtype=float))
-    else:
-        phi_xi = p.phi * np.asarray(xi, dtype=float)
-
+    phi_xi = p.phi * np.asarray(xi, dtype=float)
     if mode == "approx":
         if np.any(phi_xi == 0):
             raise ValueError("approx mode divides by phi * xi, which is zero here")

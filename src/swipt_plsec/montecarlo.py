@@ -30,7 +30,7 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from .channel import ChannelStats, draw_channels, link_streams
-from .core import SCHEMES, SystemParams, gamma_d_dpsr, gamma_d_spsr, gamma_e, spread_map
+from .core import E1_MODES, SCHEMES, SystemParams, gamma_d_dpsr, gamma_d_spsr, gamma_e, spread_map
 
 __all__ = ["METRICS", "SimConfig", "EstimateWithCI", "simulate_op", "simulate_ip",
            "simulate_point"]
@@ -74,7 +74,7 @@ class SimConfig:
             raise ValueError(f"need at least one worker, got {self.workers}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.e1_mode not in ("exact", "approx"):
+        if self.e1_mode not in E1_MODES:
             raise ValueError(f"unknown e1_mode {self.e1_mode!r}")
         if self.e1_mode == "approx" and not self.jamming:
             raise ValueError("approx e1_mode divides by the jamming term; enable jamming")
@@ -144,8 +144,7 @@ def _count_block(p: SystemParams, s: ChannelStats, c: SimConfig,
     run, all counted on one draw of the links in ``streams``; a metric not in
     ``metrics`` counts 0."""
     draw = draw_channels(s, p, streams, size=n)
-    mode = c.e1_mode if c.jamming else "no-jamming"
-    # with the jammers off, gamma_e reads the aggregate only for its shape
+    # with the jammers off the aggregate is zero (and e1_mode is exact)
     xi = draw.xi if c.jamming else np.zeros(n)
     sr, rd = draw.gamma_sr_best, draw.gamma_rd
     counts = []
@@ -156,7 +155,7 @@ def _count_block(p: SystemParams, s: ChannelStats, c: SimConfig,
             op = int(np.count_nonzero(gamma_d(rp, sr, rd) < rp.gamma_th))
         if "ip" in metrics:
             pair = gamma_e(rp, draw.gamma_se, sr, draw.gamma_re, xi,
-                           mode=mode, scheme=kind, gamma_rd=rd)
+                           mode=c.e1_mode, scheme=kind, gamma_rd=rd)
             ip = int(np.count_nonzero(pair.combined >= rp.gamma_th))
         counts.append((op, ip))
     return counts

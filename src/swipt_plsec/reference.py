@@ -3,6 +3,8 @@
 No sweep route reaches this module; :mod:`swipt_plsec.analytic` holds those.
 The references check the sweep's Gauss-Legendre routes from independent
 derivations, and the benchmark checker takes the outage oracle from here.
+Unlike the sweep's routes they take tolerances, an :class:`AnalyticConfig`,
+and refuse by the same rule, :func:`~swipt_plsec.specfun.refuse_beyond`.
 
 The paper's outage forms are ``op_spsr_closed_form`` (a Bessel-K sum over the
 M binomial terms, which cancels as M grows) and ``op_dpsr_series`` (a Bessel
@@ -28,13 +30,11 @@ the attainable accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analytic import (
-    DEFAULT_CONFIG,
-    AnalyticConfig,
     _binom_coeffs,
     _dpsr_threshold,
     _require_jamming,
@@ -51,10 +51,12 @@ from .specfun import (
     gamma_fn,
     integrate,
     meijer_g3013,
+    refuse_beyond,
     sum_series,
 )
 
 __all__ = [
+    "AnalyticConfig",
     "op_spsr_closed_form",
     "op_spsr_quadrature",
     "op_dpsr_series",
@@ -67,6 +69,25 @@ __all__ = [
     "dpsr_slot2_kernel",
     "dpsr_slot2_factor_quadrature",
 ]
+
+
+@dataclass(frozen=True)
+class AnalyticConfig:
+    """Truncation and quadrature settings of the references here; the sweep's
+    routes in :mod:`swipt_plsec.analytic` meet one fixed tolerance instead."""
+
+    series_rel_tol: float = 1e-8
+    series_max_terms: int = 200
+    quad: QuadratureSpec = QuadratureSpec()
+
+    def __post_init__(self):
+        if self.series_rel_tol <= 0:
+            raise ValueError("series_rel_tol must be positive")
+        if self.series_max_terms < 1:
+            raise ValueError("series_max_terms must be >= 1")
+
+
+DEFAULT_CONFIG = AnalyticConfig()
 
 
 def _tilted_rate(p: SystemParams, s: ChannelStats) -> float:
@@ -164,11 +185,11 @@ def op_dpsr_series(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAU
     stay scalar and left to right, so the value is that of the term-by-term
     loop bit for bit.
 
-    The binomial terms cancel as M and the power grow.  A converged sum whose
-    rounding bound eps*(1 + sum of |binomial terms| over all ``t``) exceeds
-    max(rel_tol*|value|, abs_tol) of ``cfg.quad`` raises
-    :class:`CancellationError`, carrying the value and the bound; at s1,
-    c_th 0.5 and 40 dB that happens from M = 16 on.
+    The binomial terms cancel as M and the power grow.  A converged sum that
+    is not finite, or whose rounding bound eps*(1 + sum of |binomial terms|
+    over all ``t``) exceeds max(rel_tol*|value|, abs_tol) of ``cfg.quad``,
+    raises :class:`CancellationError` through ``refuse_beyond``, carrying the
+    value and the bound; at s1, c_th 0.5 and 40 dB that happens from M = 16 on.
     """
     if p.gamma_th == 0:
         return 0.0
@@ -198,11 +219,8 @@ def op_dpsr_series(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = DEFAU
         raise SeriesNotConverged(
             "dynamic-splitting outage series did not reach tolerance",
             res.value, res.error_estimate, res.terms)
-    bound = float(np.finfo(float).eps) * magnitude
-    if bound > max(cfg.quad.rel_tol * abs(res.value), cfg.quad.abs_tol):
-        raise CancellationError(
-            f"binomial terms of the outage series cancel: rounding bound {bound:.3e} on "
-            f"value {res.value:.6e}, above max(rel_tol*|value|, abs_tol)", res.value, bound)
+    refuse_beyond(res.value, float(np.finfo(float).eps) * magnitude, cfg.quad,
+                  CancellationError, "binomial terms of the outage series cancel: rounding bound")
     return res.value
 
 

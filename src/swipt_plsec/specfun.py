@@ -1,21 +1,24 @@
-"""Numerical kernels shared by the analytic evaluators.
+"""Numerical kernels of the sweep's routes and of the test references.
 
 Thin, contract-enforcing wrappers around scipy for the Gamma function,
 the modified Bessel function of the second kind, adaptive quadrature on
 finite and semi-infinite intervals, plus the one Meijer-G instance the
 intercept series needs and a truncation helper for alternating series.
+:func:`refuse_beyond` is the one accuracy check: the sweep's averaging
+kernel and slot-2 factor, the reference outage series and :func:`integrate`
+each accept a value through it or refuse it with its value and bound.
 
-``bessel_k`` takes arrays: the OP sums make one vector call per term, and
-scipy's ``kv`` gives an array element the bits of the scalar call.  A float
-argument skips the array round trip of the domain check, which the paper-form
-references call scalar by scalar.  ``bessel_k1`` is the order-1 function by
-the Chebyshev expansions of the Cephes library (scipy's ``k1``), about six
-times cheaper than ``kv(1, .)`` on an array and within a few ulps of it; the
-intercept kernel evaluates it on blocks of node pairs.  Only the reference
-routes integrate adaptively, so ``scipy.integrate`` is imported on the first
-``integrate`` call, not with this module; likewise ``scipy.special`` is
-imported on the first call that needs it, which an outage-only sweep never
-makes.
+``bessel_k`` takes arrays: the reference outage sums make one vector call
+per term, and scipy's ``kv`` gives an array element the bits of the scalar
+call.  A float argument skips the array round trip of the domain check,
+which the paper-form references call scalar by scalar.  ``bessel_k1`` is the
+order-1 function by the Chebyshev expansions of the Cephes library (scipy's
+``k1``), about six times cheaper than ``kv(1, .)`` on an array and within a
+few ulps of it; the intercept kernel evaluates it on blocks of node pairs.
+Only the reference routes integrate adaptively, so ``scipy.integrate`` is
+imported on the first ``integrate`` call, not with this module; likewise
+``scipy.special`` is imported on the first call that needs it, which an
+outage-only sweep never makes.
 """
 
 from __future__ import annotations
@@ -39,34 +42,30 @@ __all__ = [
     "bessel_k1",
     "integrate",
     "meijer_g3013",
+    "refuse_beyond",
     "sum_series",
 ]
 
 
 class NumericalError(RuntimeError):
-    """A numerical kernel failed to reach its requested accuracy."""
+    """A numerical kernel failed to reach its requested accuracy.
 
+    ``value`` is the computed result (NaN where there is none) and ``bound``
+    the bound on its error (infinite where there is none)."""
 
-class QuadratureError(NumericalError):
-    """Adaptive quadrature did not converge; carries the achieved accuracy."""
-
-    def __init__(self, message: str, value: float = math.nan, error_estimate: float = math.inf):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
-
-
-class CancellationError(NumericalError):
-    """A closed form's terms cancel below its accuracy contract.
-
-    ``value`` is the computed result and ``bound`` the bound
-    ``eps * (1 + sum |terms|)`` on its rounding error.
-    """
-
-    def __init__(self, message: str, value: float, bound: float):
+    def __init__(self, message: str, value: float = math.nan, bound: float = math.inf):
         super().__init__(message)
         self.value = value
         self.bound = bound
+
+
+class QuadratureError(NumericalError):
+    """Quadrature did not converge; ``bound`` is its error estimate."""
+
+
+class CancellationError(NumericalError):
+    """A closed form's terms cancel below its accuracy contract; ``bound`` is
+    the bound ``eps * (1 + sum |terms|)`` on its rounding error."""
 
 
 class SeriesNotConverged(NumericalError):
@@ -78,8 +77,7 @@ class SeriesNotConverged(NumericalError):
     """
 
     def __init__(self, message: str, value: float, achieved_rel_tol: float, terms: int):
-        super().__init__(message)
-        self.value = value
+        super().__init__(message, value)
         self.achieved_rel_tol = achieved_rel_tol
         self.terms = terms
 
@@ -104,6 +102,20 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be >= 1")
         if not self.lower < self.upper:
             raise ValueError("need lower < upper")
+
+
+def refuse_beyond(value, bound, spec: QuadratureSpec, error: type[NumericalError],
+                  what: str) -> None:
+    """Accept ``value`` with error ``bound`` (scalars, or arrays of one shape),
+    or raise ``error(message, v, e)`` at the first element whose value is not
+    finite or whose bound is not within max(rel_tol*|value|, abs_tol) of
+    ``spec``; a NaN bound is refused.  ``what`` starts the message."""
+    ok = np.isfinite(value) & (bound <= np.maximum(spec.rel_tol * np.abs(value), spec.abs_tol))
+    if not np.all(ok):
+        i = np.argmin(np.ravel(ok))
+        v, e = float(np.ravel(value)[i]), float(np.ravel(bound)[i])
+        raise error(f"{what} {e:.3e} on value {v:.6e}, above max(rel_tol*|value|, abs_tol)",
+                    v, e)
 
 
 @dataclass(frozen=True)
@@ -167,8 +179,9 @@ def integrate(
     Returns ``(value, error_estimate)``. ``points`` are optional interior
     split locations used to resolve boundary layers (e.g. the steep rise of
     ``exp(-a/x)`` integrands near zero); out-of-domain points are ignored.
-    Raises :class:`QuadratureError` when the achieved error exceeds
-    ``max(rel_tol * |value|, abs_tol)`` or the integrand produced NaN.  A
+    Raises :class:`QuadratureError` when the integrand produced NaN, and
+    through :func:`refuse_beyond` when the value is not finite or the
+    achieved error exceeds ``max(rel_tol * |value|, abs_tol)``.  A
     first pass over the segments that misses that budget is rerun once with
     tighter per-segment tolerances before the error is judged.
     ``scipy.integrate`` is imported on the first call: only the reference
@@ -212,13 +225,7 @@ def integrate(
     budget = max(spec.rel_tol * abs(total), spec.abs_tol)
     if math.isfinite(total) and err > budget:
         total, err = summed(budget / len(segments), spec.rel_tol / len(segments))
-    if not math.isfinite(total):
-        raise QuadratureError("quadrature produced a non-finite value", total, err)
-    if err > max(spec.rel_tol * abs(total), spec.abs_tol):
-        raise QuadratureError(
-            f"quadrature reached error {err:.3e} on value {total:.6e}, "
-            f"above max(rel_tol*|value|, abs_tol)", total, err,
-        )
+    refuse_beyond(total, err, spec, QuadratureError, "quadrature reached error")
     return total, err
 
 

@@ -248,7 +248,7 @@ class TestCriterion4DerivationChains:
             for phi_db in (-1.0, 1.0, 3.0):
                 p = make_params(psi_db=psi_db, phi_db=phi_db, rho=0.55)
                 a = ip_dpsr(p, S1, GRID_CFG)
-                b = ip_dpsr_quadrature(p, S1, GRID_CFG)
+                b = ip_dpsr_quadrature(p, S1)
                 worst = max(worst, abs(a - b) / b)
         report("criterion-4 dynamic intercept chain", worst <= 0.01,
                f"worst relative gap {worst:.2e} on 3x3 grid")

@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,10 +233,12 @@ class TestEavesdropperSnr:
             gamma_e(p, 1.0, 1.0, 1.0, 0.0, mode="approx")
 
     def test_no_jamming_drops_dilution(self):
+        # the jammers silent: exact mode at xi = 0 leaves slot 1 undiluted,
+        # and slot 2 that of a jammed draw with no jamming power
         p = make_params(psi_db=10.0)
-        pair = gamma_e(p, 2.0, 1.0, 1.0, 5.0, mode="no-jamming")
+        pair = gamma_e(p, 2.0, 1.0, 1.0, 0.0, mode="exact")
         assert pair.gamma_e1 == pytest.approx(p.psi * 2.0, rel=1e-14)
-        ref = gamma_e(p, 2.0, 1.0, 1.0, 0.0, mode="exact")
+        ref = gamma_e(replace(p, phi=0.0), 2.0, 1.0, 1.0, 5.0, mode="exact")
         assert pair.gamma_e2 == pytest.approx(ref.gamma_e2, rel=1e-14)
 
     def test_dpsr_equals_spsr_at_optimal_split(self):

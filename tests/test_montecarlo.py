@@ -222,9 +222,10 @@ class TestMetricSubsets:
 
 
 def _full_draw_ip_count(p, s, c, streams, n):
-    # the intercept count of one block from a draw of all five links
+    # the intercept count of one block from a draw of all five links, with
+    # the jammers silent (a zero aggregate)
     d = draw_channels(s, p, streams, size=n)
-    pair = gamma_e(p, d.gamma_se, d.gamma_sr_best, d.gamma_re, d.xi, mode="no-jamming",
+    pair = gamma_e(p, d.gamma_se, d.gamma_sr_best, d.gamma_re, np.zeros(n), mode="exact",
                    scheme=c.scheme, gamma_rd=d.gamma_rd)
     return int(np.count_nonzero(pair.combined >= p.gamma_th))
 

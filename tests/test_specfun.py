@@ -160,6 +160,14 @@ class TestIntegrate:
         with pytest.raises(QuadratureError, match="NaN"):
             integrate(lambda x: math.nan, QuadratureSpec())
 
+    def test_missed_budget_raises_with_value_and_bound(self):
+        # a step inside the one allowed subinterval defeats quad's estimate
+        spec = QuadratureSpec(lower=0.0, upper=1.0, max_subdivisions=1)
+        with pytest.raises(QuadratureError, match="quadrature reached error") as exc:
+            integrate(lambda x: 1.0 if x > 0.3 else 0.0, spec)
+        assert exc.value.value == pytest.approx(0.7, abs=0.1)
+        assert exc.value.bound > max(spec.rel_tol * abs(exc.value.value), spec.abs_tol)
+
     def test_error_estimates_conservative(self):
         # reported error must bound the true error in at least 99 of 100 cases
         rng = np.random.default_rng(57)
