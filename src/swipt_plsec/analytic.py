@@ -1,9 +1,11 @@
 """Semi-analytic outage and intercept probability evaluators: the sweep's routes.
 
 Every route averages a closed-form conditional probability over
-Gamma-distributed gains with one vectorised Gauss-Legendre kernel, which
-raises :class:`QuadratureError` where it misses ``_TOL``, the one tolerance
-of every route here.  Each metric has one body, and its routes differ only
+Gamma-distributed gains with one vectorised kernel, the composite
+Gauss-Kronrod pair G10/K21 on 840 nodes, whose value is the Kronrod sum and
+whose error estimate is its distance from the Gauss sum over the same
+integrand values.  It raises :class:`QuadratureError` where it misses
+``_TOL``, the one tolerance of every route here.  Each metric has one body, and its routes differ only
 in what they pass it:
 
 - ``_outage`` averages the best-of-M CDF, at the source-side gain the
@@ -90,64 +92,87 @@ def _require_jamming(p: SystemParams):
 _PANEL_EDGES = np.arange(-35.5, 5.0)
 
 
-def _composite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    t, w = np.polynomial.legendre.leggauss(n)
-    mid = 0.5 * (_PANEL_EDGES[1:] + _PANEL_EDGES[:-1])[:, None]
-    half = 0.5 * np.diff(_PANEL_EDGES)[:, None]
-    return (mid + half * t).ravel(), (half * w).ravel()
+# The QUADPACK Gauss-Kronrod pair G10/K21 on [-1, 1] (Kronrod 1965; Piessens
+# et al. 1983): the nonnegative Kronrod nodes in descending order, whose odd
+# entries are the nonnegative 10-point Gauss nodes, their Kronrod weights,
+# and the Gauss weights of those odd entries.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
 
 
 @functools.cache
-def _rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    # (coarse, fine): the 12-point rule's distance from the 16-point one is the
-    # error estimate; a half-order embedded rule overstates it by orders of
-    # magnitude.  Built on first use, not at import: leggauss's first LAPACK
-    # call costs resident memory.
-    return _composite_rule(12), _composite_rule(16)
+def _rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nodes, Kronrod weights, Gauss weights) of G10/K21 on [-1, 1], the 21
+    nodes ascending; the Gauss weights are 0 at the 11 Kronrod-only nodes, so
+    one set of integrand values gives both sums.  |G10 - K21| is the error of
+    G10, so it overstates that of K21, whose value the kernel returns; on
+    width-1 panels it stays under a tenth of the tolerance over the declared
+    grids.  Built on first use, like the node tables, not at import."""
+    def mirror(a, sign=1.0):
+        return np.concatenate([sign * a[:-1], a[::-1]])
+
+    x = np.array(_XGK)
+    wg = np.zeros_like(x)
+    wg[1::2] = _WG
+    return mirror(x, -1.0), mirror(np.array(_WGK)), mirror(wg)
 
 
 # nodes per block; a nested average calls its integrand per block, so it
-# holds (128, 128) arrays, not (1120, 1120)
+# holds (128, 128) arrays, not (840, 840)
 _BLOCK = 128
 
 
 @functools.lru_cache(maxsize=32)
-def _weighted_blocks(lam: float, k: int) -> tuple[np.ndarray, np.ndarray, tuple, int]:
-    """(nodes, weights, blocks, coarse count) for X ~ Gamma(k, rate ``lam``):
-    the nodes of both rules, the coarse rule's first, their Erlang-weighted
-    weights, the slices of their ``_BLOCK``-node blocks (none straddles the
-    two rules) and the number of coarse blocks.
+def _weighted_blocks(lam: float, k: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(nodes, weights, blocks) for X ~ Gamma(k, rate ``lam``): the 21 nodes
+    of G10/K21 on each width-1 panel of u = log(lam * x), panel by panel;
+    their Erlang-weighted Kronrod and Gauss weights, the two columns of one
+    (840, 2) table; and the slices of their ``_BLOCK``-node blocks.
 
     Built once per (lam, k), on first use.  Read-only, because the threads of
     a spread average share them."""
-    rules = [(np.exp(u) / lam, w) for u, w in _rules()]
-    nodes = np.concatenate([x for x, _ in rules])
-    weights = np.concatenate([w * x * erlang_pdf_xi(x, lam, k) for x, w in rules])
+    t, wk, wg = _rules()
+    mid = 0.5 * (_PANEL_EDGES[1:] + _PANEL_EDGES[:-1])[:, None]
+    half = 0.5 * np.diff(_PANEL_EDGES)[:, None]
+    nodes = np.exp((mid + half * t).ravel()) / lam
+    weights = (np.stack([(half * wk).ravel(), (half * wg).ravel()], axis=1)
+               * (nodes * erlang_pdf_xi(nodes, lam, k))[:, None])
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    coarse = rules[0][0].size
-    blocks = tuple(slice(i, min(i + _BLOCK, end))
-                   for start, end in ((0, coarse), (coarse, nodes.size))
-                   for i in range(start, end, _BLOCK))
-    return nodes, weights, blocks, -(-coarse // _BLOCK)
+    return nodes, weights, tuple(slice(i, i + _BLOCK) for i in range(0, nodes.size, _BLOCK))
 
 
 def _gamma_average(f, lam: float, k: int, spread: bool = False, flat: bool = False):
-    """E[f(X)] for X ~ Gamma(k, rate ``lam``), by composite Gauss-Legendre in
-    u = log(lam * x).
+    """E[f(X)] for X ~ Gamma(k, rate ``lam``), by the composite G10/K21 rule
+    in u = log(lam * x): 21 nodes on each of 40 width-1 panels, 840 in all.
 
     ``f`` maps a node array on its trailing axis to values of the same
     trailing length; any leading axes carry through, so averages nest by
-    broadcasting.  Raises :class:`QuadratureError` where a value is not
-    finite or the estimate exceeds ``_TOL``.
+    broadcasting.  The value is the Kronrod sum, and the error estimate its
+    distance from the Gauss sum over the same integrand values.  Raises
+    :class:`QuadratureError` where a value is not finite or the estimate
+    exceeds ``_TOL``.
 
     ``f`` is called once per ``_BLOCK``-node block, so a nested average holds
-    (128, 128) arrays.  With ``flat`` it is called once on the nodes of both
-    rules, and each block's dot product reads its slice of that one value
-    array: an elementwise ``f`` gives every block the same values, so the
-    value is the same bit for bit.  Only a 1-D average sets it; an average
-    nested inside it would hold (1120, 128) arrays, which cost more than the
-    calls they save.
+    (128, 128) arrays.  With ``flat`` it is called once on all 840 nodes, and
+    each block's product with its (Kronrod, Gauss) weight rows reads its
+    slice of that one value array: an elementwise ``f`` gives every block the
+    same values, so the value is the same bit for bit.  Only a 1-D average
+    sets it; an average nested inside it would hold (840, 128) arrays, which
+    cost more than the calls they save.
 
     With ``spread`` the node blocks go through ``core.spread_map``, whose
     threads run them side by side (the kernel's ufuncs release the GIL).
@@ -156,18 +181,21 @@ def _gamma_average(f, lam: float, k: int, spread: bool = False, flat: bool = Fal
     value does not depend on the thread count, and the first block that
     raises in that order is the one whose error propagates.
     """
-    nodes, weights, blocks, n_coarse = _weighted_blocks(lam, k)
+    nodes, weights, blocks = _weighted_blocks(lam, k)
+    # ndarray.dot, not @: on a 128-node block the matmul ufunc's dispatch
+    # costs more than the product
     if flat:
         values = f(nodes)
-        parts = [values[b] @ weights[b] for b in blocks]
+        parts = [values[b].dot(weights[b]) for b in blocks]
     else:
         def block_sum(b):
-            return f(nodes[b]) @ weights[b]
+            return f(nodes[b]).dot(weights[b])
 
         parts = spread_map(block_sum, blocks) if spread else [block_sum(b) for b in blocks]
-    coarse, value = sum(parts[:n_coarse]), sum(parts[n_coarse:])
-    refuse_beyond(value, np.abs(value - coarse), _TOL, QuadratureError,
-                  "Gauss-Legendre average reached error")
+    sums = sum(parts)
+    value = sums[..., 0]
+    refuse_beyond(value, np.abs(value - sums[..., 1]), _TOL, QuadratureError,
+                  "Gauss-Kronrod average reached error")
     return value
 
 
@@ -178,7 +206,7 @@ def _gamma_average(f, lam: float, k: int, spread: bool = False, flat: bool = Fal
 def _outage(p: SystemParams, s: ChannelStats, threshold) -> float:
     """The best-of-M CDF at the source-side gain ``threshold(p, x)`` averaged
     over the relay-to-destination gain x ~ Exp(``lambda_rd``), in one call
-    over the nodes of both rules."""
+    over all 840 nodes."""
     with np.errstate(divide="ignore", over="ignore"):  # tiny psi: CDF 1, its limit
         value = _gamma_average(
             lambda x: (-np.expm1(-s.lambda_sr * threshold(p, x))) ** p.num_sources,

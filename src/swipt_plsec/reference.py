@@ -1,8 +1,9 @@
 """Reference forms of the outage and intercept probabilities, for the tests.
 
 No sweep route reaches this module; :mod:`swipt_plsec.analytic` holds those.
-The references check the sweep's Gauss-Legendre routes from independent
-derivations, and the benchmark checker takes the outage oracle from here.
+The references check the sweep's Gauss-Kronrod (G10/K21) routes from
+independent derivations, and the benchmark checker takes the outage oracle
+from here.
 Unlike the sweep's routes they take tolerances, an :class:`AnalyticConfig`,
 and refuse by the same rule, :func:`~swipt_plsec.specfun.refuse_beyond`.
 

@@ -4,10 +4,10 @@ A sweep varies one of ``psi_db``, ``rho``, ``M``, ``K``, ``phi_db`` and
 produces one row per (point, scheme).  The analytic routes run at their
 default accuracy, and all come from :mod:`swipt_plsec.analytic`.  Outage
 comes from ``op_spsr``/``op_dpsr``, the best-source CDF averaged over the
-relay-to-destination gain by its Gauss-Legendre kernel.  Intercept comes
-from ``ip_*_quadrature``, the closed-form slot factors averaged over the
-jammer aggregate by the same kernel, or from ``ip_*_no_jamming`` with the
-jammers silent.  No cell comes from :mod:`swipt_plsec.reference`: the
+relay-to-destination gain by its Gauss-Kronrod (G10/K21) kernel.  Intercept
+comes from ``ip_*_quadrature``, the closed-form slot factors averaged over
+the jammer aggregate by the same kernel, or from ``ip_*_no_jamming`` with
+the jammers silent.  No cell comes from :mod:`swipt_plsec.reference`: the
 paper's outage closed form and series cancel or stop converging inside the
 sweep envelope, and its intercept series is asymptotic.  The swept variable
 is applied once per point, by the field and conversion ``_VARIABLE_FIELDS``

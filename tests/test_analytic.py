@@ -420,7 +420,7 @@ class TestUnitIntervalInvariant:
     @pytest.mark.parametrize("route,outcomes", [
         (ip_spsr_quadrature, ("0x1.4p-51", "0x1.4p-51", None, None)),
         (ip_spsr_no_jamming, ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", None)),
-        (ip_dpsr_quadrature, ("0x1.0p-50", None, None, None)),
+        (ip_dpsr_quadrature, ("0x1.cp-51", None, None, None)),
         (ip_dpsr_no_jamming, ("0x1.4p-51", "0x1.4p-51", None, None)),
     ], ids=lambda v: getattr(v, "__name__", ""))
     def test_intercept_names_a_psi_whose_slot2_argument_overflows(self, s1, route, outcomes):
@@ -571,7 +571,7 @@ class TestAveragingKernel:
         assert 1.0 - avg == pytest.approx(slot1_intercept_probability(p, s1), rel=1e-12)
 
     def test_unresolved_integrand_raises_with_its_accuracy(self):
-        # a step inside a panel defeats both Gauss-Legendre rules
+        # a step inside a panel defeats both rules of the Gauss-Kronrod pair
         with pytest.raises(QuadratureError) as exc:
             _gamma_average(lambda x: np.where(x > 1.3, 1.0, 0.0), 1.0, 1)
         assert exc.value.value == pytest.approx(math.exp(-1.3), abs=1e-2)
@@ -602,7 +602,7 @@ class TestAveragingKernel:
         assert out.stdout.strip() == "0"
 
     def test_weighted_blocks_are_read_only(self):
-        nodes, weights, blocks, _ = analytic._weighted_blocks(0.7, 3)
+        nodes, weights, blocks = analytic._weighted_blocks(0.7, 3)
         for b in (blocks[0], blocks[-1]):
             for table in (nodes, weights, nodes[b], weights[b]):
                 with pytest.raises(ValueError, match="read-only"):
@@ -668,6 +668,57 @@ class TestAveragingKernel:
         flat, blocked = self._both_layouts(lambda x: np.where(x > 1.3, 1.0, 0.0), 1.0, 1)
         assert flat == blocked and flat[0] is QuadratureError
 
+    def test_gauss_kronrod_constants(self):
+        # the 10-point Gauss rule sits at the odd Kronrod nodes, with zero
+        # Gauss weight elsewhere; K21 is exact to degree 31 and G10 to 19
+        t, wk, wg = analytic._rules()
+        gx, gw = np.polynomial.legendre.leggauss(10)
+        assert t.shape == wk.shape == wg.shape == (21,)
+        np.testing.assert_allclose(t[1::2], gx, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(wg[1::2], gw, rtol=0, atol=1e-15)
+        assert not wg[::2].any()
+        assert wk.sum() == pytest.approx(2.0, rel=0, abs=1e-14)
+        assert wk @ t ** 30 == pytest.approx(2.0 / 31.0, rel=0, abs=1e-14)
+        assert wg @ t ** 18 == pytest.approx(2.0 / 19.0, rel=0, abs=1e-14)
+
+    @staticmethod
+    def _largest_estimate(monkeypatch, cells):
+        # the largest Gauss-Kronrod estimate over the cells, in units of its
+        # tolerance max(rel_tol*|value|, abs_tol); every cell must be accepted
+        ratios = []
+        refuse = analytic.refuse_beyond
+
+        def spy(value, bound, spec, error, what):
+            if error is QuadratureError:
+                tol = np.maximum(spec.rel_tol * np.abs(value), spec.abs_tol)
+                ratios.append(float(np.max(bound / tol)))
+            return refuse(value, bound, spec, error, what)
+
+        monkeypatch.setattr(analytic, "refuse_beyond", spy)
+        for route, p, s in cells:
+            route(p, s)
+        assert len(ratios) == len(cells)
+        return max(ratios)
+
+    def test_outage_estimates_keep_their_headroom(self, s1, s2, dense_stats, monkeypatch):
+        # width-1 panels resolve every OP cell of the envelope grid with the
+        # estimate at most a tenth of its tolerance
+        cells = [(route, make_params(psi_db=psi_db, rho=rho, num_sources=m), s)
+                 for s in (s1, s2, dense_stats) for psi_db in (-10.0, 10.0, 25.0, 40.0)
+                 for m in range(1, 65)
+                 for route, rho in ((op_spsr, 0.225), (op_spsr, 0.875), (op_dpsr, 0.5))]
+        assert len(cells) == 2304
+        assert self._largest_estimate(monkeypatch, cells) <= 0.1
+
+    def test_static_intercept_estimates_keep_their_headroom(self, s1, s2, dense_stats,
+                                                            monkeypatch):
+        cells = [(ip_spsr_quadrature, make_params(psi_db=psi_db, rho=rho, num_sources=m,
+                                                  num_jammers=k), s)
+                 for s in (s1, s2, dense_stats) for psi_db in (-10.0, 0.0, 10.0, 25.0, 40.0)
+                 for m in (1, 2, 4, 8, 12) for k in (1, 4) for rho in (0.225, 0.875)]
+        assert len(cells) == 300
+        assert self._largest_estimate(monkeypatch, cells) <= 0.1
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_nested_dpsr_average_keeps_its_blocks(self, s1, monkeypatch, cpus):
         # the outer average and the inner one per outer block both call their
@@ -690,7 +741,10 @@ class TestAveragingKernel:
         ip_dpsr_quadrature(make_params(num_jammers=4), s1)
         assert max(n for kind, n in sizes if kind == "outer") == analytic._BLOCK
         assert max(n for kind, n in sizes if kind == "inner") == analytic._BLOCK ** 2
-        assert len(sizes) == 9 + 9 * 9
+        # one outer call per block, and per outer block one inner call per block
+        outer = len(analytic._weighted_blocks(s1.lambda_je, 4)[2])
+        inner = len(analytic._weighted_blocks(s1.lambda_rd, 1)[2])
+        assert len(sizes) == outer + outer * inner
 
     # values of the nested scipy.quad routes at the figure_ip benchmark points
     @pytest.mark.parametrize("psi_db,spsr_lo,spsr_hi,dpsr", [
@@ -707,26 +761,29 @@ class TestAveragingKernel:
 
 
 def _rebuilt_gamma_average(f, lam, k, spec):
-    # the averaging kernel as first written: node tables rebuilt on every call
-    parts, sizes = [], []
-    for u, w in analytic._rules():
-        x = np.exp(u) / lam
-        wx = w * x * erlang_pdf_xi(x, lam, k)
-        rule = [(x[i:i + analytic._BLOCK], wx[i:i + analytic._BLOCK])
-                for i in range(0, x.size, analytic._BLOCK)]
-        parts += [f(nodes) @ weights for nodes, weights in rule]
-        sizes.append(len(rule))
-    coarse, value = sum(parts[:sizes[0]]), sum(parts[sizes[0]:])
-    err = abs(value - coarse)
-    if not err <= max(spec.rel_tol * abs(value), spec.abs_tol):
-        raise QuadratureError("", float(value), float(err))
-    return float(value)
+    # the G10/K21 averaging kernel with its node tables rebuilt on every call:
+    # the pair mapped onto each width-1 panel, the Kronrod and Gauss weights
+    # Erlang-weighted side by side, and the two sums of each block added in
+    # block order
+    t, wk, wg = analytic._rules()
+    edges = analytic._PANEL_EDGES
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    x = np.exp((mid + half * t).ravel()) / lam
+    wx = (np.stack([(half * wk).ravel(), (half * wg).ravel()], axis=1)
+          * (x * erlang_pdf_xi(x, lam, k))[:, None])
+    step = analytic._BLOCK
+    kronrod, gauss = sum(f(x[i:i + step]).dot(wx[i:i + step]) for i in range(0, x.size, step))
+    err = abs(kronrod - gauss)
+    if not err <= max(spec.rel_tol * abs(kronrod), spec.abs_tol):
+        raise QuadratureError("", float(kronrod), float(err))
+    return float(kronrod)
 
 
 class TestCachedKernelOracle:
-    """The sweep's OP and IP kernel routes return the bits of the kernel as
-    first written, which rebuilt its node tables on every call and checked
-    its outage integrand through ``best_source_cdf`` block by block."""
+    """The sweep's OP and IP kernel routes return the bits of the G10/K21
+    kernel rebuilt on every call, which checks its outage integrand through
+    ``best_source_cdf`` block by block."""
 
     @staticmethod
     def _bits(v):
@@ -839,9 +896,9 @@ class TestSlot2KernelMatchesKv:
 
 
 def _omega_blocks(s):
-    # the relay-to-destination node blocks of both rules, as the nested
-    # average hands them to the slot-2 factor
-    nodes, _, blocks, _ = analytic._weighted_blocks(s.lambda_rd, 1)
+    # the relay-to-destination node blocks, as the nested average hands them
+    # to the slot-2 factor
+    nodes, _, blocks = analytic._weighted_blocks(s.lambda_rd, 1)
     return [nodes[b] for b in blocks]
 
 
@@ -946,10 +1003,10 @@ class TestSlot2SkipIsExact:
                 refused += ref[0] == "refused"
         assert refused > 0
 
-    @pytest.mark.parametrize("psi_db,expected", [(0.0, 1_379_840), (10.0, 1_667_680)])
+    @pytest.mark.parametrize("psi_db,expected", [(0.0, 776_160), (10.0, 938_280)])
     def test_dpsr_average_hands_k1_only_live_terms(self, s1, monkeypatch, psi_db, expected):
         # every outer aggregate node meets every live (b, gain node) pair
-        # once; the every-term loop would hand K_1 2 * 1120 * 1120 elements
+        # once; the every-term loop would hand K_1 2 * 840 * 840 elements
         p = make_params(psi_db=psi_db, num_sources=2, num_jammers=1)
         gains = analytic._weighted_blocks(s1.lambda_rd, 1)[0]
         outer = analytic._weighted_blocks(s1.lambda_je, 1)[0].size
