@@ -17,7 +17,6 @@ from .analytic import (
     op_spsr,
 )
 from .channel import (
-    ChannelDraw,
     ChannelStats,
     best_source_cdf,
     draw_channels,
@@ -34,7 +33,7 @@ from .core import (
     rho_star,
     snr_threshold,
 )
-from .montecarlo import EstimateWithCI, SimConfig, simulate_ip, simulate_op, simulate_point
+from .montecarlo import EstimateWithCI, SimConfig, simulate_point
 from .reference import (
     AnalyticConfig,
     ip_dpsr,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticConfig",
     "CancellationError",
-    "ChannelDraw",
     "ChannelStats",
     "EstimateWithCI",
     "NumericalError",
@@ -106,8 +104,6 @@ __all__ = [
     "resolve_scenario",
     "rho_star",
     "run_sweep",
-    "simulate_ip",
-    "simulate_op",
     "simulate_point",
     "snr_threshold",
     "write_csv",

@@ -48,8 +48,8 @@ import numpy as np
 
 from .channel import ChannelStats, erlang_pdf_xi
 from .core import SystemParams, rho_star, spread_map
-from .specfun import (CancellationError, QuadratureError, QuadratureSpec, bessel_k1,
-                      refuse_beyond)
+from .specfun import (CancellationError, NumericalError, QuadratureError, QuadratureSpec,
+                      bessel_k1, refuse_beyond)
 
 # Not called here: perfbench/layers.py rebinds these names to trace this
 # module's calls into the layer below, so they stay bound.
@@ -275,9 +275,10 @@ def _slot2_no_intercept(p: SystemParams, s: ChannelStats, rho, dilution):
     The alternating binomial sum cancels as M grows.  Raises
     :class:`CancellationError` where its value is not finite or its rounding
     bound eps*(1 + sum |terms|) exceeds ``_TOL``; the bound is at most
-    eps*2**M, under 1e-12 for M <= 12.  Raises ``ValueError`` where psi
-    alone (every ``dilution / rho`` finite) makes a Bessel argument overflow;
-    exponents that overflow to -inf give factors of 0, their limit, silently.
+    eps*2**M, under 1e-12 for M <= 12.  Raises ``ValueError``, naming psi
+    and the smallest rho, where a finite dilution and a positive rho make a
+    Bessel argument overflow; exponents that overflow to -inf give factors
+    of 0, their limit, silently.
 
     The b-th term carries the factor exp(b*info), and info depends on rho
     alone.  Where that factor underflows to exactly 0 the term is a signed
@@ -290,13 +291,15 @@ def _slot2_no_intercept(p: SystemParams, s: ChannelStats, rho, dilution):
     loop ends at the first b with no live entry.  A harvest outside (0, inf)
     has every term evaluated, so its NaN or error shows as in the full sum."""
     rho = np.asarray(rho, dtype=float)
-    ratio = dilution / rho
     with np.errstate(divide="ignore", over="ignore"):
-        harvest = np.asarray(s.lambda_sr * s.lambda_re * p.gamma_th / (p.eta * p.psi) * ratio)
-        if not p.num_sources * harvest.max(initial=0.0) < np.inf and np.isfinite(ratio).all():
-            raise ValueError(f"psi = {p.psi:g} is too small: the slot-2 Bessel argument overflows")
+        harvest = np.asarray(s.lambda_sr * s.lambda_re * p.gamma_th / (p.eta * p.psi)
+                             * (dilution / rho))
         if p.gamma_th == 0:
             return np.zeros_like(harvest)  # a zero threshold is always reached
+        if (not p.num_sources * harvest.max(initial=0.0) < np.inf
+                and np.isfinite(dilution).all() and (rho > 0).all()):
+            raise ValueError(f"psi = {p.psi:g} is too small: the slot-2 Bessel argument "
+                             f"overflows at rho = {rho.min():g}")
         info = -s.lambda_sr * p.gamma_th / ((1.0 - rho) * p.psi)
         # the largest b has the smallest factors: skip if one underflows there,
         # and only where the skipped terms are exact zeros, 0 < harvest < inf
@@ -363,17 +366,27 @@ def _intercept(p: SystemParams, s: ChannelStats, slot2, jamming: bool,
     psi*gamma_se.  An elementwise ``slot2`` is averaged in one call over all
     nodes; an averaged one (dynamic splitting) has its blocks spread.
     Raises ``ValueError`` where psi is so small that gamma_th/psi, which
-    scales every slot factor's argument, overflows."""
+    scales every slot factor's argument, overflows.  A result at most
+    ``_TOL.abs_tol`` outside [0, 1], the rounding residue of a factor near 0
+    or 1, is moved to the end it passed; one further out (or NaN) raises
+    :class:`NumericalError` with the distance outside as its ``bound``."""
     if not math.isfinite(p.gamma_th / p.psi):
         raise ValueError(f"psi = {p.psi:g} is too small: gamma_th/psi overflows")
     if not jamming:
         q1 = -math.expm1(-p.gamma_th * s.lambda_se / p.psi)
-        return 1.0 - q1 * slot2(0.0)
-    _require_jamming(p)
-    value = _gamma_average(lambda x: slot1_outage_factor(p, s, x) * slot2(x),
-                           s.lambda_je, p.num_jammers, spread=not elementwise,
-                           flat=elementwise)
-    return 1.0 - float(value)
+        no_intercept = q1 * slot2(0.0)
+    else:
+        _require_jamming(p)
+        no_intercept = float(_gamma_average(lambda x: slot1_outage_factor(p, s, x) * slot2(x),
+                                            s.lambda_je, p.num_jammers, spread=not elementwise,
+                                            flat=elementwise))
+    ip = 1.0 - no_intercept
+    outside = max(-ip, ip - 1.0, 0.0)
+    if not outside <= _TOL.abs_tol:
+        raise NumericalError(f"intercept probability {ip:.6e} lies {outside:.3e} outside "
+                             f"[0, 1], beyond the rounding allowance {_TOL.abs_tol:g}",
+                             ip, outside)
+    return min(max(ip, 0.0), 1.0)
 
 
 def ip_spsr_quadrature(p: SystemParams, s: ChannelStats) -> float:

@@ -5,7 +5,8 @@ the mean gain is 1/lambda (short links have small rates and strong gains).
 The best of the M source-to-relay gains is selected per block; the K
 jammer-to-eavesdropper gains enter only through their sum, which is Erlang.
 Sampling gives each link its own stream, keyed by (seed, worker, link), and
-draws each gain from its own law in one value per trial.
+draws each gain from its own law in one value per trial; a draw is a
+``{link: gains}`` dict keyed by the ``LINK_KEYS`` names of the links drawn.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .core import SystemParams
 __all__ = [
     "LINK_KEYS",
     "ChannelStats",
-    "ChannelDraw",
     "pathloss_rate",
     "best_source_cdf",
     "erlang_pdf_xi",
@@ -159,18 +159,6 @@ class ChannelStats:
         return out
 
 
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One realization (or a batch) of the channel gains, one value per trial
-    and link; a link the draw had no stream for is ``None``."""
-
-    gamma_sr_best: object
-    gamma_se: object
-    gamma_rd: object
-    gamma_re: object
-    xi: object
-
-
 def derive_seed(master_seed: int, index: int) -> int:
     """Stable 64-bit child seed for sweep point ``index``."""
     seq = np.random.SeedSequence([int(master_seed), int(index)])
@@ -231,11 +219,10 @@ def draw_channels(
     stats: ChannelStats,
     p: SystemParams,
     streams: Mapping[str, np.random.Generator],
-    size: int | None = None,
-) -> ChannelDraw:
-    """Draw the gains of the links in ``streams`` (see :func:`link_streams`),
-    each from its own stream, for ``size`` trials, or a single-trial scalar
-    draw; a link without a stream is ``None``.
+    size: int,
+) -> dict[str, np.ndarray]:
+    """``size`` gains of each link in ``streams`` (see :func:`link_streams`),
+    each from its own stream, keyed by link name.
 
     Each gain is one value per trial from its own law: SR, the best of
     ``num_sources`` gains, by the inverse CDF of their max; JE, the sum of
@@ -244,11 +231,7 @@ def draw_channels(
     is independent of the selection, which conditions only on the SR gains.
     A stream yields the same values however its rows are split across calls.
     """
-    n = 1 if size is None else int(size)
+    n = int(size)
     if n < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    gains = {link: _draw_link(stats, p, rng, link, n) for link, rng in streams.items()}
-    if size is None:
-        gains = {link: float(g[0]) for link, g in gains.items()}
-    return ChannelDraw(gamma_sr_best=gains.get("sr"), gamma_se=gains.get("se"),
-                       gamma_rd=gains.get("rd"), gamma_re=gains.get("re"), xi=gains.get("je"))
+    return {link: _draw_link(stats, p, rng, link, n) for link, rng in streams.items()}

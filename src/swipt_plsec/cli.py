@@ -17,7 +17,7 @@ import math
 import sys
 
 from .channel import LINK_KEYS, pathloss_rate
-from .core import SystemParams
+from .core import SCHEMES, SystemParams
 from .montecarlo import SimConfig
 from .scenario import ScenarioError, packaged_scenarios, resolve_scenario
 from .specfun import NumericalError
@@ -95,11 +95,11 @@ def _add_model_args(sub: argparse.ArgumentParser, for_sweep: bool) -> None:
                           "bitwise")
     if for_sweep:
         sub.add_argument("--scheme", default="spsr,dpsr",
-                         help="comma list drawn from {spsr, dpsr}")
+                         help=f"comma list drawn from {{{', '.join(SCHEMES)}}}")
         sub.add_argument("--rho", type=_parse_rho_list, default=[0.5],
                          help="comma list of splitting ratios for spsr curves, or 'table1'")
     else:
-        sub.add_argument("--scheme", choices=("spsr", "dpsr"), default="spsr")
+        sub.add_argument("--scheme", choices=SCHEMES, default="spsr")
         sub.add_argument("--rho", type=float, default=0.5, help="splitting ratio for spsr")
 
 
@@ -151,7 +151,7 @@ def _cmd_sweep(args) -> int:
     stats = resolve_scenario(args.scenario)
     var, start, stop, step = args.sweep
     kinds = [k.strip() for k in args.scheme.split(",") if k.strip()]
-    unknown = set(kinds) - {"spsr", "dpsr"}
+    unknown = set(kinds) - set(SCHEMES)
     if unknown:
         print(f"unknown scheme(s): {sorted(unknown)}", file=sys.stderr)
         return 2

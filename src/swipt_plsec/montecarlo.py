@@ -14,11 +14,11 @@ at most as many threads as the process has usable CPUs (inline when that is
 one); each thread owns its partition's streams, so the counts equal those of
 a sequential run bit for bit.
 
-A run counts a list of schemes, ``(kind, rho)`` pairs that differ only in
-the splitting rule: each block draws the union of the links they read once
-and counts every scheme on it (common random numbers).  Neither field enters
-the draw, so each scheme's counts are bitwise those of its own run.  The
-one-scheme calls are the one-element list ``(c.scheme, p.rho)``.
+Every run counts a list of schemes, ``(kind, rho)`` pairs that differ only
+in the splitting rule: each block draws the union of the links they read
+once, as a ``{link: gains}`` dict, and counts every scheme on it (common
+random numbers).  Neither field enters the draw, so each scheme's counts are
+bitwise those of a run of its one-element list.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ import numpy as np
 from .channel import ChannelStats, draw_channels, link_streams
 from .core import E1_MODES, SCHEMES, SystemParams, gamma_d_dpsr, gamma_d_spsr, gamma_e, spread_map
 
-__all__ = ["METRICS", "SimConfig", "EstimateWithCI", "simulate_op", "simulate_ip",
-           "simulate_point"]
+__all__ = ["METRICS", "SimConfig", "EstimateWithCI", "simulate_point"]
 
 # the metrics a run can count
 METRICS = ("op", "ip")
@@ -51,9 +50,6 @@ _WILSON_SWITCH = 1e-4
 class SimConfig:
     """Trial-engine configuration.
 
-    Only the one-scheme calls read ``scheme``; a list of schemes carries
-    its own kinds.
-
     ``e1_mode`` picks the eavesdropper's first-slot SNR model: ``exact``
     keeps the unit noise term, ``approx`` uses the jamming-dominated form the
     analytic intercept expressions are built on.  ``approx`` therefore
@@ -63,17 +59,16 @@ class SimConfig:
     trials: int = 5_000_000
     seed: int = 0
     workers: int = 1
-    scheme: str = "spsr"
     jamming: bool = True
     e1_mode: str = "exact"
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.workers < 1:
             raise ValueError(f"need at least one worker, got {self.workers}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.e1_mode not in E1_MODES:
             raise ValueError(f"unknown e1_mode {self.e1_mode!r}")
         if self.e1_mode == "approx" and not self.jamming:
@@ -145,8 +140,8 @@ def _count_block(p: SystemParams, s: ChannelStats, c: SimConfig,
     ``metrics`` counts 0."""
     draw = draw_channels(s, p, streams, size=n)
     # with the jammers off the aggregate is zero (and e1_mode is exact)
-    xi = draw.xi if c.jamming else np.zeros(n)
-    sr, rd = draw.gamma_sr_best, draw.gamma_rd
+    xi = draw.get("je") if c.jamming else np.zeros(n)
+    sr, rd = draw["sr"], draw.get("rd")
     counts = []
     for kind, rp in runs:
         op = ip = 0
@@ -154,7 +149,7 @@ def _count_block(p: SystemParams, s: ChannelStats, c: SimConfig,
             gamma_d = gamma_d_dpsr if kind == "dpsr" else gamma_d_spsr
             op = int(np.count_nonzero(gamma_d(rp, sr, rd) < rp.gamma_th))
         if "ip" in metrics:
-            pair = gamma_e(rp, draw.gamma_se, sr, draw.gamma_re, xi,
+            pair = gamma_e(rp, draw["se"], sr, draw["re"], xi,
                            mode=c.e1_mode, scheme=kind, gamma_rd=rd)
             ip = int(np.count_nonzero(pair.combined >= rp.gamma_th))
         counts.append((op, ip))
@@ -167,10 +162,14 @@ def _sum_counts(parts: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
             for scheme in zip(*parts)]
 
 
-def _simulate_counts(p: SystemParams, s: ChannelStats, c: SimConfig,
-                     metrics: Collection[str], schemes: Sequence[tuple[str, float]],
-                     ) -> list[tuple[int, int]]:
-    """Per-scheme (op, ip) counts of the (kind, rho) ``schemes`` at ``p``."""
+def simulate_point(
+    p: SystemParams, s: ChannelStats, c: SimConfig, schemes: Sequence[tuple[str, float]],
+    metrics: Collection[str] = METRICS,
+) -> list[tuple[EstimateWithCI | None, EstimateWithCI | None]]:
+    """One (op, ip) pair of estimates per (kind, rho) pair of ``schemes``,
+    all counted on one draw per block of per-link streams; a metric not in
+    ``metrics`` (default both) is ``None``.  Each scheme's rho replaces ``p.rho``.
+    """
     if not metrics or not set(metrics) <= set(METRICS):
         raise ValueError(f"metrics must be a nonempty subset of {METRICS}, got {metrics!r}")
     if not schemes or not {kind for kind, _ in schemes} <= set(SCHEMES):
@@ -189,44 +188,6 @@ def _simulate_counts(p: SystemParams, s: ChannelStats, c: SimConfig,
     # numpy's bit generators and ufuncs release the GIL, so the partitions
     # really run side by side; each keeps its own streams
     parts = [(worker, n) for worker, n in enumerate(c.partition()) if n > 0]
-    return _sum_counts(spread_map(partition_counts, parts))
-
-
-def simulate_op(p: SystemParams, s: ChannelStats, c: SimConfig) -> EstimateWithCI:
-    """Fraction of trials whose destination SNR falls below the threshold.
-
-    Draws only the SR and RD gains, each from its own stream, so the estimate
-    is bitwise that of :func:`simulate_point`.
-    """
-    return simulate_point(p, s, c, ("op",))[0]
-
-
-def simulate_ip(p: SystemParams, s: ChannelStats, c: SimConfig) -> EstimateWithCI:
-    """Fraction of trials whose combined eavesdropper SNR reaches the threshold.
-
-    Builds no stream for RD under spsr or for JE with the jammers off, which
-    the intercept does not read; the links it draws come from their own
-    streams, so the estimate is bitwise that of :func:`simulate_point`.
-    """
-    return simulate_point(p, s, c, ("ip",))[1]
-
-
-def simulate_point(
-    p: SystemParams, s: ChannelStats, c: SimConfig, metrics: Collection[str] = METRICS,
-    schemes: Sequence[tuple[str, float]] | None = None,
-):
-    """(op, ip) estimates of the ``metrics`` asked for (default both) from
-    one run of per-link streams; a metric not asked for is ``None``.
-
-    With ``schemes``, a sequence of (kind, rho) pairs, the run counts every
-    scheme on one draw per block and returns a list of (op, ip) pairs, one per
-    scheme; ``c.scheme`` and ``p.rho`` are then not read.  Each pair is
-    bitwise that of the one-scheme call with ``c.scheme=kind`` and
-    ``p.rho=rho``.
-    """
-    runs = ((c.scheme, p.rho),) if schemes is None else schemes
-    estimates = [
-        (EstimateWithCI.from_counts(op, c.trials) if "op" in metrics else None,
-         EstimateWithCI.from_counts(ip, c.trials) if "ip" in metrics else None)
-        for op, ip in _simulate_counts(p, s, c, metrics, runs)]
-    return estimates[0] if schemes is None else estimates
+    return [(EstimateWithCI.from_counts(op, c.trials) if "op" in metrics else None,
+             EstimateWithCI.from_counts(ip, c.trials) if "ip" in metrics else None)
+            for op, ip in _sum_counts(spread_map(partition_counts, parts))]

@@ -41,7 +41,7 @@ from .analytic import (
     op_spsr,
 )
 from .channel import ChannelStats, derive_seed
-from .core import SystemParams
+from .core import SCHEMES, SystemParams
 from .montecarlo import METRICS, SimConfig, simulate_point
 from .specfun import NumericalError
 
@@ -94,7 +94,7 @@ class SchemePoint:
     rho: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("spsr", "dpsr"):
+        if self.kind not in SCHEMES:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.kind == "dpsr" and self.rho is not None:
             raise ValueError("dynamic splitting takes no rho")
@@ -247,7 +247,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         t0 = time.perf_counter()
         try:
             sim = replace(spec.sim, seed=derive_seed(spec.sim.seed, index))
-            estimates = simulate_point(p, s, sim, metrics=metrics, schemes=schemes)
+            estimates = simulate_point(p, s, sim, schemes, metrics)
             for (row, _), (op_est, ip_est) in zip(point, estimates):
                 if op_est is not None:
                     row.op_mc, row.op_ci = op_est.estimate, op_est.ci_halfwidth

@@ -46,8 +46,6 @@ from swipt_plsec import (
     op_spsr_quadrature,
     resolve_scenario,
     rho_star,
-    simulate_ip,
-    simulate_op,
     simulate_point,
 )
 from swipt_plsec.reference import slot1_intercept_probability
@@ -146,13 +144,15 @@ class TestCriterion2OutageBenchmarks:
             p = make_params(psi_db=15.0, rho=rho)
             closed = op_spsr_closed_form(p, S1)
             quad = op_spsr_quadrature(p, S1)
-            mc = simulate_op(p, S1, SimConfig(trials=2_000_000, seed=404))
+            [(mc, _)] = simulate_point(p, S1, SimConfig(trials=2_000_000, seed=404),
+                                       [("spsr", p.rho)], ("op",))
             checks.append(abs(closed - quad) <= 1e-8 * closed)
             checks.append(abs(closed - mc.estimate) <= 3 * mc.ci_halfwidth)
         p = make_params(psi_db=15.0)
         closed = op_dpsr_series(p, S1)
         quad = op_dpsr_quadrature(p, S1)
-        mc = simulate_op(p, S1, SimConfig(trials=2_000_000, seed=405, scheme="dpsr"))
+        [(mc, _)] = simulate_point(p, S1, SimConfig(trials=2_000_000, seed=405),
+                                   [("dpsr", p.rho)], ("op",))
         checks.append(abs(closed - quad) <= 1e-6 * closed)
         checks.append(abs(closed - mc.estimate) <= 3 * mc.ci_halfwidth)
         report("criterion-2 route agreement", all(checks),
@@ -184,9 +184,8 @@ class TestCriterion3InterceptBenchmarks:
             # the benchmark values realize the jamming-dominated first-slot
             # model, which is the engine's approx mode
             sim = SimConfig(trials=1_000_000, seed=derive_seed(31, int(psi_db)),
-                            scheme=scheme, jamming=jamming,
-                            e1_mode="approx" if jamming else "exact")
-            mc = simulate_ip(p, S1, sim)
+                            jamming=jamming, e1_mode="approx" if jamming else "exact")
+            [(_, mc)] = simulate_point(p, S1, sim, [(scheme, p.rho)], ("ip",))
             for label, value in (("analytic", analytic), ("mc", mc.estimate)):
                 if abs(value - golden) > 0.10 * golden:
                     failures.append((psi_db, scheme, jamming, label, value, golden))
@@ -297,8 +296,8 @@ class TestCriterion5StatisticalValidation:
                 else:
                     a_op, a_ip = op_dpsr(p, S1), ip_dpsr_quadrature(p, S1)
                 sim = SimConfig(trials=1_000_000, seed=derive_seed(1234, int(psi_db) + 5),
-                                scheme=scheme, e1_mode="approx")
-                op_est, ip_est = simulate_point(p, S1, sim)
+                                e1_mode="approx")
+                [(op_est, ip_est)] = simulate_point(p, S1, sim, [(scheme, p.rho)])
                 if not op_est.covers(a_op):
                     misses.append((scheme, psi_db, "op"))
                 if not ip_est.covers(a_ip):
@@ -314,7 +313,7 @@ class TestCriterion5StatisticalValidation:
         hits_op = hits_ip = 0
         for i in range(30):
             sim = SimConfig(trials=1_000_000, seed=derive_seed(987, i), e1_mode="approx")
-            op_est, ip_est = simulate_point(p, S1, sim)
+            [(op_est, ip_est)] = simulate_point(p, S1, sim, [("spsr", p.rho)])
             hits_op += op_est.covers(a_op)
             hits_ip += ip_est.covers(a_ip)
         ok = hits_op >= 25 and hits_ip >= 25
@@ -366,16 +365,16 @@ class TestCriterion6Properties:
     def test_dynamic_dominates_static_per_trial(self):
         p = make_params(rho=0.55)
         draw = draw_channels(S1, p, link_streams(608, 0, ("sr", "rd")), size=1_000_000)
-        static = gamma_d_spsr(p, draw.gamma_sr_best, draw.gamma_rd)
-        dynamic = gamma_d_dpsr(p, draw.gamma_sr_best, draw.gamma_rd)
+        static = gamma_d_spsr(p, draw["sr"], draw["rd"])
+        dynamic = gamma_d_dpsr(p, draw["sr"], draw["rd"])
         ok = bool(np.all(dynamic >= static - 1e-12))
         report("criterion-6 per-trial dominance", ok, "10^6 common-draw trials")
         assert ok
 
     @staticmethod
     def _mc(p, scheme="spsr", seed=0, **kw):
-        sim = SimConfig(trials=500_000, seed=seed, scheme=scheme, e1_mode="approx", **kw)
-        return simulate_point(p, S1, sim)
+        sim = SimConfig(trials=500_000, seed=seed, e1_mode="approx", **kw)
+        return simulate_point(p, S1, sim, [(scheme, p.rho)])[0]
 
     def test_outage_monotone_in_power_and_sources(self):
         ok = True
@@ -430,7 +429,7 @@ class TestCriterion6Properties:
         p = make_params(num_sources=2)
         draw = draw_channels(S1, p, link_streams(609, 0, ("sr",)), size=1_000_000)
         stat = scipy_stats.kstest(
-            draw.gamma_sr_best, lambda x: best_source_cdf(x, S1.lambda_sr, 2)).statistic
+            draw["sr"], lambda x: best_source_cdf(x, S1.lambda_sr, 2)).statistic
         report("criterion-6 best-source KS", stat < 0.002, f"KS statistic {stat:.5f} at 10^6 draws")
         assert stat < 0.002
 
@@ -439,7 +438,7 @@ class TestCriterion6Properties:
         draw = draw_channels(S1, p, link_streams(610, 0, ("je",)), size=100_000)
         dist = scipy_stats.gamma(a=3, scale=1.0 / S1.lambda_je)
         edges = dist.ppf(np.linspace(0, 1, 21))
-        counts, _ = np.histogram(draw.xi, bins=edges)
+        counts, _ = np.histogram(draw["je"], bins=edges)
         pvalue = scipy_stats.chisquare(counts).pvalue
         report("criterion-6 jammer-aggregate chi^2", pvalue > 0.01, f"p-value {pvalue:.3f}")
         assert pvalue > 0.01
@@ -470,7 +469,8 @@ class TestCriterion6Properties:
 
         p = make_params()
         c = SimConfig(trials=100_000, seed=612, workers=4, e1_mode="approx")
-        repro_ok = simulate_point(p, S1, c) == simulate_point(p, S1, c)
+        schemes = [("spsr", p.rho)]
+        repro_ok = simulate_point(p, S1, c, schemes) == simulate_point(p, S1, c, schemes)
         report("criterion-6 merge/reproducibility", merged_ok and repro_ok,
                "shuffled merge exact; repeated run bitwise identical")
         assert merged_ok and repro_ok

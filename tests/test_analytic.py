@@ -12,6 +12,7 @@ from swipt_plsec import (
     AnalyticConfig,
     CancellationError,
     ChannelStats,
+    NumericalError,
     QuadratureError,
     SeriesNotConverged,
     SystemParams,
@@ -388,8 +389,9 @@ class TestInterceptDynamic:
 
 class TestUnitIntervalInvariant:
     def test_probabilities_land_in_range_without_clamping(self, s1):
-        # evaluators return raw formula values; they must land inside [0, 1]
-        # to 1e-6 on their own
+        # evaluators return raw formula values (the intercept routes move only
+        # a residue of at most 1e-12 to the end it passed); they must land
+        # inside [0, 1] to 1e-6 on their own
         lo, hi = -1e-6, 1.0 + 1e-6
         for psi_db in (-5.0, 2.0, 15.0):
             p = make_params(psi_db=psi_db, rho=0.55)
@@ -402,6 +404,27 @@ class TestUnitIntervalInvariant:
         p = make_params(psi_db=2.0, rho=0.55)
         for v in (ip_dpsr(p, s1), ip_dpsr_quadrature(p, s1), ip_dpsr_no_jamming(p, s1)):
             assert lo <= v <= hi
+
+    @pytest.mark.parametrize("no_intercept, ip", [(1.0 + 2 ** -52, 0.0),
+                                                  (-1e-14, 1.0)])
+    def test_intercept_moves_a_rounding_residue_to_the_end(self, s1, no_intercept, ip):
+        p = make_params(psi_db=-10.0)
+        q1 = -math.expm1(-p.gamma_th * s1.lambda_se / p.psi)
+        value = analytic._intercept(p, s1, lambda x: no_intercept / q1, jamming=False)
+        assert value == ip
+
+    @pytest.mark.parametrize("no_intercept", [1.0 + 1e-9, -1e-9, 1.5, math.nan])
+    def test_intercept_refuses_a_value_beyond_the_residue(self, s1, no_intercept):
+        p = make_params(psi_db=-10.0)
+        q1 = -math.expm1(-p.gamma_th * s1.lambda_se / p.psi)
+        with pytest.raises(NumericalError, match=r"outside \[0, 1\]") as info:
+            analytic._intercept(p, s1, lambda x: no_intercept / q1, jamming=False)
+        if math.isnan(no_intercept):
+            assert math.isnan(info.value.value)
+        else:
+            ip = 1.0 - no_intercept
+            assert info.value.value == pytest.approx(ip, rel=1e-6)
+            assert info.value.bound == pytest.approx(max(-ip, ip - 1.0), rel=1e-6)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("route", [ip_spsr_quadrature, ip_spsr_no_jamming,

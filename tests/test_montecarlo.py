@@ -14,8 +14,6 @@ from swipt_plsec import (
     gamma_d_spsr,
     gamma_e,
     op_spsr,
-    simulate_ip,
-    simulate_op,
     simulate_point,
 )
 from swipt_plsec import core, montecarlo
@@ -79,67 +77,71 @@ class TestSimConfig:
             SimConfig(jamming=False, e1_mode="approx")
 
     @pytest.mark.parametrize("kwargs", [
-        dict(trials=0), dict(workers=0), dict(scheme="xyz"), dict(e1_mode="none"),
+        dict(trials=0), dict(workers=0), dict(e1_mode="none"),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_negative_seed_rejected(self):
+        # a negative seed would reach no stream: SeedSequence refuses it
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            SimConfig(seed=-1)
 
 
 class TestEngine:
     def test_bitwise_reproducible(self, s1):
         p = make_params()
         c = SimConfig(trials=100_000, seed=77, workers=3)
-        a = simulate_point(p, s1, c)
-        b = simulate_point(p, s1, c)
+        a = simulate_point(p, s1, c, [("spsr", p.rho)])
+        b = simulate_point(p, s1, c, [("spsr", p.rho)])
         assert a == b
 
     def test_worker_partition_changes_stream(self, s1):
         p = make_params()
-        one = simulate_op(p, s1, SimConfig(trials=100_000, seed=77, workers=1))
-        two = simulate_op(p, s1, SimConfig(trials=100_000, seed=77, workers=2))
+        [(one, _)] = simulate_point(p, s1, SimConfig(trials=100_000, seed=77, workers=1),
+                                    [("spsr", p.rho)], ("op",))
+        [(two, _)] = simulate_point(p, s1, SimConfig(trials=100_000, seed=77, workers=2),
+                                    [("spsr", p.rho)], ("op",))
         assert one.estimate != two.estimate  # different partitions, same statistics
         assert abs(one.estimate - two.estimate) < 6 * one.ci_halfwidth
-
-    def test_shared_draws_match_single_metric_runs(self, s1):
-        p = make_params()
-        c = SimConfig(trials=50_000, seed=5, workers=2)
-        op_joint, ip_joint = simulate_point(p, s1, c)
-        assert op_joint == simulate_op(p, s1, c)
-        assert ip_joint == simulate_ip(p, s1, c)
 
     def test_zero_threshold_extremes(self, s1):
         p = make_params(c_th=0.0)
         c = SimConfig(trials=10_000, seed=3)
-        op_est, ip_est = simulate_point(p, s1, c)
+        [(op_est, ip_est)] = simulate_point(p, s1, c, [("spsr", p.rho)])
         assert op_est.estimate == 0.0  # SNR is nonnegative
         assert ip_est.estimate == 1.0
 
     def test_matches_static_outage_analytics(self, s1):
         p = make_params(psi_db=2.0, rho=0.325)
         c = SimConfig(trials=400_000, seed=11)
-        est = simulate_op(p, s1, c)
+        [(est, _)] = simulate_point(p, s1, c, [("spsr", p.rho)], ("op",))
         assert abs(est.estimate - op_spsr(p, s1)) < 3 * est.ci_halfwidth
 
     def test_dynamic_dominates_static_per_trial(self, s1):
         # common draws: the optimal ratio can never do worse
         p = make_params(rho=0.55)
         draw = draw_channels(s1, p, link_streams(123, 0, ("sr", "rd")), size=200_000)
-        static = gamma_d_spsr(p, draw.gamma_sr_best, draw.gamma_rd)
-        dynamic = gamma_d_dpsr(p, draw.gamma_sr_best, draw.gamma_rd)
+        static = gamma_d_spsr(p, draw["sr"], draw["rd"])
+        dynamic = gamma_d_dpsr(p, draw["sr"], draw["rd"])
         assert np.all(dynamic >= static - 1e-12)
 
     def test_jamming_off_raises_intercept(self, s1):
         p = make_params(psi_db=2.0, rho=0.55)
-        on = simulate_ip(p, s1, SimConfig(trials=200_000, seed=21, jamming=True))
-        off = simulate_ip(p, s1, SimConfig(trials=200_000, seed=21, jamming=False))
+        [(_, on)] = simulate_point(p, s1, SimConfig(trials=200_000, seed=21, jamming=True),
+                                   [("spsr", p.rho)], ("ip",))
+        [(_, off)] = simulate_point(p, s1, SimConfig(trials=200_000, seed=21, jamming=False),
+                                    [("spsr", p.rho)], ("ip",))
         assert off.estimate > on.estimate + 5 * on.ci_halfwidth
 
     def test_approx_mode_upper_bounds_exact(self, s1):
         # dropping the unit noise term can only raise the first-slot SNR
         p = make_params(psi_db=2.0, rho=0.55)
-        exact = simulate_ip(p, s1, SimConfig(trials=200_000, seed=9, e1_mode="exact"))
-        approx = simulate_ip(p, s1, SimConfig(trials=200_000, seed=9, e1_mode="approx"))
+        [(_, exact)] = simulate_point(p, s1, SimConfig(trials=200_000, seed=9, e1_mode="exact"),
+                                      [("spsr", p.rho)], ("ip",))
+        [(_, approx)] = simulate_point(p, s1, SimConfig(trials=200_000, seed=9, e1_mode="approx"),
+                                       [("spsr", p.rho)], ("ip",))
         assert approx.estimate >= exact.estimate
 
 
@@ -177,25 +179,23 @@ class TestStreams:
         got = []
         for workers in (1, 3):
             for scheme in ("spsr", "dpsr"):
-                c = SimConfig(trials=600_001, seed=7, workers=workers, scheme=scheme)
-                op, ip = simulate_point(p, s1, c)
+                c = SimConfig(trials=600_001, seed=7, workers=workers)
+                [(op, ip)] = simulate_point(p, s1, c, [(scheme, p.rho)])
                 got.append((op.successes, ip.successes))
         assert tuple(got) == PINNED_COUNTS[m, k]
 
 
 class TestMetricSubsets:
-    # three blocks for one worker, and a remainder worker at 3
-    @pytest.mark.parametrize("workers", [1, 3])
+    # three blocks for one worker, two blocks each at 2, a remainder worker at 3
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("scheme", ["spsr", "dpsr"])
     def test_one_metric_counts_equal_the_joint_run(self, s1, workers, scheme):
         p = make_params(num_sources=3, num_jammers=4)
-        c = SimConfig(trials=2 * ROW_BLOCK + 5, seed=31, workers=workers,
-                      scheme=scheme)
-        op_joint, ip_joint = simulate_point(p, s1, c)
-        assert simulate_point(p, s1, c, metrics=("op",)) == (op_joint, None)
-        assert simulate_point(p, s1, c, metrics=("ip",)) == (None, ip_joint)
-        assert simulate_op(p, s1, c) == op_joint
-        assert simulate_ip(p, s1, c) == ip_joint
+        c = SimConfig(trials=2 * ROW_BLOCK + 5, seed=31, workers=workers)
+        schemes = [(scheme, p.rho)]
+        [(op_joint, ip_joint)] = simulate_point(p, s1, c, schemes)
+        assert simulate_point(p, s1, c, schemes, metrics=("op",)) == [(op_joint, None)]
+        assert simulate_point(p, s1, c, schemes, metrics=("ip",)) == [(None, ip_joint)]
 
     @pytest.mark.parametrize("scheme", ["spsr", "dpsr"])
     def test_outage_only_never_evaluates_the_eavesdropper(self, s1, monkeypatch, scheme):
@@ -203,7 +203,9 @@ class TestMetricSubsets:
             raise AssertionError("gamma_e called in an outage-only run")
 
         monkeypatch.setattr(montecarlo, "gamma_e", forbidden)
-        est = simulate_op(make_params(), s1, SimConfig(trials=5000, seed=2, scheme=scheme))
+        p = make_params()
+        [(est, _)] = simulate_point(p, s1, SimConfig(trials=5000, seed=2), [(scheme, p.rho)],
+                                    ("op",))
         assert 0.0 < est.estimate < 1.0
 
     def test_intercept_only_never_evaluates_the_destination(self, s1, monkeypatch):
@@ -212,21 +214,24 @@ class TestMetricSubsets:
 
         monkeypatch.setattr(montecarlo, "gamma_d_spsr", forbidden)
         monkeypatch.setattr(montecarlo, "gamma_d_dpsr", forbidden)
-        est = simulate_ip(make_params(), s1, SimConfig(trials=5000, seed=2, scheme="spsr"))
+        p = make_params()
+        [(_, est)] = simulate_point(p, s1, SimConfig(trials=5000, seed=2), [("spsr", p.rho)],
+                                    ("ip",))
         assert 0.0 < est.estimate < 1.0
 
     @pytest.mark.parametrize("metrics", [(), ("op", "xp")])
     def test_bad_metrics_rejected(self, s1, metrics):
         with pytest.raises(ValueError, match="metrics"):
-            simulate_point(make_params(), s1, SimConfig(trials=10), metrics=metrics)
+            simulate_point(make_params(), s1, SimConfig(trials=10), [("spsr", 0.5)],
+                           metrics=metrics)
 
 
-def _full_draw_ip_count(p, s, c, streams, n):
+def _full_draw_ip_count(p, s, kind, streams, n):
     # the intercept count of one block from a draw of all five links, with
     # the jammers silent (a zero aggregate)
     d = draw_channels(s, p, streams, size=n)
-    pair = gamma_e(p, d.gamma_se, d.gamma_sr_best, d.gamma_re, np.zeros(n), mode="exact",
-                   scheme=c.scheme, gamma_rd=d.gamma_rd)
+    pair = gamma_e(p, d["se"], d["sr"], d["re"], np.zeros(n), mode="exact",
+                   scheme=kind, gamma_rd=d["rd"])
     return int(np.count_nonzero(pair.combined >= p.gamma_th))
 
 
@@ -252,37 +257,39 @@ class TestJammingOff:
     @pytest.mark.parametrize("scheme", ["spsr", "dpsr"])
     def test_counts_equal_those_of_the_full_draw(self, s1, monkeypatch, workers, scheme):
         p = make_params(num_sources=3, num_jammers=4)
-        c = SimConfig(trials=2 * ROW_BLOCK + 5, seed=17, workers=workers,
-                      scheme=scheme, jamming=False)
+        c = SimConfig(trials=2 * ROW_BLOCK + 5, seed=17, workers=workers, jamming=False)
         expected = 0
         for worker, n_worker in enumerate(c.partition()):
             streams = link_streams(c.seed, worker, LINK_KEYS)
             for lo in range(0, n_worker, ROW_BLOCK):
-                expected += _full_draw_ip_count(p, s1, c, streams, min(ROW_BLOCK, n_worker - lo))
+                expected += _full_draw_ip_count(p, s1, scheme, streams,
+                                                min(ROW_BLOCK, n_worker - lo))
         built = self._record_links(monkeypatch)
-        assert simulate_ip(p, s1, c).successes == expected
-        assert simulate_point(p, s1, c)[1].successes == expected
+        schemes = [(scheme, p.rho)]
+        assert simulate_point(p, s1, c, schemes, ("ip",))[0][1].successes == expected
+        assert simulate_point(p, s1, c, schemes)[0][1].successes == expected
         assert len(built) == 2 * workers and not any("je" in links for links in built)
 
     @pytest.mark.parametrize("scheme", ["spsr", "dpsr"])
     def test_no_je_stream_whatever_the_metrics(self, s1, monkeypatch, scheme):
         p = make_params(num_sources=2, num_jammers=8)
-        c = SimConfig(trials=1003, seed=5, scheme=scheme, jamming=False)
-        expected = _full_draw_ip_count(p, s1, c, link_streams(c.seed, 0, LINK_KEYS), c.trials)
+        c = SimConfig(trials=1003, seed=5, jamming=False)
+        expected = _full_draw_ip_count(p, s1, scheme, link_streams(c.seed, 0, LINK_KEYS),
+                                       c.trials)
         built = self._record_links(monkeypatch)
         for metrics in (("ip",), ("op", "ip")):
-            assert simulate_point(p, s1, c, metrics)[1].successes == expected
+            assert simulate_point(p, s1, c, [(scheme, p.rho)], metrics)[0][1].successes == expected
         ip_links = {"sr", "se", "re"} | ({"rd"} if scheme == "dpsr" else set())
         assert built == [ip_links, ip_links | {"rd"}]
 
 
-def _sequential_counts(p, s, c):
+def _sequential_counts(p, s, c, kind):
     op_total = ip_total = 0
     for worker, n_worker in enumerate(c.partition()):
         streams = link_streams(c.seed, worker, LINK_KEYS)
         for lo in range(0, n_worker, ROW_BLOCK):
             n = min(ROW_BLOCK, n_worker - lo)
-            [(op, ip)] = montecarlo._count_block(p, s, c, streams, n, METRICS, [(c.scheme, p)])
+            [(op, ip)] = montecarlo._count_block(p, s, c, streams, n, METRICS, [(kind, p)])
             op_total += op
             ip_total += ip
     return op_total, ip_total
@@ -317,14 +324,14 @@ class TestWorkerThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, to expose shared state
         try:
-            op, ip = simulate_point(p, s1, c)
+            [(op, ip)] = simulate_point(p, s1, c, [("spsr", p.rho)])
         finally:
             sys.setswitchinterval(interval)
         assert len(idents) <= cap and peak <= cap
         if cap == 1:
             assert idents == {threading.get_ident()}  # inline, no pool
         monkeypatch.setattr(montecarlo, "_count_block", count_block)
-        assert (op.successes, ip.successes) == _sequential_counts(p, s1, c)
+        assert (op.successes, ip.successes) == _sequential_counts(p, s1, c, "spsr")
 
 
 SCHEMES = (("spsr", 0.225), ("spsr", 0.875), ("dpsr", 0.5))
@@ -342,10 +349,10 @@ class TestSchemeSets:
         p = make_params(num_sources=3, num_jammers=4)
         c = SimConfig(trials=2 * ROW_BLOCK + 5, seed=23, workers=workers,
                       jamming=jamming, e1_mode=e1_mode)
-        alone = [simulate_point(replace(p, rho=rho), s1, replace(c, scheme=kind), metrics)
+        alone = [simulate_point(replace(p, rho=rho), s1, c, [(kind, rho)], metrics)[0]
                  for kind, rho in SCHEMES]
         for order in (SCHEMES, SCHEMES[::-1]):
-            shared = simulate_point(p, s1, c, metrics, schemes=order)
+            shared = simulate_point(p, s1, c, order, metrics)
             expected = alone if order == SCHEMES else alone[::-1]
             assert shared == expected
 
@@ -360,11 +367,11 @@ class TestSchemeSets:
         monkeypatch.setattr(montecarlo, "draw_channels", counted)
         p = make_params()
         c = SimConfig(trials=2 * ROW_BLOCK + 5, seed=3)
-        simulate_point(p, s1, c, ("ip",), schemes=(("spsr", 0.3),))
-        simulate_point(p, s1, c, ("ip",), schemes=SCHEMES)
+        simulate_point(p, s1, c, (("spsr", 0.3),), ("ip",))
+        simulate_point(p, s1, c, SCHEMES, ("ip",))
         # spsr alone reads no RD; dpsr reads it, so the shared draw takes it
         assert calls == [{"sr", "se", "re", "je"}] * 3 + [{"sr", "se", "rd", "re", "je"}] * 3
 
     def test_no_scheme_rejected(self, s1):
         with pytest.raises(ValueError, match="scheme"):
-            simulate_point(make_params(), s1, SimConfig(trials=10), schemes=())
+            simulate_point(make_params(), s1, SimConfig(trials=10), ())

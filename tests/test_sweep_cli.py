@@ -25,8 +25,7 @@ from conftest import make_params
 
 
 def tiny_sim(**kw):
-    defaults = dict(trials=2000, seed=42, workers=1, scheme="spsr",
-                    jamming=True, e1_mode="approx")
+    defaults = dict(trials=2000, seed=42, workers=1, jamming=True, e1_mode="approx")
     defaults.update(kw)
     return SimConfig(**defaults)
 
@@ -491,7 +490,11 @@ class TestCli:
         (["sweep", "--sweep", "M:1:2:1", "--psi-db", "nan"], "psi must be finite"),
         (["sweep", "--sweep", "M:1:2:1", "--phi-db", "nan"], "phi must be finite"),
         (["sweep", "--sweep", "M:1:2:1", "--c-th", "nan"], "target rate must be finite"),
-    ], ids=["point-psi-db", "point-phi-db", "psi-nan", "phi-nan", "c-th-nan"])
+        # refused before any cell is computed, not by every row's MC run
+        (["point", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["sweep", "--sweep", "M:1:2:1", "--seed", "-1"], "seed must be non-negative, got -1"),
+    ], ids=["point-psi-db", "point-phi-db", "psi-nan", "phi-nan", "c-th-nan",
+            "point-seed-negative", "sweep-seed-negative"])
     def test_unusable_model_value_reported(self, tmp_path, capsys, args, message):
         out_csv = tmp_path / "o.csv"
         extra = ["--output", str(out_csv)] if args[0] == "sweep" else []
