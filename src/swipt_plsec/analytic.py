@@ -2,10 +2,12 @@
 
 Every route averages a closed-form conditional probability over
 Gamma-distributed gains with one vectorised kernel, the composite
-Gauss-Kronrod pair G10/K21 on 840 nodes, whose value is the Kronrod sum and
-whose error estimate is its distance from the Gauss sum over the same
-integrand values.  It raises :class:`QuadratureError` where it misses
-``_TOL``, the one tolerance of every route here.  Each metric has one body, and its routes differ only
+Gauss-Kronrod pair G10/K21, whose value is the Kronrod sum and whose error
+estimate is its distance from the Gauss sum over the same integrand values.
+It runs on 840 nodes (40 width-1 panels) for outage and on 336 (16 panels,
+graded below the bulk of the Gamma weight) for each intercept average, and
+raises :class:`QuadratureError` where it misses ``_TOL``, the one tolerance
+of every route here.  Each metric has one body, and its routes differ only
 in what they pass it:
 
 - ``_outage`` averages the best-of-M CDF, at the source-side gain the
@@ -16,9 +18,9 @@ in what they pass it:
   or 1 - q1 * slot2(0) with the jammers silent.  The ``ip_spsr_*`` routes
   pass the static slot-2 factor; the ``ip_dpsr_*`` routes pass
   :func:`dpsr_slot2_factor`, that factor at ``rho*`` averaged over the
-  relay-to-destination gain, whose outer blocks run through
-  ``core.spread_map`` and are added in block order, so the value does not
-  depend on the thread count.
+  relay-to-destination gain: 336 x 336 = 112,896 node pairs, whose outer
+  blocks run through ``core.spread_map`` and are added in block order, so
+  the value does not depend on the thread count.
 
 The slot-2 factor is a closed Bessel form which refuses, with
 :class:`CancellationError`, where its alternating sum cancels.  It takes K_1
@@ -86,10 +88,25 @@ def _require_jamming(p: SystemParams):
 # ---------------------------------------------------------------------------
 # averaging kernel
 
-# Width-1 panels in u = log(lam * x).  Below the first edge a Gamma(k) law
-# holds under e**-35.5 / k! of its mass, and past the last (lam * x = 90)
-# under 1e-27 for k <= 8.
-_PANEL_EDGES = np.arange(-35.5, 5.0)
+def _panels(u_c: float) -> tuple[float, ...]:
+    """Panel edges in u = log(lam * x) from -35.5 to 4.5: width 1 from ``u_c``
+    up, and below it widths that grow by 1.5x from 1.5, the lowest panel cut
+    at -35.5.  Below -35.5 a Gamma(k) law holds under e**-35.5 / k! of its
+    mass, and past 4.5 (lam * x = 90) under 1e-27 for k <= 8."""
+    edges = [u_c + i for i in range(int(4.5 - u_c) + 1)]
+    width = 1.5
+    while edges[0] > -35.5:
+        edges.insert(0, max(edges[0] - width, -35.5))
+        width *= 1.5
+    return tuple(edges)
+
+
+# The outage averages keep 40 width-1 panels: at high psi the best-of-M CDF
+# has structure deep in the tail.  The intercept averages (the jammer
+# aggregate, and the gain that sets rho*) take 16: width 1 from -5.5 up,
+# where the Gamma weight is above e**-5.5, and six graded panels below.
+_OP_PANELS = _panels(-35.5)
+_IP_PANELS = _panels(-5.5)
 
 
 # The QUADPACK Gauss-Kronrod pair G10/K21 on [-1, 1] (Kronrod 1965; Piessens
@@ -119,8 +136,9 @@ def _rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nodes ascending; the Gauss weights are 0 at the 11 Kronrod-only nodes, so
     one set of integrand values gives both sums.  |G10 - K21| is the error of
     G10, so it overstates that of K21, whose value the kernel returns; on
-    width-1 panels it stays under a tenth of the tolerance over the declared
-    grids.  Built on first use, like the node tables, not at import."""
+    the panels of ``_OP_PANELS`` and ``_IP_PANELS`` it stays under a tenth of
+    the tolerance over the declared grids.  Built on first use, like the
+    node tables, not at import."""
     def mirror(a, sign=1.0):
         return np.concatenate([sign * a[:-1], a[::-1]])
 
@@ -131,22 +149,26 @@ def _rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # nodes per block; a nested average calls its integrand per block, so it
-# holds (128, 128) arrays, not (840, 840)
+# holds (128, 128) arrays, not (336, 336)
 _BLOCK = 128
 
 
 @functools.lru_cache(maxsize=32)
-def _weighted_blocks(lam: float, k: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _weighted_blocks(lam: float, k: int, edges: tuple[float, ...]
+                     ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """(nodes, weights, blocks) for X ~ Gamma(k, rate ``lam``): the 21 nodes
-    of G10/K21 on each width-1 panel of u = log(lam * x), panel by panel;
-    their Erlang-weighted Kronrod and Gauss weights, the two columns of one
-    (840, 2) table; and the slices of their ``_BLOCK``-node blocks.
+    of G10/K21 on each panel between ``edges`` in u = log(lam * x), panel by
+    panel; their Erlang-weighted Kronrod and Gauss weights, the two columns
+    of one (21 * panels, 2) table, (840, 2) on ``_OP_PANELS`` and (336, 2) on
+    ``_IP_PANELS``; and the slices of their ``_BLOCK``-node blocks.
 
-    Built once per (lam, k), on first use.  Read-only, because the threads of
-    a spread average share them."""
+    Built once per (lam, k, edges), on first use; ``edges`` is one of the
+    module's panel tuples, so the key hashes cheaply.  Read-only, because the
+    threads of a spread average share them."""
     t, wk, wg = _rules()
-    mid = 0.5 * (_PANEL_EDGES[1:] + _PANEL_EDGES[:-1])[:, None]
-    half = 0.5 * np.diff(_PANEL_EDGES)[:, None]
+    u = np.array(edges)
+    mid = 0.5 * (u[1:] + u[:-1])[:, None]
+    half = 0.5 * np.diff(u)[:, None]
     nodes = np.exp((mid + half * t).ravel()) / lam
     weights = (np.stack([(half * wk).ravel(), (half * wg).ravel()], axis=1)
                * (nodes * erlang_pdf_xi(nodes, lam, k))[:, None])
@@ -155,9 +177,12 @@ def _weighted_blocks(lam: float, k: int) -> tuple[np.ndarray, np.ndarray, tuple]
     return nodes, weights, tuple(slice(i, i + _BLOCK) for i in range(0, nodes.size, _BLOCK))
 
 
-def _gamma_average(f, lam: float, k: int, spread: bool = False, flat: bool = False):
+def _gamma_average(f, lam: float, k: int, edges: tuple[float, ...], spread: bool = False,
+                   flat: bool = False):
     """E[f(X)] for X ~ Gamma(k, rate ``lam``), by the composite G10/K21 rule
-    in u = log(lam * x): 21 nodes on each of 40 width-1 panels, 840 in all.
+    in u = log(lam * x) on the panels between ``edges``: 21 nodes on each of
+    the 40 width-1 panels of ``_OP_PANELS``, 840 in all, or of the 16 graded
+    panels of ``_IP_PANELS``, 336 in all.
 
     ``f`` maps a node array on its trailing axis to values of the same
     trailing length; any leading axes carry through, so averages nest by
@@ -167,11 +192,11 @@ def _gamma_average(f, lam: float, k: int, spread: bool = False, flat: bool = Fal
     exceeds ``_TOL``.
 
     ``f`` is called once per ``_BLOCK``-node block, so a nested average holds
-    (128, 128) arrays.  With ``flat`` it is called once on all 840 nodes, and
+    (128, 128) arrays.  With ``flat`` it is called once on all nodes, and
     each block's product with its (Kronrod, Gauss) weight rows reads its
     slice of that one value array: an elementwise ``f`` gives every block the
     same values, so the value is the same bit for bit.  Only a 1-D average
-    sets it; an average nested inside it would hold (840, 128) arrays, which
+    sets it; an average nested inside it would hold (336, 128) arrays, which
     cost more than the calls they save.
 
     With ``spread`` the node blocks go through ``core.spread_map``, whose
@@ -181,7 +206,7 @@ def _gamma_average(f, lam: float, k: int, spread: bool = False, flat: bool = Fal
     value does not depend on the thread count, and the first block that
     raises in that order is the one whose error propagates.
     """
-    nodes, weights, blocks = _weighted_blocks(lam, k)
+    nodes, weights, blocks = _weighted_blocks(lam, k, edges)
     # ndarray.dot, not @: on a 128-node block the matmul ufunc's dispatch
     # costs more than the product
     if flat:
@@ -206,11 +231,11 @@ def _gamma_average(f, lam: float, k: int, spread: bool = False, flat: bool = Fal
 def _outage(p: SystemParams, s: ChannelStats, threshold) -> float:
     """The best-of-M CDF at the source-side gain ``threshold(p, x)`` averaged
     over the relay-to-destination gain x ~ Exp(``lambda_rd``), in one call
-    over all 840 nodes."""
+    over all 840 nodes of ``_OP_PANELS``."""
     with np.errstate(divide="ignore", over="ignore"):  # tiny psi: CDF 1, its limit
         value = _gamma_average(
             lambda x: (-np.expm1(-s.lambda_sr * threshold(p, x))) ** p.num_sources,
-            s.lambda_rd, 1, flat=True)
+            s.lambda_rd, 1, _OP_PANELS, flat=True)
     return float(value)
 
 
@@ -349,9 +374,11 @@ def dpsr_slot2_outage_factor(p: SystemParams, s: ChannelStats, x, omega):
 
 def dpsr_slot2_factor(p: SystemParams, s: ChannelStats, x):
     """Dynamic-splitting analogue of :func:`slot2_outage_factor`: the
-    conditional factor averaged over the relay-to-destination gain."""
+    conditional factor averaged over the relay-to-destination gain, on the
+    336 nodes of ``_IP_PANELS``."""
     xs = np.asarray(x, dtype=float)[..., None]
-    out = _gamma_average(lambda w: dpsr_slot2_outage_factor(p, s, xs, w), s.lambda_rd, 1)
+    out = _gamma_average(lambda w: dpsr_slot2_outage_factor(p, s, xs, w), s.lambda_rd, 1,
+                         _IP_PANELS)
     return float(out) if np.isscalar(x) else out
 
 
@@ -378,8 +405,8 @@ def _intercept(p: SystemParams, s: ChannelStats, slot2, jamming: bool,
     else:
         _require_jamming(p)
         no_intercept = float(_gamma_average(lambda x: slot1_outage_factor(p, s, x) * slot2(x),
-                                            s.lambda_je, p.num_jammers, spread=not elementwise,
-                                            flat=elementwise))
+                                            s.lambda_je, p.num_jammers, _IP_PANELS,
+                                            spread=not elementwise, flat=elementwise))
     ip = 1.0 - no_intercept
     outside = max(-ip, ip - 1.0, 0.0)
     if not outside <= _TOL.abs_tol:

@@ -441,10 +441,10 @@ class TestUnitIntervalInvariant:
     # are those the routes had before the argument check.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("route,outcomes", [
-        (ip_spsr_quadrature, ("0x1.4p-51", "0x1.4p-51", None, None)),
+        (ip_spsr_quadrature, ("0x1.0p-51", "0x1.0p-51", None, None)),
         (ip_spsr_no_jamming, ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", None)),
         (ip_dpsr_quadrature, ("0x1.cp-51", None, None, None)),
-        (ip_dpsr_no_jamming, ("0x1.4p-51", "0x1.4p-51", None, None)),
+        (ip_dpsr_no_jamming, ("0x1.0p-51", "0x1.0p-51", None, None)),
     ], ids=lambda v: getattr(v, "__name__", ""))
     def test_intercept_names_a_psi_whose_slot2_argument_overflows(self, s1, route, outcomes):
         for psi_db, bits in zip((-3000.0, -3050.0, -3070.0, -3080.0), outcomes):
@@ -590,13 +590,14 @@ class TestAveragingKernel:
     @pytest.mark.parametrize("k", [1, 4, 8])
     def test_slot1_average_is_the_closed_mass(self, s1, k):
         p = make_params(num_jammers=k)
-        avg = _gamma_average(lambda x: slot1_outage_factor(p, s1, x), s1.lambda_je, k)
+        avg = _gamma_average(lambda x: slot1_outage_factor(p, s1, x), s1.lambda_je, k,
+                             analytic._IP_PANELS)
         assert 1.0 - avg == pytest.approx(slot1_intercept_probability(p, s1), rel=1e-12)
 
     def test_unresolved_integrand_raises_with_its_accuracy(self):
         # a step inside a panel defeats both rules of the Gauss-Kronrod pair
         with pytest.raises(QuadratureError) as exc:
-            _gamma_average(lambda x: np.where(x > 1.3, 1.0, 0.0), 1.0, 1)
+            _gamma_average(lambda x: np.where(x > 1.3, 1.0, 0.0), 1.0, 1, analytic._OP_PANELS)
         assert exc.value.value == pytest.approx(math.exp(-1.3), abs=1e-2)
         assert max(1e-8 * abs(exc.value.value), 1e-12) < exc.value.bound < 1e-1
 
@@ -624,8 +625,17 @@ class TestAveragingKernel:
                              check=True, env=env)
         assert out.stdout.strip() == "0"
 
+    def test_panel_tables(self):
+        # outage keeps 40 width-1 panels; the intercept averages are width 1
+        # from -5.5 up and grow by 1.5x below it, the lowest panel cut at -35.5
+        assert analytic._OP_PANELS == tuple(np.arange(-35.5, 5.0))
+        assert analytic._IP_PANELS == (-35.5, -25.28125, -17.6875, -12.625, -9.25, -7.0,
+                                       *np.arange(-5.5, 5.0))
+        for table, nodes in ((analytic._OP_PANELS, 840), (analytic._IP_PANELS, 336)):
+            assert analytic._weighted_blocks(0.7, 3, table)[0].size == nodes
+
     def test_weighted_blocks_are_read_only(self):
-        nodes, weights, blocks = analytic._weighted_blocks(0.7, 3)
+        nodes, weights, blocks = analytic._weighted_blocks(0.7, 3, analytic._IP_PANELS)
         for b in (blocks[0], blocks[-1]):
             for table in (nodes, weights, nodes[b], weights[b]):
                 with pytest.raises(ValueError, match="read-only"):
@@ -634,7 +644,7 @@ class TestAveragingKernel:
     def test_weighted_blocks_are_built_once_per_rate_and_order(self, s1, monkeypatch):
         p = make_params(num_sources=3, rho=0.225)
         first = op_spsr(p, s1)
-        mass = _gamma_average(np.ones_like, 0.3141, 1)
+        mass = _gamma_average(np.ones_like, 0.3141, 1, analytic._OP_PANELS)
 
         def forbidden(*args):
             raise AssertionError("node tables rebuilt")
@@ -642,18 +652,20 @@ class TestAveragingKernel:
         monkeypatch.setattr(analytic, "erlang_pdf_xi", forbidden)
         assert op_spsr(p, s1) == first
         op_dpsr(make_params(num_sources=5, psi_db=25.0), s1)
-        assert _gamma_average(np.ones_like, 0.3141, 1) == mass
-        with pytest.raises(AssertionError, match="rebuilt"):
-            _gamma_average(np.ones_like, 0.3141, 2)
+        assert _gamma_average(np.ones_like, 0.3141, 1, analytic._OP_PANELS) == mass
+        # a new order, or the same rate and order on the other panel table
+        for k, table in ((2, analytic._OP_PANELS), (1, analytic._IP_PANELS)):
+            with pytest.raises(AssertionError, match="rebuilt"):
+                _gamma_average(np.ones_like, 0.3141, k, table)
 
     @staticmethod
-    def _both_layouts(f, lam, k):
+    def _both_layouts(f, lam, k, edges):
         # (one integrand call over every node, one call per block), as bits
         # or as the error each raises
         out = []
         for flat in (True, False):
             try:
-                out.append(float(_gamma_average(f, lam, k, flat=flat)).hex())
+                out.append(float(_gamma_average(f, lam, k, edges, flat=flat)).hex())
             except (QuadratureError, CancellationError) as exc:
                 out.append((type(exc), str(exc), dict(vars(exc))))
         return out
@@ -669,7 +681,8 @@ class TestAveragingKernel:
                 for thr, rho in thresholds:
                     p = make_params(psi_db=psi_db, rho=rho, num_sources=m)
                     flat, blocked = self._both_layouts(
-                        lambda x: (-np.expm1(-s.lambda_sr * thr(p, x))) ** m, s.lambda_rd, 1)
+                        lambda x: (-np.expm1(-s.lambda_sr * thr(p, x))) ** m, s.lambda_rd, 1,
+                        analytic._OP_PANELS)
                     if flat != blocked:
                         misses.append((thr.__name__, psi_db, m, rho))
         assert not misses
@@ -684,11 +697,12 @@ class TestAveragingKernel:
                 p = make_params(psi_db=psi_db, rho=0.225, num_sources=m, num_jammers=k)
                 flat, blocked = self._both_layouts(
                     lambda x: slot1_outage_factor(p, s1, x) * slot2_outage_factor(p, s1, x),
-                    s1.lambda_je, k)
+                    s1.lambda_je, k, analytic._IP_PANELS)
                 assert flat == blocked, (psi_db, k)
                 refused += flat[0] is CancellationError
         assert (refused > 0) == (m == 24)
-        flat, blocked = self._both_layouts(lambda x: np.where(x > 1.3, 1.0, 0.0), 1.0, 1)
+        flat, blocked = self._both_layouts(lambda x: np.where(x > 1.3, 1.0, 0.0), 1.0, 1,
+                                           analytic._IP_PANELS)
         assert flat == blocked and flat[0] is QuadratureError
 
     def test_gauss_kronrod_constants(self):
@@ -705,9 +719,10 @@ class TestAveragingKernel:
         assert wg @ t ** 18 == pytest.approx(2.0 / 19.0, rel=0, abs=1e-14)
 
     @staticmethod
-    def _largest_estimate(monkeypatch, cells):
+    def _largest_estimate(monkeypatch, cells, averages=1):
         # the largest Gauss-Kronrod estimate over the cells, in units of its
-        # tolerance max(rel_tol*|value|, abs_tol); every cell must be accepted
+        # tolerance max(rel_tol*|value|, abs_tol); every cell must be accepted,
+        # each after ``averages`` kernel calls
         ratios = []
         refuse = analytic.refuse_beyond
 
@@ -720,7 +735,7 @@ class TestAveragingKernel:
         monkeypatch.setattr(analytic, "refuse_beyond", spy)
         for route, p, s in cells:
             route(p, s)
-        assert len(ratios) == len(cells)
+        assert len(ratios) == averages * len(cells)
         return max(ratios)
 
     def test_outage_estimates_keep_their_headroom(self, s1, s2, dense_stats, monkeypatch):
@@ -735,12 +750,28 @@ class TestAveragingKernel:
 
     def test_static_intercept_estimates_keep_their_headroom(self, s1, s2, dense_stats,
                                                             monkeypatch):
+        # the graded panels below u = -5.5 too: phi and c_th move the slot-1
+        # transition x ~ psi/(gamma_th*lambda_se*phi) toward them
         cells = [(ip_spsr_quadrature, make_params(psi_db=psi_db, rho=rho, num_sources=m,
+                                                  num_jammers=k, phi_db=phi_db, c_th=c_th), s)
+                 for s in (s1, s2, dense_stats) for psi_db in (-10.0, 0.0, 10.0, 25.0, 40.0)
+                 for m in (1, 2, 4, 8, 12) for k in (1, 4) for rho in (0.225, 0.875)
+                 for phi_db, c_th in ((-10.0, 0.25), (-10.0, 1.0), (1.0, 0.5), (10.0, 0.25),
+                                      (10.0, 1.0))]
+        assert len(cells) == 1500
+        assert self._largest_estimate(monkeypatch, cells) <= 0.1
+
+    def test_dynamic_intercept_estimates_keep_their_headroom(self, s1, s2, dense_stats,
+                                                             monkeypatch):
+        # the outer jammer average, and the inner gain average once per outer
+        # block of nodes
+        cells = [(ip_dpsr_quadrature, make_params(psi_db=psi_db, num_sources=m,
                                                   num_jammers=k), s)
                  for s in (s1, s2, dense_stats) for psi_db in (-10.0, 0.0, 10.0, 25.0, 40.0)
-                 for m in (1, 2, 4, 8, 12) for k in (1, 4) for rho in (0.225, 0.875)]
-        assert len(cells) == 300
-        assert self._largest_estimate(monkeypatch, cells) <= 0.1
+                 for m in (1, 2, 4, 8, 12) for k in (1, 4)]
+        assert len(cells) == 150
+        outer_blocks = len(analytic._weighted_blocks(s1.lambda_je, 1, analytic._IP_PANELS)[2])
+        assert self._largest_estimate(monkeypatch, cells, 1 + outer_blocks) <= 0.1
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_nested_dpsr_average_keeps_its_blocks(self, s1, monkeypatch, cpus):
@@ -765,8 +796,8 @@ class TestAveragingKernel:
         assert max(n for kind, n in sizes if kind == "outer") == analytic._BLOCK
         assert max(n for kind, n in sizes if kind == "inner") == analytic._BLOCK ** 2
         # one outer call per block, and per outer block one inner call per block
-        outer = len(analytic._weighted_blocks(s1.lambda_je, 4)[2])
-        inner = len(analytic._weighted_blocks(s1.lambda_rd, 1)[2])
+        outer = len(analytic._weighted_blocks(s1.lambda_je, 4, analytic._IP_PANELS)[2])
+        inner = len(analytic._weighted_blocks(s1.lambda_rd, 1, analytic._IP_PANELS)[2])
         assert len(sizes) == outer + outer * inner
 
     # values of the nested scipy.quad routes at the figure_ip benchmark points
@@ -783,13 +814,13 @@ class TestAveragingKernel:
         assert ip_dpsr_quadrature(make_params(psi_db=psi_db), s1) == pytest.approx(dpsr, abs=1e-9)
 
 
-def _rebuilt_gamma_average(f, lam, k, spec):
+def _rebuilt_gamma_average(f, lam, k, table, spec):
     # the G10/K21 averaging kernel with its node tables rebuilt on every call:
-    # the pair mapped onto each width-1 panel, the Kronrod and Gauss weights
-    # Erlang-weighted side by side, and the two sums of each block added in
-    # block order
+    # the pair mapped onto each panel of the route's table, the Kronrod and
+    # Gauss weights Erlang-weighted side by side, and the two sums of each
+    # block added in block order
     t, wk, wg = analytic._rules()
-    edges = analytic._PANEL_EDGES
+    edges = np.array(table)
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     half = 0.5 * np.diff(edges)[:, None]
     x = np.exp((mid + half * t).ravel()) / lam
@@ -826,7 +857,7 @@ class TestCachedKernelOracle:
                     p = make_params(psi_db=psi_db, rho=rho, num_sources=m)
                     ref = _rebuilt_gamma_average(
                         lambda x: best_source_cdf(thr(p, x), s.lambda_sr, m),
-                        s.lambda_rd, 1, quad)
+                        s.lambda_rd, 1, analytic._OP_PANELS, quad)
                     if self._bits(route(p, s)) != self._bits(ref):
                         misses.append((route.__name__, psi_db, m, rho))
         assert not misses
@@ -839,7 +870,7 @@ class TestCachedKernelOracle:
                 p = make_params(psi_db=psi_db, rho=rho, num_jammers=k)
                 ref = 1.0 - _rebuilt_gamma_average(
                     lambda x: slot1_outage_factor(p, s1, x) * slot2_outage_factor(p, s1, x),
-                    s1.lambda_je, k, AnalyticConfig().quad)
+                    s1.lambda_je, k, analytic._IP_PANELS, AnalyticConfig().quad)
                 assert self._bits(ip_spsr_quadrature(p, s1)) == self._bits(ref), (psi_db, k)
 
 
@@ -921,7 +952,7 @@ class TestSlot2KernelMatchesKv:
 def _omega_blocks(s):
     # the relay-to-destination node blocks, as the nested average hands them
     # to the slot-2 factor
-    nodes, _, blocks = analytic._weighted_blocks(s.lambda_rd, 1)
+    nodes, _, blocks = analytic._weighted_blocks(s.lambda_rd, 1, analytic._IP_PANELS)
     return [nodes[b] for b in blocks]
 
 
@@ -1026,13 +1057,13 @@ class TestSlot2SkipIsExact:
                 refused += ref[0] == "refused"
         assert refused > 0
 
-    @pytest.mark.parametrize("psi_db,expected", [(0.0, 776_160), (10.0, 938_280)])
+    @pytest.mark.parametrize("psi_db,expected", [(0.0, 196_896), (10.0, 205_296)])
     def test_dpsr_average_hands_k1_only_live_terms(self, s1, monkeypatch, psi_db, expected):
         # every outer aggregate node meets every live (b, gain node) pair
-        # once; the every-term loop would hand K_1 2 * 840 * 840 elements
+        # once; the every-term loop would hand K_1 2 * 336 * 336 elements
         p = make_params(psi_db=psi_db, num_sources=2, num_jammers=1)
-        gains = analytic._weighted_blocks(s1.lambda_rd, 1)[0]
-        outer = analytic._weighted_blocks(s1.lambda_je, 1)[0].size
+        gains = analytic._weighted_blocks(s1.lambda_rd, 1, analytic._IP_PANELS)[0]
+        outer = analytic._weighted_blocks(s1.lambda_je, 1, analytic._IP_PANELS)[0].size
         live = self._live_count(p, s1, core.rho_star(p.eta, gains), outer)
         sizes = self._counting_k1(monkeypatch)
         ip_dpsr_quadrature(p, s1)
@@ -1082,11 +1113,11 @@ class TestBlockThreads:
                 raise QuadratureError(f"block ending at {x[-1]!r}", float(x[0]), float(x[-1]))
             return np.ones_like(x)
 
-        serial = self._outcome(lambda: _gamma_average(f, 1.0, 1))
+        serial = self._outcome(lambda: _gamma_average(f, 1.0, 1, analytic._IP_PANELS))
         assert serial[0] is QuadratureError
         for cpus in (1, 4):
             assert self._run(monkeypatch, cpus, lambda: self._outcome(
-                lambda: _gamma_average(f, 1.0, 1, spread=True))) == serial
+                lambda: _gamma_average(f, 1.0, 1, analytic._IP_PANELS, spread=True))) == serial
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_in_flight_blocks_capped_and_pools_not_nested(self, s1, monkeypatch, cpus):

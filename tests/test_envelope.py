@@ -6,7 +6,9 @@ statistics; psi -10..40 dB, M 1..64, K 1..8, rho in (0, 1), phi -10..10 dB
 and a target rate of 0.25..1 bits/s/Hz.  The six analytic routes of a sweep
 and a short Monte-Carlo run of both schemes are called at each drawn point;
 a RuntimeWarning (numpy's overflow, divide or invalid-value warning) fails
-the test, since a route that raises one may be returning garbage.
+the test, since a route that raises one may be returning garbage.  On a
+fixed grid of high power and many sources the intercept routes refuse
+exactly a declared set of cells.
 """
 
 import math
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from swipt_plsec import (
+    CancellationError,
     NumericalError,
     SimConfig,
     ip_dpsr_no_jamming,
@@ -78,3 +81,34 @@ def test_every_route_returns_a_probability_or_a_reason(s1, s2, dense_stats, stat
             for est in pair:
                 _check_probability(est.estimate)
                 assert math.isfinite(est.ci_halfwidth)
+
+
+# The declared intercept refusals: on this grid (K 1, phi 1 dB, eta 0.8,
+# c_th 0.5) the slot-2 closed form's alternating sum cancels beyond its
+# rounding bound from these M on, per deployment, psi (dB) and scheme:
+# (spsr at rho 0.225, spsr at rho 0.875, dpsr); none at -10 dB.  63 of the
+# 144 cells.
+FIRST_REFUSING_M = {
+    ("s1", 10.0): (40, 24, 24), ("s1", 25.0): (24, 16, 16), ("s1", 40.0): (16, 16, 16),
+    ("s2", 10.0): (24, 24, 24), ("s2", 25.0): (24, 16, 16), ("s2", 40.0): (16, 16, 16),
+}
+
+
+def test_intercept_refuses_exactly_the_declared_cells(s1, s2):
+    refused = 0
+    for stats, s in (("s1", s1), ("s2", s2)):
+        for psi_db in (-10.0, 10.0, 25.0, 40.0):
+            first = FIRST_REFUSING_M.get((stats, psi_db), (math.inf,) * 3)
+            for m in (1, 8, 16, 24, 40, 64):
+                for route, rho, first_m in ((ip_spsr_quadrature, 0.225, first[0]),
+                                            (ip_spsr_quadrature, 0.875, first[1]),
+                                            (ip_dpsr_quadrature, 0.5, first[2])):
+                    p = make_params(psi_db=psi_db, rho=rho, num_sources=m)
+                    cell = (stats, psi_db, m, route.__name__, rho)
+                    if m >= first_m:
+                        with pytest.raises(CancellationError):
+                            route(p, s)
+                        refused += 1
+                    else:
+                        assert 0.0 <= route(p, s) <= 1.0, cell
+    assert refused == 63
