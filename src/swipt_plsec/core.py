@@ -7,8 +7,7 @@ and ``1 - rho`` kept for the information signal, and forwards with the
 amplify-and-forward gain already folded into the SNR expressions.
 
 ``usable_cpus`` and ``spread_map`` are the one thread policy of the package:
-the MC partitions and the outer dynamic-splitting intercept average both run
-through ``spread_map``.
+the MC partitions run through ``spread_map``.
 """
 
 from __future__ import annotations

@@ -14,8 +14,11 @@ series, which stops converging at low power and large M, and refuses with
 adaptive quadratures ``op_*_quadrature``, ``slot2_outage_factor_quadrature``
 and ``dpsr_slot2_factor_quadrature`` average a conditional probability over
 an exponential gain with ``scipy.quad``.  The paper's intercept forms are
-``ip_spsr``, ``ip_dpsr`` and ``dpsr_slot2_kernel`` (all with ``kv``).  The
-intercept expressions model the eavesdropper's first-slot SNR with the
+``ip_spsr``, ``ip_dpsr`` and ``dpsr_slot2_kernel``; the slot-2 factor they
+expand is ``slot2_bessel_form`` (at the optimal ratio,
+``dpsr_slot2_outage_factor``), an M-term alternating Bessel sum that refuses
+with :class:`CancellationError` where it cancels.  All of them use ``kv``.
+The intercept expressions model the eavesdropper's first-slot SNR with the
 jamming-dominated approximation psi*gamma_se/(phi*xi), i.e. without the unit
 noise term, which is also what the simulation engine's ``approx`` mode
 realizes.
@@ -35,15 +38,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import (
-    _binom_coeffs,
-    _dpsr_threshold,
-    _require_jamming,
-    _spsr_threshold,
-    dpsr_slot2_outage_factor,
-)
-from .channel import ChannelStats, best_source_cdf
-from .core import SystemParams
+from .analytic import _require_jamming
+from .channel import ChannelStats
+from .core import SystemParams, rho_star
 from .specfun import (
     CancellationError,
     QuadratureSpec,
@@ -65,7 +62,9 @@ __all__ = [
     "ip_spsr",
     "ip_dpsr",
     "slot1_intercept_probability",
+    "slot2_bessel_form",
     "slot2_outage_factor_quadrature",
+    "dpsr_slot2_outage_factor",
     "intercept_series_term",
     "dpsr_slot2_kernel",
     "dpsr_slot2_factor_quadrature",
@@ -89,6 +88,11 @@ class AnalyticConfig:
 
 
 DEFAULT_CONFIG = AnalyticConfig()
+
+
+def _binom_coeffs(m: int) -> list[tuple[int, float]]:
+    """(b, (-1)**b * C(m, b)) for b = 1..m."""
+    return [(b, (-1.0) ** b * math.comb(m, b)) for b in range(1, m + 1)]
 
 
 def _tilted_rate(p: SystemParams, s: ChannelStats) -> float:
@@ -115,6 +119,18 @@ def _exp_average(g, lam: float, spec: QuadratureSpec, points) -> float:
 
 # ---------------------------------------------------------------------------
 # outage
+
+
+def _spsr_threshold(p: SystemParams, x):
+    """Best-source gain at which the destination SNR meets the threshold at
+    relay-to-destination gain ``x``, under the fixed ratio ``p.rho``."""
+    r1 = 1.0 - p.rho
+    return p.gamma_th * (p.eta * p.rho * x + r1) / (p.eta * p.rho * r1 * p.psi * x)
+
+
+def _dpsr_threshold(p: SystemParams, x):
+    """:func:`_spsr_threshold` at the optimal ratio ``rho_star(eta, x)``."""
+    return p.gamma_th * (1.0 + np.sqrt(p.eta * x)) ** 2 / (p.eta * p.psi * x)
 
 
 def _outage_quadrature(p: SystemParams, s: ChannelStats, thr, scale: float,
@@ -237,18 +253,54 @@ def op_dpsr_quadrature(p: SystemParams, s: ChannelStats, cfg: AnalyticConfig = D
 # intercept, static splitting
 
 
+def slot2_bessel_form(p: SystemParams, s: ChannelStats, rho, dilution):
+    """Probability the second-slot wiretap SNR stays below threshold at
+    splitting ratio ``rho`` and jamming dilution ``phi*x + 1`` (the two
+    arrays broadcast), by the closed Bessel form: the best-source CDF
+    expanded into its M binomial terms, each averaged over the
+    relay-to-eavesdropper gain in closed form with ``kv(1, .)``.  ``rho = 1``
+    leaves no information power in slot 2, so the probability is 1 there.
+
+    The alternating sum cancels as M grows, so it is an oracle for M <= 12,
+    where its rounding bound eps*(1 + sum |terms|) is at most eps*2**M.
+    Raises :class:`CancellationError` through ``refuse_beyond`` where the
+    value is not finite or that bound misses the default tolerance."""
+    rho = np.asarray(rho, dtype=float)
+    harvest = s.lambda_sr * s.lambda_re * p.gamma_th / (p.eta * p.psi) * (dilution / rho)
+    with np.errstate(divide="ignore"):
+        info = -s.lambda_sr * p.gamma_th / ((1.0 - rho) * p.psi)
+    acc = np.ones(np.broadcast(harvest, info).shape)
+    magnitude = np.ones_like(acc)  # 1 + sum of |terms|
+    for b, coef in _binom_coeffs(p.num_sources):
+        r = np.sqrt(b * harvest)
+        term = 2.0 * coef * np.exp(b * info) * r * bessel_k(1, 2.0 * r)
+        acc += term
+        magnitude += np.abs(term)
+    refuse_beyond(acc, np.finfo(float).eps * magnitude, DEFAULT_CONFIG.quad, CancellationError,
+                  "binomial terms of the slot-2 factor cancel: rounding bound")
+    return acc if acc.ndim else float(acc)
+
+
+def dpsr_slot2_outage_factor(p: SystemParams, s: ChannelStats, x, omega):
+    """:func:`slot2_bessel_form` given the jammer aggregate ``x`` and the
+    relay-to-destination gain ``omega`` that fixes the optimal splitting
+    ratio (the two arrays broadcast)."""
+    return slot2_bessel_form(p, s, rho_star(p.eta, omega), p.phi * np.asarray(x) + 1.0)
+
+
 def slot2_outage_factor_quadrature(
     p: SystemParams, s: ChannelStats, x: float, cfg: AnalyticConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Reference for :func:`~swipt_plsec.analytic.slot2_outage_factor`:
-    average the best-source CDF over the relay-to-eavesdropper gain density."""
+    """Reference for :func:`slot2_bessel_form` at ``p.rho`` and jammer
+    aggregate ``x``: average the best-source CDF over the
+    relay-to-eavesdropper gain density."""
     r1 = 1.0 - p.rho
     dil = r1 * (p.phi * x + 1.0)
     lam_re = s.lambda_re
 
     def cdf(y: float) -> float:
         thr = p.gamma_th * (p.eta * p.rho * y + dil) / (p.eta * p.rho * r1 * y * p.psi)
-        return best_source_cdf(thr, s.lambda_sr, p.num_sources)
+        return (-math.expm1(-s.lambda_sr * thr)) ** p.num_sources  # as in _outage_quadrature
 
     scale = s.lambda_sr * p.gamma_th * (p.phi * x + 1.0) / (p.eta * p.rho * p.psi)
     return _exp_average(cdf, lam_re, cfg.quad, (math.sqrt(scale / lam_re), 1.0 / lam_re))
@@ -369,9 +421,9 @@ def dpsr_slot2_kernel(
 def dpsr_slot2_factor_quadrature(
     p: SystemParams, s: ChannelStats, x: float, cfg: AnalyticConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Reference for :func:`~swipt_plsec.analytic.dpsr_slot2_factor`: average
-    the conditional factor over the relay-to-destination gain density
-    directly."""
+    """The dynamic-splitting slot-2 factor at jammer aggregate ``x``: the
+    conditional :func:`dpsr_slot2_outage_factor` averaged over the
+    relay-to-destination gain density."""
     lam_rd = s.lambda_rd
     return _exp_average(lambda w: dpsr_slot2_outage_factor(p, s, x, w), lam_rd,
                         _nested_inner(cfg), (1.0 / lam_rd,))

@@ -1,24 +1,21 @@
-"""Numerical kernels of the sweep's routes and of the test references.
+"""Numerical kernels of the test references, and the accuracy contract of all routes.
 
 Thin, contract-enforcing wrappers around scipy for the Gamma function,
 the modified Bessel function of the second kind, adaptive quadrature on
 finite and semi-infinite intervals, plus the one Meijer-G instance the
 intercept series needs and a truncation helper for alternating series.
 :func:`refuse_beyond` is the one accuracy check: the sweep's averaging
-kernel and slot-2 factor, the reference outage series and :func:`integrate`
-each accept a value through it or refuse it with its value and bound.
+kernel, the reference Bessel sums and :func:`integrate` each accept a value
+through it or refuse it with its value and bound.
 
 ``bessel_k`` takes arrays: the reference outage sums make one vector call
 per term, and scipy's ``kv`` gives an array element the bits of the scalar
 call.  A float argument skips the array round trip of the domain check,
-which the paper-form references call scalar by scalar.  ``bessel_k1`` is the
-order-1 function by the Chebyshev expansions of the Cephes library (scipy's
-``k1``), about six times cheaper than ``kv(1, .)`` on an array and within a
-few ulps of it; the intercept kernel evaluates it on blocks of node pairs.
-Only the reference routes integrate adaptively, so ``scipy.integrate`` is
-imported on the first ``integrate`` call, not with this module; likewise
-``scipy.special`` is imported on the first call that needs it, which an
-outage-only sweep never makes.
+which the paper-form references call scalar by scalar.  Only the reference
+routes integrate adaptively or evaluate special functions, so
+``scipy.integrate`` is imported on the first ``integrate`` call, not with
+this module; likewise ``scipy.special`` is imported on the first call that
+needs it, which no sweep route makes.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ __all__ = [
     "SeriesResult",
     "gamma_fn",
     "bessel_k",
-    "bessel_k1",
     "integrate",
     "meijer_g3013",
     "refuse_beyond",
@@ -150,22 +146,6 @@ def bessel_k(v: float, z):
 
     _require_positive("bessel_k", z)
     out = _special.kv(v, z)
-    return float(out) if np.isscalar(z) else out
-
-
-def bessel_k1(z):
-    """K_1(z) for z > 0 by Chebyshev expansions (Cephes ``k1``), with the
-    contract of ``bessel_k(1, z)``: scalar in, float out; array in, array out.
-
-    It agrees with ``bessel_k(1, z)`` to a few ulps up to z = 650.  Past that
-    ``kv`` loses up to 6e-14 relative and returns 0 from z = 699 on, where
-    this function keeps the tiny and subnormal values until it underflows
-    near z = 745.
-    """
-    from scipy import special as _special
-
-    _require_positive("bessel_k1", z)
-    out = _special.k1(z)
     return float(out) if np.isscalar(z) else out
 
 

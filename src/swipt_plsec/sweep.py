@@ -2,14 +2,14 @@
 
 A sweep varies one of ``psi_db``, ``rho``, ``M``, ``K``, ``phi_db`` and
 produces one row per (point, scheme).  The analytic routes run at their
-default accuracy, and all come from :mod:`swipt_plsec.analytic`.  Outage
-comes from ``op_spsr``/``op_dpsr``, the best-source CDF averaged over the
-relay-to-destination gain by its Gauss-Kronrod (G10/K21) kernel.  Intercept
-comes from ``ip_*_quadrature``, the closed-form slot factors averaged over
-the jammer aggregate by the same kernel, or from ``ip_*_no_jamming`` with
-the jammers silent.  No cell comes from :mod:`swipt_plsec.reference`: the
-paper's outage closed form and series cancel or stop converging inside the
-sweep envelope, and its intercept series is asymptotic.  The swept variable
+default accuracy, and all come from :mod:`swipt_plsec.analytic`, whose one
+Gauss-Kronrod (G10/K21) kernel averages a closed form over the best source
+gain.  Outage comes from ``op_spsr``/``op_dpsr``, intercept from
+``ip_*_quadrature``, or from ``ip_*_no_jamming`` with the jammers silent.
+No cell comes from :mod:`swipt_plsec.reference`: the paper's outage closed
+form and series, and the Bessel form of the slot-2 factor, cancel or stop
+converging inside the sweep envelope, and its intercept series is
+asymptotic.  The swept variable
 is applied once per point, by the field and conversion ``_VARIABLE_FIELDS``
 gives it, and each scheme changes only ``rho`` (its own, or the point's), so
 the schemes of a point differ in nothing else.  Each point draws

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 
 import mpmath
 import numpy as np
@@ -30,23 +29,17 @@ from swipt_plsec import (
     op_spsr_quadrature,
 )
 from swipt_plsec import analytic, core
-from swipt_plsec.analytic import (
-    _gamma_average,
-    _slot2_no_intercept,
-    dpsr_slot2_factor,
-    dpsr_slot2_outage_factor,
-    slot1_outage_factor,
-    slot2_outage_factor,
-)
+from swipt_plsec.analytic import _best_source_average
 from swipt_plsec.reference import (
     dpsr_slot2_factor_quadrature,
     dpsr_slot2_kernel,
+    dpsr_slot2_outage_factor,
     intercept_series_term,
     slot1_intercept_probability,
+    slot2_bessel_form,
     slot2_outage_factor_quadrature,
 )
-from swipt_plsec.channel import best_source_cdf, erlang_pdf_xi
-from swipt_plsec.specfun import QuadratureSpec, bessel_k, bessel_k1, integrate, sum_series
+from swipt_plsec.specfun import QuadratureSpec, bessel_k, integrate, sum_series
 
 from conftest import db, make_params
 
@@ -405,24 +398,26 @@ class TestUnitIntervalInvariant:
         for v in (ip_dpsr(p, s1), ip_dpsr_quadrature(p, s1), ip_dpsr_no_jamming(p, s1)):
             assert lo <= v <= hi
 
-    @pytest.mark.parametrize("no_intercept, ip", [(1.0 + 2 ** -52, 0.0),
-                                                  (-1e-14, 1.0)])
-    def test_intercept_moves_a_rounding_residue_to_the_end(self, s1, no_intercept, ip):
+    @staticmethod
+    def _intercept_at(monkeypatch, s, ip):
+        # the no-jamming static route, IP = P1 + (its best-source average),
+        # with that average replaced by the value that puts IP at ``ip``
         p = make_params(psi_db=-10.0)
-        q1 = -math.expm1(-p.gamma_th * s1.lambda_se / p.psi)
-        value = analytic._intercept(p, s1, lambda x: no_intercept / q1, jamming=False)
-        assert value == ip
+        p1 = 1.0 + math.expm1(-p.gamma_th * s.lambda_se / p.psi)  # 1 - q1, as the route
+        monkeypatch.setattr(analytic, "_best_source_average", lambda h, a, m: ip - p1)
+        return ip_spsr_no_jamming(p, s)
 
-    @pytest.mark.parametrize("no_intercept", [1.0 + 1e-9, -1e-9, 1.5, math.nan])
-    def test_intercept_refuses_a_value_beyond_the_residue(self, s1, no_intercept):
-        p = make_params(psi_db=-10.0)
-        q1 = -math.expm1(-p.gamma_th * s1.lambda_se / p.psi)
+    @pytest.mark.parametrize("ip, end", [(-2 ** -52, 0.0), (1.0 + 1e-14, 1.0)])
+    def test_intercept_moves_a_rounding_residue_to_the_end(self, s1, monkeypatch, ip, end):
+        assert self._intercept_at(monkeypatch, s1, ip) == end
+
+    @pytest.mark.parametrize("ip", [-1e-9, 1.0 + 1e-9, -0.5, math.nan])
+    def test_intercept_refuses_a_value_beyond_the_residue(self, s1, monkeypatch, ip):
         with pytest.raises(NumericalError, match=r"outside \[0, 1\]") as info:
-            analytic._intercept(p, s1, lambda x: no_intercept / q1, jamming=False)
-        if math.isnan(no_intercept):
+            self._intercept_at(monkeypatch, s1, ip)
+        if math.isnan(ip):
             assert math.isnan(info.value.value)
         else:
-            ip = 1.0 - no_intercept
             assert info.value.value == pytest.approx(ip, rel=1e-6)
             assert info.value.bound == pytest.approx(max(-ip, ip - 1.0), rel=1e-6)
 
@@ -435,33 +430,26 @@ class TestUnitIntervalInvariant:
         with pytest.raises(ValueError, match=r"psi = 1e-310 is too small"):
             route(make_params(psi_db=-3100.0, rho=0.55), s1)
 
-    # s1, rho 0.55: from psi 1e-305 gamma_th/psi is finite, but the slot-2
-    # Bessel argument overflows at some nodes; a route that meets one names
-    # psi, the others return IP's limit 0 to rounding.  At 1e-300 the bits
-    # are those the routes had before the argument check.
+    # s1, rho 0.55: from psi 1e-300 to 1e-308 gamma_th/psi is finite, but
+    # the source-side thresholds, the wiretap tilt c/lambda_je and beta
+    # overflow one after another; every route returns IP's limit 0, up to
+    # the slot-1 mass, under 1e-301 with the jammers on
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("route,outcomes", [
-        (ip_spsr_quadrature, ("0x1.0p-51", "0x1.0p-51", None, None)),
-        (ip_spsr_no_jamming, ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", None)),
-        (ip_dpsr_quadrature, ("0x1.cp-51", None, None, None)),
-        (ip_dpsr_no_jamming, ("0x1.0p-51", "0x1.0p-51", None, None)),
-    ], ids=lambda v: getattr(v, "__name__", ""))
-    def test_intercept_names_a_psi_whose_slot2_argument_overflows(self, s1, route, outcomes):
-        for psi_db, bits in zip((-3000.0, -3050.0, -3070.0, -3080.0), outcomes):
+    @pytest.mark.parametrize("route", [ip_spsr_quadrature, ip_spsr_no_jamming,
+                                       ip_dpsr_quadrature, ip_dpsr_no_jamming],
+                             ids=lambda f: f.__name__)
+    def test_intercept_at_tiny_psi_is_its_limit_without_warnings(self, s1, route):
+        for psi_db in (-3000.0, -3050.0, -3070.0, -3080.0):
             p = make_params(psi_db=psi_db, rho=0.55)
-            if bits is None:
-                with pytest.raises(ValueError, match=rf"psi = {p.psi:g} is too small: "
-                                                     "the slot-2 Bessel argument overflows"):
-                    route(p, s1)
-            else:
-                assert route(p, s1).hex() == float.fromhex(bits).hex(), psi_db
+            assert 0.0 <= route(p, s1) < 1e-301, psi_db
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("route", [op_spsr, op_dpsr], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("psi_db", [-3000.0, -3100.0, -3200.0])
     def test_outage_at_tiny_psi_is_its_limit_without_warnings(self, s1, route, psi_db):
-        # the thresholds overflow to inf, where the best-source CDF is 1
-        assert route(make_params(psi_db=psi_db, rho=0.55), s1) == 0.9999999999999994
+        # the source-side threshold overflows to inf, where the best-source
+        # CDF is 1 and the average beyond it 0
+        assert route(make_params(psi_db=psi_db, rho=0.55), s1) == 1.0
 
 
 class TestInterceptPieces:
@@ -478,20 +466,21 @@ class TestInterceptPieces:
             QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13), points=(2.0,))
         assert slot1_intercept_probability(p, s) == pytest.approx(value, rel=1e-8)
 
-    def test_slot1_factor_vanishes_without_dilution(self, s1):
-        p = make_params()
-        assert slot1_outage_factor(p, s1, 0.0) == 0.0
+    @staticmethod
+    def _slot2(p, s, x):
+        # the Bessel form of the static slot-2 factor at jammer aggregate x
+        return slot2_bessel_form(p, s, p.rho, p.phi * x + 1.0)
 
     def test_slot2_factor_matches_quadrature(self, s1):
         p = make_params(rho=0.55)
         for x in (0.0, 1.0, 5.0):
-            closed = slot2_outage_factor(p, s1, x)
+            closed = self._slot2(p, s1, x)
             ref = slot2_outage_factor_quadrature(p, s1, x)
             assert closed == pytest.approx(ref, rel=1e-6)
 
     def test_slot2_factor_kept_where_its_rounding_bound_is_small(self, s1):
         p = make_params(psi_db=10.0, num_sources=16)
-        assert slot2_outage_factor(p, s1, 1.0) == pytest.approx(
+        assert self._slot2(p, s1, 1.0) == pytest.approx(
             slot2_outage_factor_quadrature(p, s1, 1.0), rel=1e-10)
 
     @pytest.mark.parametrize("m,psi_db", [(60, 10.0), (40, 25.0), (16, 40.0)])
@@ -499,7 +488,7 @@ class TestInterceptPieces:
         # at M 60 / 10 dB the binomial sum comes out as -0.121 against 0.0613
         p = make_params(psi_db=psi_db, num_sources=m)
         with pytest.raises(CancellationError) as exc:
-            slot2_outage_factor(p, s1, 1.0)
+            self._slot2(p, s1, 1.0)
         ref = slot2_outage_factor_quadrature(p, s1, 1.0)
         assert abs(exc.value.value - ref) > 1e-8 * ref
         assert exc.value.bound > max(1e-8 * abs(exc.value.value), 1e-12)
@@ -511,7 +500,7 @@ class TestInterceptPieces:
         swapped = ChannelStats(lambda_sr=s1.lambda_sr, lambda_rd=s1.lambda_re,
                                lambda_re=s1.lambda_re, lambda_je=s1.lambda_je,
                                lambda_se=s1.lambda_se)
-        assert slot2_outage_factor(p, s1, 0.0) == pytest.approx(
+        assert self._slot2(p, s1, 0.0) == pytest.approx(
             op_spsr_closed_form(p, swapped), rel=1e-12)
 
     def test_series_term_matches_direct_integral(self, dense_stats):
@@ -553,10 +542,27 @@ class TestInterceptPieces:
             got = intercept_series_term(p, dense_stats, 0, b, dense_stats.lambda_je)
             assert got == pytest.approx(direct, rel=1e-7)
 
+    def test_no_jamming_routes_match_the_conditional_averages(self, s1):
+        # with the jammers silent IP = 1 - q1 * (slot-2 factor at x = 0),
+        # each factor by adaptive quadrature over its gain
+        for psi_db in (0.0, 10.0):
+            p = make_params(psi_db=psi_db, rho=0.225)
+            q1 = -math.expm1(-p.gamma_th * s1.lambda_se / p.psi)
+            assert 1.0 - ip_spsr_no_jamming(p, s1) == pytest.approx(
+                q1 * slot2_outage_factor_quadrature(p, s1, 0.0), rel=1e-6)
+            assert 1.0 - ip_dpsr_no_jamming(p, s1) == pytest.approx(
+                q1 * dpsr_slot2_factor_quadrature(p, s1, 0.0), rel=1e-6)
+
     def test_dpsr_factor_matches_conditional_average(self, s1):
+        # the dynamic slot-2 factor at jammer aggregate x, dilution phi*x + 1:
+        # the kernel's conditional factor at rho* of each node of the gain
+        # table, Kronrod-weighted, against adaptive quadrature over the gain
         p = make_params()
+        omega, weights = analytic._gain_table(s1.lambda_rd)
+        rho = core.rho_star(p.eta, omega)
         for x in (0.0, 2.0):
-            fast = dpsr_slot2_factor(p, s1, x)
+            dilution = p.phi * x + 1.0
+            fast = sum(w * _kernel_slot2(p, s1, r, dilution) for r, w in zip(rho, weights[:, 0]))
             ref = dpsr_slot2_factor_quadrature(p, s1, x)
             assert fast == pytest.approx(ref, rel=1e-6)
 
@@ -565,19 +571,6 @@ class TestInterceptPieces:
         assert dpsr_slot2_outage_factor(p, s1, 1.0, 0.0) == 1.0
         v = dpsr_slot2_outage_factor(p, s1, 1.0, 2.0)
         assert 0.0 <= v <= 1.0
-
-    @pytest.mark.parametrize("bad", [
-        math.nan, math.inf, np.array([math.nan, 1.0]), np.array([math.inf, 1.0]),
-    ], ids=["nan", "inf", "nan-entry", "inf-entry"])
-    @pytest.mark.parametrize("factor", [
-        lambda p, s, v: slot1_outage_factor(p, s, v),
-        lambda p, s, v: slot2_outage_factor(p, s, v),
-        lambda p, s, v: dpsr_slot2_outage_factor(p, s, v, 1.0),
-        lambda p, s, v: dpsr_slot2_outage_factor(p, s, 1.0, v),
-    ], ids=["slot1-x", "slot2-x", "dpsr-x", "dpsr-omega"])
-    def test_slot_factors_refuse_non_finite_conditioning_values(self, s1, factor, bad):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            factor(make_params(), s1, bad)
 
     def test_dpsr_kernel_positive_decreasing_in_x(self, s1):
         p = make_params()
@@ -588,122 +581,69 @@ class TestInterceptPieces:
 
 class TestAveragingKernel:
     @pytest.mark.parametrize("k", [1, 4, 8])
-    def test_slot1_average_is_the_closed_mass(self, s1, k):
-        p = make_params(num_jammers=k)
-        avg = _gamma_average(lambda x: slot1_outage_factor(p, s1, x), s1.lambda_je, k,
-                             analytic._IP_PANELS)
-        assert 1.0 - avg == pytest.approx(slot1_intercept_probability(p, s1), rel=1e-12)
+    def test_slot1_mass_is_the_closed_form(self, s1, k):
+        # at the smallest rho beta overflows, so slot 2 is never intercepted
+        # and IP is the slot-1 mass (lam_je / tilted)**K alone
+        p = make_params(rho=5e-324, num_jammers=k)
+        assert ip_spsr_quadrature(p, s1) == pytest.approx(slot1_intercept_probability(p, s1),
+                                                          rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 12, 16, 24, 40, 64])
+    def test_kernel_mass_completes_the_cdf(self, m):
+        # E[1; z > 0] = 1 - F_M(a), whether the threshold a sits below, at or
+        # above the bulk of the best-of-M law near log M
+        for a in (0.0, 1e-6, 1.0, 4.0, 30.0):
+            mass = _best_source_average(np.ones_like, a, m)
+            assert mass + (-math.expm1(-a)) ** m == pytest.approx(1.0, rel=0, abs=1e-13), a
 
     def test_unresolved_integrand_raises_with_its_accuracy(self):
         # a step inside a panel defeats both rules of the Gauss-Kronrod pair
         with pytest.raises(QuadratureError) as exc:
-            _gamma_average(lambda x: np.where(x > 1.3, 1.0, 0.0), 1.0, 1, analytic._OP_PANELS)
+            _best_source_average(lambda z: np.where(z > 1.3, 1.0, 0.0), 0.0, 1)
         assert exc.value.value == pytest.approx(math.exp(-1.3), abs=1e-2)
         assert max(1e-8 * abs(exc.value.value), 1e-12) < exc.value.bound < 1e-1
 
-    def test_nodes_are_built_on_first_use(self):
+    def test_node_tables_are_built_on_first_use(self):
         # importing the package, resolving a scenario and evaluating a paper
-        # form leave the node tables unbuilt
+        # form leave the rule and both node tables unbuilt
         code = ("import swipt_plsec.analytic as a; from swipt_plsec import resolve_scenario; "
                 "from swipt_plsec.reference import op_spsr_closed_form; "
                 "from conftest import make_params; "
                 "op_spsr_closed_form(make_params(), resolve_scenario('s1')); "
-                "print(a._rules.cache_info().currsize)")
+                "print(*(f.cache_info().currsize for f in (a._rules, a._z_table, a._gain_table)))")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=env)
-        assert out.stdout.strip() == "0"
-
-    def test_weighted_blocks_are_built_on_first_use(self):
-        code = ("import swipt_plsec.analytic as a; from swipt_plsec import resolve_scenario; "
-                "from swipt_plsec.reference import op_spsr_closed_form; "
-                "from conftest import make_params; "
-                "op_spsr_closed_form(make_params(), resolve_scenario('s1')); "
-                "print(a._weighted_blocks.cache_info().currsize)")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=env)
-        assert out.stdout.strip() == "0"
+        assert out.stdout.strip() == "0 0 0"
 
     def test_panel_tables(self):
-        # outage keeps 40 width-1 panels; the intercept averages are width 1
-        # from -5.5 up and grow by 1.5x below it, the lowest panel cut at -35.5
-        assert analytic._OP_PANELS == tuple(np.arange(-35.5, 5.0))
+        # the gains of dynamic splitting are width 1 from -5.5 up; z is width
+        # 1 from -12.5 and 0.5 from -0.5 up; both grow by 1.5x below, the
+        # lowest panel cut at -35.5
         assert analytic._IP_PANELS == (-35.5, -25.28125, -17.6875, -12.625, -9.25, -7.0,
                                        *np.arange(-5.5, 5.0))
-        for table, nodes in ((analytic._OP_PANELS, 840), (analytic._IP_PANELS, 336)):
-            assert analytic._weighted_blocks(0.7, 3, table)[0].size == nodes
+        assert analytic._Z_PANELS == (-35.5, -32.28125, -24.6875, -19.625, -16.25, -14.0,
+                                      *np.arange(-12.5, 0.0), *np.arange(0.0, 4.75, 0.5))
+        assert analytic._z_table()[0].size == 588
+        assert analytic._gain_table(0.7)[0].size == 336
 
-    def test_weighted_blocks_are_read_only(self):
-        nodes, weights, blocks = analytic._weighted_blocks(0.7, 3, analytic._IP_PANELS)
-        for b in (blocks[0], blocks[-1]):
-            for table in (nodes, weights, nodes[b], weights[b]):
-                with pytest.raises(ValueError, match="read-only"):
-                    table[0] = 1.0
+    def test_node_tables_are_read_only(self):
+        for table in (*analytic._z_table(), *analytic._gain_table(0.7)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
 
-    def test_weighted_blocks_are_built_once_per_rate_and_order(self, s1, monkeypatch):
-        p = make_params(num_sources=3, rho=0.225)
-        first = op_spsr(p, s1)
-        mass = _gamma_average(np.ones_like, 0.3141, 1, analytic._OP_PANELS)
+    def test_gain_table_is_built_once_per_rate(self, s1, monkeypatch):
+        p = make_params(num_sources=3)
+        first = ip_dpsr_quadrature(p, s1)
 
         def forbidden(*args):
             raise AssertionError("node tables rebuilt")
 
         monkeypatch.setattr(analytic, "erlang_pdf_xi", forbidden)
-        assert op_spsr(p, s1) == first
-        op_dpsr(make_params(num_sources=5, psi_db=25.0), s1)
-        assert _gamma_average(np.ones_like, 0.3141, 1, analytic._OP_PANELS) == mass
-        # a new order, or the same rate and order on the other panel table
-        for k, table in ((2, analytic._OP_PANELS), (1, analytic._IP_PANELS)):
-            with pytest.raises(AssertionError, match="rebuilt"):
-                _gamma_average(np.ones_like, 0.3141, k, table)
-
-    @staticmethod
-    def _both_layouts(f, lam, k, edges):
-        # (one integrand call over every node, one call per block), as bits
-        # or as the error each raises
-        out = []
-        for flat in (True, False):
-            try:
-                out.append(float(_gamma_average(f, lam, k, edges, flat=flat)).hex())
-            except (QuadratureError, CancellationError) as exc:
-                out.append((type(exc), str(exc), dict(vars(exc))))
-        return out
-
-    @pytest.mark.parametrize("stats", ["s1", "s2"])
-    def test_one_call_average_equals_the_block_sums(self, request, stats):
-        s = request.getfixturevalue(stats)
-        thresholds = ((analytic._spsr_threshold, 0.225), (analytic._spsr_threshold, 0.875),
-                      (analytic._dpsr_threshold, 0.5))
-        misses = []
-        for psi_db in (-10.0, 10.0, 25.0, 40.0):
-            for m in range(1, 65):
-                for thr, rho in thresholds:
-                    p = make_params(psi_db=psi_db, rho=rho, num_sources=m)
-                    flat, blocked = self._both_layouts(
-                        lambda x: (-np.expm1(-s.lambda_sr * thr(p, x))) ** m, s.lambda_rd, 1,
-                        analytic._OP_PANELS)
-                    if flat != blocked:
-                        misses.append((thr.__name__, psi_db, m, rho))
-        assert not misses
-
-    @pytest.mark.parametrize("m", [2, 24])
-    def test_one_call_average_raises_as_the_blocks_do(self, s1, m):
-        # the static intercept average, which refuses for cancellation at
-        # M 24 and high power, and an unresolved step
-        refused = 0
-        for psi_db in (0.0, 10.0, 40.0):
-            for k in (1, 4, 8):
-                p = make_params(psi_db=psi_db, rho=0.225, num_sources=m, num_jammers=k)
-                flat, blocked = self._both_layouts(
-                    lambda x: slot1_outage_factor(p, s1, x) * slot2_outage_factor(p, s1, x),
-                    s1.lambda_je, k, analytic._IP_PANELS)
-                assert flat == blocked, (psi_db, k)
-                refused += flat[0] is CancellationError
-        assert (refused > 0) == (m == 24)
-        flat, blocked = self._both_layouts(lambda x: np.where(x > 1.3, 1.0, 0.0), 1.0, 1,
-                                           analytic._IP_PANELS)
-        assert flat == blocked and flat[0] is QuadratureError
+        assert ip_dpsr_quadrature(p, s1) == first
+        ip_dpsr_no_jamming(make_params(num_sources=5, psi_db=25.0), s1)
+        with pytest.raises(AssertionError, match="rebuilt"):
+            analytic._gain_table(0.3141)
 
     def test_gauss_kronrod_constants(self):
         # the 10-point Gauss rule sits at the odd Kronrod nodes, with zero
@@ -739,7 +679,7 @@ class TestAveragingKernel:
         return max(ratios)
 
     def test_outage_estimates_keep_their_headroom(self, s1, s2, dense_stats, monkeypatch):
-        # width-1 panels resolve every OP cell of the envelope grid with the
+        # the z table resolves every OP cell of the envelope grid with the
         # estimate at most a tenth of its tolerance
         cells = [(route, make_params(psi_db=psi_db, rho=rho, num_sources=m), s)
                  for s in (s1, s2, dense_stats) for psi_db in (-10.0, 10.0, 25.0, 40.0)
@@ -750,55 +690,45 @@ class TestAveragingKernel:
 
     def test_static_intercept_estimates_keep_their_headroom(self, s1, s2, dense_stats,
                                                             monkeypatch):
-        # the graded panels below u = -5.5 too: phi and c_th move the slot-1
-        # transition x ~ psi/(gamma_th*lambda_se*phi) toward them
+        # phi and c_th move the slot-1 tilt c and with it G; large M moves
+        # the best-of-M bulk to log M, where the z panels are width 0.5
         cells = [(ip_spsr_quadrature, make_params(psi_db=psi_db, rho=rho, num_sources=m,
                                                   num_jammers=k, phi_db=phi_db, c_th=c_th), s)
                  for s in (s1, s2, dense_stats) for psi_db in (-10.0, 0.0, 10.0, 25.0, 40.0)
-                 for m in (1, 2, 4, 8, 12) for k in (1, 4) for rho in (0.225, 0.875)
+                 for m in (1, 2, 4, 8, 12, 16, 24, 40, 64) for k in (1, 4)
+                 for rho in (0.225, 0.875)
                  for phi_db, c_th in ((-10.0, 0.25), (-10.0, 1.0), (1.0, 0.5), (10.0, 0.25),
                                       (10.0, 1.0))]
-        assert len(cells) == 1500
+        assert len(cells) == 2700
         assert self._largest_estimate(monkeypatch, cells) <= 0.1
 
     def test_dynamic_intercept_estimates_keep_their_headroom(self, s1, s2, dense_stats,
                                                              monkeypatch):
-        # the outer jammer average, and the inner gain average once per outer
-        # block of nodes
+        # the inner best-source average once per panel of gains, and the
+        # outer average over the gains
         cells = [(ip_dpsr_quadrature, make_params(psi_db=psi_db, num_sources=m,
                                                   num_jammers=k), s)
                  for s in (s1, s2, dense_stats) for psi_db in (-10.0, 0.0, 10.0, 25.0, 40.0)
-                 for m in (1, 2, 4, 8, 12) for k in (1, 4)]
-        assert len(cells) == 150
-        outer_blocks = len(analytic._weighted_blocks(s1.lambda_je, 1, analytic._IP_PANELS)[2])
-        assert self._largest_estimate(monkeypatch, cells, 1 + outer_blocks) <= 0.1
+                 for m in (1, 2, 4, 8, 12, 16, 24, 40, 64) for k in (1, 4)]
+        assert len(cells) == 270
+        panels = len(analytic._IP_PANELS) - 1
+        assert self._largest_estimate(monkeypatch, cells, 1 + panels) <= 0.1
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_nested_dpsr_average_keeps_its_blocks(self, s1, monkeypatch, cpus):
-        # the outer average and the inner one per outer block both call their
-        # integrand on at most one block of nodes, whether spread or inline
-        sizes = []
-        factor = analytic.dpsr_slot2_outage_factor
-        slot1 = analytic.slot1_outage_factor
+    @pytest.mark.parametrize("route", [ip_dpsr_quadrature, ip_dpsr_no_jamming],
+                             ids=lambda f: f.__name__)
+    def test_dpsr_average_takes_one_panel_of_gains_at_a_time(self, s1, monkeypatch, route):
+        # (21, 588) float64 temporaries are 98,784 bytes, under glibc's
+        # 128 KiB mmap threshold, so no block pays for fresh pages
+        shapes = []
+        kernel = analytic._best_source_average
 
-        def recorded_factor(p, s, x, omega):
-            sizes.append(("inner", np.broadcast(x, omega).size))
-            return factor(p, s, x, omega)
+        def recorded(h, a, m):
+            shapes.append(np.broadcast_shapes(np.shape(a), analytic._z_table()[0].shape))
+            return kernel(h, a, m)
 
-        def recorded_slot1(p, s, x):
-            sizes.append(("outer", np.size(x)))
-            return slot1(p, s, x)
-
-        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(analytic, "dpsr_slot2_outage_factor", recorded_factor)
-        monkeypatch.setattr(analytic, "slot1_outage_factor", recorded_slot1)
-        ip_dpsr_quadrature(make_params(num_jammers=4), s1)
-        assert max(n for kind, n in sizes if kind == "outer") == analytic._BLOCK
-        assert max(n for kind, n in sizes if kind == "inner") == analytic._BLOCK ** 2
-        # one outer call per block, and per outer block one inner call per block
-        outer = len(analytic._weighted_blocks(s1.lambda_je, 4, analytic._IP_PANELS)[2])
-        inner = len(analytic._weighted_blocks(s1.lambda_rd, 1, analytic._IP_PANELS)[2])
-        assert len(sizes) == outer + outer * inner
+        monkeypatch.setattr(analytic, "_best_source_average", recorded)
+        route(make_params(num_jammers=4), s1)
+        assert shapes == [(21, 588)] * 16
 
     # values of the nested scipy.quad routes at the figure_ip benchmark points
     @pytest.mark.parametrize("psi_db,spsr_lo,spsr_hi,dpsr", [
@@ -814,343 +744,185 @@ class TestAveragingKernel:
         assert ip_dpsr_quadrature(make_params(psi_db=psi_db), s1) == pytest.approx(dpsr, abs=1e-9)
 
 
-def _rebuilt_gamma_average(f, lam, k, table, spec):
-    # the G10/K21 averaging kernel with its node tables rebuilt on every call:
-    # the pair mapped onto each panel of the route's table, the Kronrod and
-    # Gauss weights Erlang-weighted side by side, and the two sums of each
-    # block added in block order
+def _rebuilt_best_source_average(h, a, m):
+    # the best-source kernel with its z table rebuilt on every call: the
+    # G10/K21 pair mapped onto each of the 28 panels in log z, the Kronrod
+    # and Gauss weights side by side times z, and each node weighted by the
+    # best-of-M density at a + z
     t, wk, wg = analytic._rules()
-    edges = np.array(table)
+    edges = np.array([-35.5, -32.28125, -24.6875, -19.625, -16.25, -14.0,
+                      *np.arange(-12.5, 0.0), *np.arange(0.0, 4.75, 0.5)])
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     half = 0.5 * np.diff(edges)[:, None]
-    x = np.exp((mid + half * t).ravel()) / lam
-    wx = (np.stack([(half * wk).ravel(), (half * wg).ravel()], axis=1)
-          * (x * erlang_pdf_xi(x, lam, k))[:, None])
-    step = analytic._BLOCK
-    kronrod, gauss = sum(f(x[i:i + step]).dot(wx[i:i + step]) for i in range(0, x.size, step))
-    err = abs(kronrod - gauss)
-    if not err <= max(spec.rel_tol * abs(kronrod), spec.abs_tol):
-        raise QuadratureError("", float(kronrod), float(err))
-    return float(kronrod)
+    z = np.exp((mid + half * t).ravel())
+    wz = np.stack([(half * wk).ravel(), (half * wg).ravel()], axis=1) * z[:, None]
+    u = a + z
+    sums = (h(z) * (m * np.exp(-u) * (-np.expm1(-u)) ** (m - 1))).dot(wz)
+    kronrod, err = sums[..., 0], np.abs(sums[..., 0] - sums[..., 1])
+    spec = AnalyticConfig().quad
+    if not np.all(err <= np.maximum(spec.rel_tol * np.abs(kronrod), spec.abs_tol)):
+        raise QuadratureError("", math.nan, math.inf)
+    return kronrod
 
 
 class TestCachedKernelOracle:
-    """The sweep's OP and IP kernel routes return the bits of the G10/K21
-    kernel rebuilt on every call, which checks its outage integrand through
-    ``best_source_cdf`` block by block."""
+    """Every best-source average the sweep's routes take returns the bits of
+    the kernel rebuilt on every call, so the one cached z table serves every
+    route, threshold and number of sources unchanged."""
 
     @staticmethod
-    def _bits(v):
-        return float(v).hex()
+    def _checked(monkeypatch):
+        shapes = []
+        kernel = analytic._best_source_average
+
+        def checked(h, a, m):
+            got = kernel(h, a, m)
+            assert np.array_equal(got, _rebuilt_best_source_average(h, a, m))
+            shapes.append(np.shape(got))
+            return got
+
+        monkeypatch.setattr(analytic, "_best_source_average", checked)
+        return shapes
 
     @pytest.mark.parametrize("stats", ["s1", "s2"])
-    def test_outage_routes_match_the_rebuilt_kernel(self, request, stats):
+    def test_outage_routes_match_the_rebuilt_kernel(self, request, monkeypatch, stats):
         s = request.getfixturevalue(stats)
-        quad = AnalyticConfig().quad
-        cells = ((op_spsr, analytic._spsr_threshold, 0.225),
-                 (op_spsr, analytic._spsr_threshold, 0.875),
-                 (op_dpsr, analytic._dpsr_threshold, 0.5))
-        misses = []
+        shapes = self._checked(monkeypatch)
         for psi_db in (-10.0, 10.0, 25.0, 40.0):
             for m in range(1, 65):
-                for route, thr, rho in cells:
-                    p = make_params(psi_db=psi_db, rho=rho, num_sources=m)
-                    ref = _rebuilt_gamma_average(
-                        lambda x: best_source_cdf(thr(p, x), s.lambda_sr, m),
-                        s.lambda_rd, 1, analytic._OP_PANELS, quad)
-                    if self._bits(route(p, s)) != self._bits(ref):
-                        misses.append((route.__name__, psi_db, m, rho))
-        assert not misses
+                for route, rho in ((op_spsr, 0.225), (op_spsr, 0.875), (op_dpsr, 0.5)):
+                    route(make_params(psi_db=psi_db, rho=rho, num_sources=m), s)
+        assert shapes == [()] * (4 * 64 * 3)
 
-    @pytest.mark.parametrize("rho", [0.225, 0.875])
-    def test_static_intercept_matches_the_rebuilt_kernel(self, s1, rho):
-        # the tables are cached per Erlang order, so each K must get its own
+    @pytest.mark.parametrize("stats", ["s1", "s2"])
+    def test_intercept_routes_match_the_rebuilt_kernel(self, request, monkeypatch, stats):
+        s = request.getfixturevalue(stats)
+        shapes = self._checked(monkeypatch)
         for psi_db in (0.0, 10.0, 25.0):
             for k in (1, 4, 8):
-                p = make_params(psi_db=psi_db, rho=rho, num_jammers=k)
-                ref = 1.0 - _rebuilt_gamma_average(
-                    lambda x: slot1_outage_factor(p, s1, x) * slot2_outage_factor(p, s1, x),
-                    s1.lambda_je, k, analytic._IP_PANELS, AnalyticConfig().quad)
-                assert self._bits(ip_spsr_quadrature(p, s1)) == self._bits(ref), (psi_db, k)
+                for rho in (0.225, 0.875):
+                    p = make_params(psi_db=psi_db, rho=rho, num_jammers=k, num_sources=8)
+                    ip_spsr_quadrature(p, s)
+                    ip_spsr_no_jamming(p, s)
+        ip_dpsr_quadrature(make_params(num_sources=24), s)
+        assert shapes == [()] * (3 * 3 * 2 * 2) + [(21,)] * 16
 
 
-def _every_term_slot2_no_intercept(p, s, rho, dilution, k1=bessel_k1):
-    # the slot-2 closed form as first written, every term evaluated, with
-    # ``k1`` for K_1; returns the value and its rounding bound
-    # eps*(1 + sum |terms|), or raises with both where the value is not
-    # finite or the bound is not within the tolerance
-    rho = np.asarray(rho, dtype=float)
-    harvest = s.lambda_sr * s.lambda_re * p.gamma_th / (p.eta * p.psi) * (dilution / rho)
-    with np.errstate(divide="ignore"):
-        info = -s.lambda_sr * p.gamma_th / ((1.0 - rho) * p.psi)
-    acc = 1.0
-    magnitude = 1.0
-    for b in range(1, p.num_sources + 1):
-        coef = (-1.0) ** b * math.comb(p.num_sources, b)
-        r = np.sqrt(b * harvest)
-        term = 2.0 * coef * np.exp(b * info) * r * k1(2.0 * r)
-        acc += term
-        magnitude += np.abs(term)
-    spec = AnalyticConfig().quad
-    bound = np.finfo(float).eps * magnitude
-    bad = ~(np.isfinite(acc) & (bound <= np.maximum(spec.rel_tol * np.abs(acc), spec.abs_tol)))
-    if np.any(bad):
-        i = np.argmax(np.ravel(bad))
-        raise CancellationError("", float(np.ravel(acc)[i]), float(np.ravel(bound)[i]))
-    return acc, bound
+def _kernel_slot2(p, s, rho, dilution):
+    # the slot-2 no-intercept factor at (rho, dilution D) by the best-source
+    # kernel: the best gain misses A + B' D / y, y ~ Exp(1) the scaled
+    # relay-to-eavesdropper gain, with probability
+    # F_M(a) + E[1 - exp(-D beta / z); z > 0], beta = lambda_sr B'
+    a = s.lambda_sr * p.gamma_th / ((1.0 - rho) * p.psi)
+    beta = s.lambda_sr * s.lambda_re * p.gamma_th / (p.eta * rho * p.psi)
+    m = p.num_sources
+    return ((-math.expm1(-a)) ** m
+            + float(_best_source_average(lambda z: -np.expm1(-dilution * beta / z), a, m)))
 
 
-def _kv_slot2_no_intercept(p, s, rho, dilution):
-    # the loop as first written, with kv(1, .) for K_1
-    return _every_term_slot2_no_intercept(p, s, rho, dilution, lambda z: bessel_k(1, z))
+def _mpmath_k1(x):
+    # K_1(x) by its ascending series (Abramowitz & Stegun 9.6.11) at the
+    # working precision, plus the digits the series cancels (about x/ln 10);
+    # ten times cheaper than mpmath.besselk, which takes integer orders as a
+    # limit
+    with mpmath.extradps(10 + int(x)):
+        x = mpmath.mpf(x)
+        q = x * x / 4
+        c, s_i, s_k, h, k = mpmath.mpf(1), 0, 0, -mpmath.euler, 1
+        while c > mpmath.eps * s_i:
+            s_i += c
+            s_k += (2 * h + 1 / mpmath.mpf(k)) * c  # (psi(k) + psi(k + 1)) * c
+            h += 1 / mpmath.mpf(k)
+            c *= q / (k * (k + 1))
+            k += 1
+        return 1 / x + mpmath.log(x / 2) * x / 2 * s_i - x / 4 * s_k
 
 
-class TestSlot2KernelMatchesKv:
-    """``_slot2_no_intercept`` evaluates K_1 by Cephes ``k1``; the ``kv(1, .)``
-    loop it replaced is the oracle.  The two agree to 1e-13 relative up to
-    the rounding bound of the alternating sum: ulp-level differences of the
-    terms survive the cancellation (at M = 12 and psi = 40 dB they reach
-    3e-8 relative on values near 1e-5, 1.5 bounds).  Past M = 12 both must
-    refuse the same cells."""
+def _mpmath_slot2(p, s, rho, dilution):
+    # the binomial Bessel sum of reference.slot2_bessel_form at 50 digits,
+    # where its alternating terms lose nothing
+    with mpmath.workdps(50):
+        rho = mpmath.mpf(rho)
+        lam_sr = mpmath.mpf(s.lambda_sr)
+        harvest = lam_sr * s.lambda_re * p.gamma_th * dilution / (p.eta * rho * p.psi)
+        info = -lam_sr * p.gamma_th / ((1 - rho) * p.psi)
+        acc = mpmath.mpf(1)
+        for b in range(1, p.num_sources + 1):
+            r = mpmath.sqrt(b * harvest)
+            acc += ((-1) ** b * 2 * mpmath.binomial(p.num_sources, b) * mpmath.exp(b * info)
+                    * r * _mpmath_k1(2 * r))
+        return float(acc)
 
-    RHOS = np.array([0.05, 0.225, 0.5, 0.875, 0.95])
-    DILUTIONS = np.array([1.0, 3.0, 30.0, 1e3])
+
+# The cells of the intercept envelope grid (tests/test_envelope.py: K 1,
+# phi 1 dB, eta 0.8, c_th 0.5) at which the intercept routes refused while
+# they summed the Bessel form: from these M on (of 1/8/16/24/40/64), per
+# deployment and psi (dB), for spsr at rho 0.225, spsr at rho 0.875 and
+# dpsr; none at -10 dB.  63 of the 144 cells.
+FIRST_CANCELLING_M = {
+    ("s1", 10.0): (40, 24, 24), ("s1", 25.0): (24, 16, 16), ("s1", 40.0): (16, 16, 16),
+    ("s2", 10.0): (24, 24, 24), ("s2", 25.0): (24, 16, 16), ("s2", 40.0): (16, 16, 16),
+}
+CANCELLED_CELLS = [(stats, psi_db, m, scheme)
+                   for (stats, psi_db), firsts in FIRST_CANCELLING_M.items()
+                   for m in (16, 24, 40, 64)
+                   for scheme, first in zip(("spsr0.225", "spsr0.875", "dpsr"), firsts)
+                   if m >= first]
+
+
+class TestSlot2KernelMatchesBesselForm:
+    """The slot-2 no-intercept factor two ways: the best-source kernel
+    conditions on the best gain; the Bessel form of ``reference`` expands
+    the best-of-M CDF into M alternating binomial terms.  Where that sum
+    keeps its digits (M <= 12) the float form is the oracle, and at the
+    cells where it cancels (``CANCELLED_CELLS``) the same sum at 50 digits.
+    The kernel must meet its tolerance max(1e-8*|value|, 1e-12) against
+    both."""
+
+    RHOS = (0.05, 0.225, 0.5, 0.875, 0.95)
+    DILUTIONS = (1.0, 3.0, 30.0, 1e3)
 
     @staticmethod
-    def _close(got, ref, bound):
-        return np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref) + 2.0 * bound)
+    def _close(got, ref, slack=1.0):
+        return abs(got - ref) <= slack * max(1e-8 * abs(ref), 1e-12)
 
     @pytest.mark.parametrize("stats", ["s1", "s2"])
     @pytest.mark.parametrize("psi_db", [-10.0, 0.0, 10.0, 25.0, 40.0])
-    def test_agrees_with_kv_loop(self, request, stats, psi_db):
+    def test_matches_the_float_form_where_it_keeps_its_digits(self, request, stats, psi_db):
+        # the float form's rounding bound eps*2**M is under 1e-12 here, so
+        # the two may differ by the kernel's tolerance plus that
         s = request.getfixturevalue(stats)
         for m in range(1, 13):
-            p = make_params(psi_db=psi_db, num_sources=m)
-            args = (p, s, self.RHOS[:, None], self.DILUTIONS)
-            assert self._close(_slot2_no_intercept(*args), *_kv_slot2_no_intercept(*args)), m
-
-    @pytest.mark.parametrize("stats", ["s1", "s2"])
-    @pytest.mark.parametrize("m", [16, 24, 40])
-    def test_refuses_the_same_cells_as_kv_loop(self, request, stats, m):
-        s = request.getfixturevalue(stats)
-        refused = 0
-        for psi_db in (10.0, 25.0, 40.0):
             p = make_params(psi_db=psi_db, num_sources=m)
             for rho in self.RHOS:
                 for dilution in self.DILUTIONS:
-                    try:
-                        ref, bound = _kv_slot2_no_intercept(p, s, rho, dilution)
-                    except CancellationError:
-                        refused += 1
-                        with pytest.raises(CancellationError):
-                            _slot2_no_intercept(p, s, rho, dilution)
-                        continue
-                    assert self._close(_slot2_no_intercept(p, s, rho, dilution), ref, bound)
-        assert refused > 0
+                    ref = slot2_bessel_form(p, s, rho, dilution)
+                    got = _kernel_slot2(p, s, rho, dilution)
+                    assert self._close(got, ref, slack=2.0), (m, rho, dilution, got, ref)
 
+    def test_series_k1_is_mpmath_besselk_to_50_digits(self):
+        with mpmath.workdps(50):
+            for x in ("1e-3", "0.3", "2.5", "9", "40"):
+                ref = mpmath.besselk(1, mpmath.mpf(x))
+                assert abs(_mpmath_k1(mpmath.mpf(x)) / ref - 1) < mpmath.mpf("1e-48"), x
 
-def _omega_blocks(s):
-    # the relay-to-destination node blocks, as the nested average hands them
-    # to the slot-2 factor
-    nodes, _, blocks = analytic._weighted_blocks(s.lambda_rd, 1, analytic._IP_PANELS)
-    return [nodes[b] for b in blocks]
-
-
-class TestSlot2SkipIsExact:
-    """``_slot2_no_intercept`` skips ``sqrt`` and K_1 where the prefactor
-    exp(b*info) underflows to 0.  The loop over every term is the oracle: the
-    values, and the value and bound of every refusal, must be its bits.  On
-    the node blocks K_1 must also see every entry whose prefactor is not 0,
-    tiny ones included: skipping those would change no bit here (their
-    terms fall below an ulp of a value near 1), so only the count tells an
-    exact skip from a truncation."""
-
-    DILUTIONS = np.array([1.0, 3.0, 30.0, 1e3])[:, None]
-
-    @staticmethod
-    def _counting_k1(monkeypatch):
-        sizes = []
-
-        def k1(z):
-            sizes.append(np.size(z))
-            return bessel_k1(z)
-
-        monkeypatch.setattr(analytic, "bessel_k1", k1)
-        return sizes
-
-    @staticmethod
-    def _live_count(p, s, rho, rows):
-        info = -s.lambda_sr * p.gamma_th / ((1.0 - rho) * p.psi)
-        return rows * sum(int(np.count_nonzero(np.exp(b * info) > 0))
-                          for b in range(1, p.num_sources + 1))
-
-    @staticmethod
-    def _outcome(fn, *args):
-        try:
-            got = fn(*args)
-        except CancellationError as exc:
-            return ("refused", float(exc.value).hex(), float(exc.bound).hex())
-        except ValueError as exc:
-            return ("error", str(exc))
-        if isinstance(got, tuple):
-            got = got[0]
-        return ("value", type(got), np.shape(got), np.asarray(got).tobytes())
-
-    @pytest.mark.parametrize("stats", ["s1", "s2"])
-    @pytest.mark.parametrize("psi_db", [-10.0, 0.0, 10.0, 25.0, 40.0])
-    def test_node_blocks_match_every_term_loop(self, request, monkeypatch, stats, psi_db):
+    @pytest.mark.parametrize("stats,psi_db,m,scheme", CANCELLED_CELLS)
+    def test_matches_the_sum_at_50_digits_where_it_cancels(self, request, stats, psi_db, m,
+                                                           scheme):
+        # at every cell the float form refuses at one (rho, D) at least,
+        # and the kernel meets its tolerance against the 50-digit sum at all
         s = request.getfixturevalue(stats)
-        sizes = self._counting_k1(monkeypatch)
-        skipped = 0
-        for m in range(1, 13):
-            p = make_params(psi_db=psi_db, num_sources=m)
-            for omega in _omega_blocks(s):
-                rho = core.rho_star(p.eta, omega)
-                args = (p, s, rho, self.DILUTIONS)
-                ref = self._outcome(_every_term_slot2_no_intercept, *args)
-                sizes.clear()
-                assert self._outcome(_slot2_no_intercept, *args) == ref, (m, omega[0])
-                live = self._live_count(p, s, rho, self.DILUTIONS.size)
-                assert sum(sizes) == live, (m, omega[0])
-                skipped += m * rho.size * self.DILUTIONS.size - live
-        assert skipped > 0
-
-    @pytest.mark.parametrize("stats", ["s1", "s2"])
-    @pytest.mark.parametrize("psi_db", [-10.0, 0.0, 10.0, 25.0, 40.0])
-    def test_scalar_inputs_and_rho_one_match_every_term_loop(self, request, stats, psi_db):
-        # fixed rho with x = 0 (dilution 1) as a float and as a 0-d array,
-        # and rho = 1, where every prefactor is 0
-        s = request.getfixturevalue(stats)
-        for m in range(1, 13):
-            p = make_params(psi_db=psi_db, num_sources=m)
-            for rho, dilution in ((0.225, 1.0), (0.875, np.asarray(1.0)), (0.05, 1e3),
-                                  (1.0, 1.0), (1.0, self.DILUTIONS)):
-                args = (p, s, rho, dilution)
-                assert (self._outcome(_slot2_no_intercept, *args)
-                        == self._outcome(_every_term_slot2_no_intercept, *args)), (m, rho)
-
-    @pytest.mark.parametrize("rho,dilution", [
-        (1.0 - 1e-6, [np.nan, 1.0]), (1.0 - 1e-6, [np.inf, 1.0]),
-        (1.0 - 1e-6, [0.0, 1.0]), (0.0, [1.0, 3.0])])
-    def test_harvest_outside_the_open_half_line_evaluates_every_term(self, s1, rho, dilution):
-        # every prefactor is 0 at rho near 1, but a NaN, infinite or zero
-        # harvest makes its term NaN, which is refused, or K_1 refuse, in the
-        # every-term loop; rho = 0 gives an infinite harvest at live prefactors
-        p = make_params(psi_db=0.0, num_sources=3)
-        args = (p, s1, rho, np.array(dilution))
-        with np.errstate(all="ignore"):
-            ref = self._outcome(_every_term_slot2_no_intercept, *args)
-            assert self._outcome(_slot2_no_intercept, *args) == ref
-        assert ref[0] == "error" or (ref[0] == "refused" and math.isnan(float.fromhex(ref[1])))
-
-    @pytest.mark.parametrize("stats", ["s1", "s2"])
-    @pytest.mark.parametrize("m", [16, 24, 40])
-    def test_refuses_the_cells_of_every_term_loop(self, request, stats, m):
-        s = request.getfixturevalue(stats)
-        refused = 0
-        for psi_db in (10.0, 25.0, 40.0):
-            p = make_params(psi_db=psi_db, num_sources=m)
-            for omega in _omega_blocks(s):
-                args = (p, s, core.rho_star(p.eta, omega), self.DILUTIONS)
-                ref = self._outcome(_every_term_slot2_no_intercept, *args)
-                assert self._outcome(_slot2_no_intercept, *args) == ref, (psi_db, omega[0])
-                refused += ref[0] == "refused"
-        assert refused > 0
-
-    @pytest.mark.parametrize("psi_db,expected", [(0.0, 196_896), (10.0, 205_296)])
-    def test_dpsr_average_hands_k1_only_live_terms(self, s1, monkeypatch, psi_db, expected):
-        # every outer aggregate node meets every live (b, gain node) pair
-        # once; the every-term loop would hand K_1 2 * 336 * 336 elements
-        p = make_params(psi_db=psi_db, num_sources=2, num_jammers=1)
-        gains = analytic._weighted_blocks(s1.lambda_rd, 1, analytic._IP_PANELS)[0]
-        outer = analytic._weighted_blocks(s1.lambda_je, 1, analytic._IP_PANELS)[0].size
-        live = self._live_count(p, s1, core.rho_star(p.eta, gains), outer)
-        sizes = self._counting_k1(monkeypatch)
-        ip_dpsr_quadrature(p, s1)
-        assert sum(sizes) == live == expected < 2 * gains.size * outer
-
-
-class TestBlockThreads:
-    """The outer average of ``ip_dpsr_quadrature`` maps its node blocks over
-    up to ``core.usable_cpus()`` threads; values and errors must not depend on
-    how many."""
-
-    @staticmethod
-    def _run(monkeypatch, cpus, fn):
-        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, to expose shared state
-        try:
-            return fn()
-        finally:
-            sys.setswitchinterval(interval)
-
-    @staticmethod
-    def _outcome(fn):
-        try:
-            return ("value", np.asarray(fn()).tobytes())
-        except (QuadratureError, CancellationError) as exc:
-            return (type(exc), str(exc), dict(vars(exc)))
-
-    @pytest.mark.parametrize("psi_db,m,k", [(0.0, 2, 1), (10.0, 3, 4), (40.0, 24, 1)])
-    def test_bits_and_errors_independent_of_thread_count(self, s1, monkeypatch, psi_db, m, k):
-        p = make_params(psi_db=psi_db, num_sources=m, num_jammers=k)
-        routes = [lambda: ip_dpsr_quadrature(p, s1),
-                  lambda: ip_spsr_quadrature(make_params(psi_db=psi_db, num_sources=m,
-                                                         num_jammers=k, rho=0.225), s1),
-                  lambda: dpsr_slot2_factor(p, s1, np.array([0.0, 0.5, 4.0]))]
-        serial, *threaded = ([self._run(monkeypatch, cpus, lambda: self._outcome(r))
-                              for r in routes] for cpus in (1, 2, 4))
-        assert threaded == [serial, serial]
-        if m == 24:  # the slot-2 closed form refuses inside a block
-            assert serial[0][0] is CancellationError
-
-    def test_first_failing_block_in_order_propagates(self, monkeypatch):
-        # several blocks raise, each with its own fields; the serial path
-        # meets the lowest node first, and so must the threaded one
-        def f(x):
-            if x[-1] > 0.05:
-                raise QuadratureError(f"block ending at {x[-1]!r}", float(x[0]), float(x[-1]))
-            return np.ones_like(x)
-
-        serial = self._outcome(lambda: _gamma_average(f, 1.0, 1, analytic._IP_PANELS))
-        assert serial[0] is QuadratureError
-        for cpus in (1, 4):
-            assert self._run(monkeypatch, cpus, lambda: self._outcome(
-                lambda: _gamma_average(f, 1.0, 1, analytic._IP_PANELS, spread=True))) == serial
-
-    @pytest.mark.parametrize("cpus", [1, 4])
-    def test_in_flight_blocks_capped_and_pools_not_nested(self, s1, monkeypatch, cpus):
-        lock = threading.Lock()
-        idents, pools = set(), []
-        in_flight = peak = 0
-        factor = analytic.dpsr_slot2_factor
-        executor = core.ThreadPoolExecutor
-
-        def recorded_factor(*args):
-            nonlocal in_flight, peak
-            with lock:
-                idents.add(threading.get_ident())
-                in_flight += 1
-                peak = max(peak, in_flight)
-            try:
-                return factor(*args)
-            finally:
-                with lock:
-                    in_flight -= 1
-
-        def recorded_executor(*args, **kwargs):
-            pools.append(threading.get_ident())
-            return executor(*args, **kwargs)
-
-        monkeypatch.setattr(analytic, "dpsr_slot2_factor", recorded_factor)
-        monkeypatch.setattr(core, "ThreadPoolExecutor", recorded_executor)
-        p = make_params(num_jammers=4)
-        self._run(monkeypatch, cpus, lambda: (ip_dpsr_quadrature(p, s1),
-                                              ip_spsr_quadrature(make_params(rho=0.225), s1)))
-        main = threading.get_ident()
-        assert peak <= cpus and len(idents) <= cpus
-        if cpus == 1:
-            assert idents == {main} and pools == []
-        else:
-            assert pools == [main]  # one pool, for the outer dpsr average only
+        p = make_params(psi_db=psi_db, num_sources=m)
+        rhos = {"spsr0.225": (0.225,), "spsr0.875": (0.875,),
+                "dpsr": tuple(core.rho_star(p.eta, np.array([0.3, 3.0])))}[scheme]
+        cancelled = 0
+        for rho in rhos:
+            for dilution in (1.0, 30.0):
+                ref = _mpmath_slot2(p, s, rho, dilution)
+                got = _kernel_slot2(p, s, rho, dilution)
+                assert self._close(got, ref), (rho, dilution, got, ref)
+                try:
+                    slot2_bessel_form(p, s, rho, dilution)
+                except CancellationError:
+                    cancelled += 1
+        assert cancelled > 0

@@ -12,7 +12,6 @@ from swipt_plsec.specfun import (
     QuadratureSpec,
     SeriesNotConverged,
     bessel_k,
-    bessel_k1,
     gamma_fn,
     integrate,
     meijer_g3013,
@@ -83,42 +82,6 @@ class TestBesselK:
 
     def test_nan_passes_through(self):
         assert math.isnan(bessel_k(1.0, math.nan))
-        assert math.isnan(bessel_k1(math.nan))
-
-
-class TestBesselK1:
-    """The order-1 kernel against ``kv(1, .)`` and, where ``kv`` loses
-    accuracy near its underflow, against mpmath."""
-
-    def test_matches_kv_across_the_range(self):
-        z = np.concatenate([np.geomspace(1e-300, 650.0, 20001), np.linspace(0.01, 650.0, 20001)])
-        assert np.allclose(bessel_k1(z), bessel_k(1, z), rtol=1e-14, atol=0)
-
-    def test_matches_mpmath_where_kv_loses_digits(self):
-        # kv(1, .) is up to 6e-14 off from z = 665 until it returns 0 at 699
-        for z in np.linspace(650.0, 690.0, 41):
-            ref = float(mpmath.besselk(1, mpmath.mpf(float(z))))
-            assert bessel_k1(float(z)) == pytest.approx(ref, rel=1e-14, abs=0)
-
-    def test_tiny_past_the_underflow_of_kv(self):
-        z = np.linspace(700.0, 800.0, 101)
-        assert np.all(bessel_k(1, z) == 0.0)
-        k = bessel_k1(z)
-        assert np.all((k >= 0) & (k < 1e-305))
-        assert np.all(k[z >= 706.0] < np.finfo(float).tiny)  # subnormal or 0
-        assert bessel_k1(800.0) == 0.0
-
-    def test_scalar_to_scalar_and_array_to_array(self):
-        assert type(bessel_k1(2.0)) is float and type(bessel_k1(np.float64(2.0))) is float
-        out = bessel_k1(np.full((3, 2), 2.0))
-        assert isinstance(out, np.ndarray) and out.shape == (3, 2)
-        assert np.all(out == bessel_k1(2.0))
-
-    @pytest.mark.parametrize("z", [0.0, -1.0, np.float64(-0.0), np.array([1.0, 0.0]),
-                                   np.array([[2.0], [-3.0]])])
-    def test_domain_error(self, z):
-        with pytest.raises(ValueError, match="bessel_k1 requires z > 0"):
-            bessel_k1(z)
 
 
 class TestIntegrate:
@@ -216,15 +179,15 @@ class TestIntegrate:
     def test_scipy_special_is_imported_on_first_use(self, tmp_path):
         # an outage-only sweep calls no special function, so importing the
         # CLI and running it leaves scipy.special unimported; the Bessel
-        # kernels still import it when first called
+        # kernel still imports it when first called
         code = (
             "import sys; from swipt_plsec.cli import main; "
             "rc = main(['sweep', '--scenario', 's1', '--sweep', 'M:1:3:1', "
             "'--outputs', 'op', '--scheme', 'spsr,dpsr', '--rho', '0.225', "
             "'--trials', '400', '--output', sys.argv[1]]); "
             "print(rc, 'scipy.special' in sys.modules); "
-            "from swipt_plsec.specfun import bessel_k1; "
-            "print(bessel_k1(1.0), 'scipy.special' in sys.modules)")
+            "from swipt_plsec.specfun import bessel_k; "
+            "print(bessel_k(1, 1.0), 'scipy.special' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "s.csv")],
                              capture_output=True, text=True, check=True, env=env)
