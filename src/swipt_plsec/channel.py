@@ -181,19 +181,21 @@ def link_streams(master_seed: int, worker_index: int,
             for index, link in enumerate(LINK_KEYS) if link in links}
 
 
-def _exp_draw(rng: np.random.Generator, lam: float, n: int) -> np.ndarray:
-    """Exp(lam) gains by the inverse CDF ``-log1p(-u) / lam``."""
-    u = rng.random(n)
+def _exp_draw(rng: np.random.Generator, lam: float, out: np.ndarray) -> np.ndarray:
+    """Exp(lam) gains by the inverse CDF ``-log1p(-u) / lam``, drawn into ``out``."""
+    u = rng.random(out=out)
     np.negative(u, out=u)
     np.log1p(u, out=u)
     return np.divide(u, -lam, out=u)
 
 
-def _best_of_m_draw(rng: np.random.Generator, lam: float, m: int, n: int) -> np.ndarray:
-    """Largest of ``m`` i.i.d. Exp(lam) gains, one uniform per row: the inverse
-    of the CDF (1 - exp(-lam g))**m, ``-log(-expm1(log(u) / m)) / lam``
-    (Devroye 1986, ch. 2), which keeps its precision where u**(1/m) is near 1."""
-    u = rng.random(n)
+def _best_of_m_draw(rng: np.random.Generator, lam: float, m: int,
+                    out: np.ndarray) -> np.ndarray:
+    """Largest of ``m`` i.i.d. Exp(lam) gains, one uniform per row, drawn into
+    ``out``: the inverse of the CDF (1 - exp(-lam g))**m,
+    ``-log(-expm1(log(u) / m)) / lam`` (Devroye 1986, ch. 2), which keeps its
+    precision where u**(1/m) is near 1."""
+    u = rng.random(out=out)
     with np.errstate(divide="ignore"):  # u = 0 gives log 0 = -inf, hence gain 0
         np.log(u, out=u)
     np.divide(u, m, out=u)
@@ -204,15 +206,15 @@ def _best_of_m_draw(rng: np.random.Generator, lam: float, m: int, n: int) -> np.
 
 
 def _draw_link(stats: ChannelStats, p: SystemParams, rng: np.random.Generator,
-               link: str, n: int) -> np.ndarray:
+               link: str, out: np.ndarray) -> np.ndarray:
     lam = getattr(stats, f"lambda_{link}")
     if link == "sr":
-        return _best_of_m_draw(rng, lam, p.num_sources, n)
+        return _best_of_m_draw(rng, lam, p.num_sources, out)
     if link == "je":
         # the sum of K i.i.d. Exp(lam) gains is Gamma(K, 1/lam)
-        xi = rng.standard_gamma(p.num_jammers, n)
+        xi = rng.standard_gamma(p.num_jammers, out=out)
         return np.divide(xi, lam, out=xi)
-    return _exp_draw(rng, lam, n)
+    return _exp_draw(rng, lam, out)
 
 
 def draw_channels(
@@ -220,6 +222,7 @@ def draw_channels(
     p: SystemParams,
     streams: Mapping[str, np.random.Generator],
     size: int,
+    out: Mapping[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """``size`` gains of each link in ``streams`` (see :func:`link_streams`),
     each from its own stream, keyed by link name.
@@ -230,8 +233,12 @@ def draw_channels(
     exponential inverse CDF.  The selected source's eavesdropper-link gain
     is independent of the selection, which conditions only on the SR gains.
     A stream yields the same values however its rows are split across calls.
+    ``out`` maps each link in ``streams`` to a float64 array of shape
+    ``(size,)`` that receives its gains (fresh arrays when it is ``None``).
     """
     n = int(size)
     if n < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    return {link: _draw_link(stats, p, rng, link, n) for link, rng in streams.items()}
+    if out is None:
+        out = {link: np.empty(n) for link in streams}
+    return {link: _draw_link(stats, p, rng, link, out[link]) for link, rng in streams.items()}

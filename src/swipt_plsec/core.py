@@ -24,6 +24,7 @@ __all__ = [
     "snr_threshold",
     "achievable_rate",
     "rho_star",
+    "snr_workspace",
     "gamma_d_spsr",
     "gamma_d_dpsr",
     "gamma_e",
@@ -31,6 +32,8 @@ __all__ = [
 
 E1_MODES = ("exact", "approx")
 SCHEMES = ("spsr", "dpsr")
+# float rows of an SNR workspace: gamma_e under dpsr holds five at once
+SNR_ROWS = 5
 
 
 def usable_cpus() -> int:
@@ -122,49 +125,94 @@ class SnrPair:
         return np.maximum(self.gamma_e1, self.gamma_e2)
 
 
+def snr_workspace(shape=()) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch for the ``out`` argument of :func:`gamma_d_spsr`,
+    :func:`gamma_d_dpsr` and :func:`gamma_e` on gains of ``shape``:
+    ``SNR_ROWS`` float rows and one bool mask."""
+    return np.empty((SNR_ROWS, *shape)), np.empty(shape, dtype=bool)
+
+
+def _workspace(out, *gains) -> tuple[np.ndarray, np.ndarray]:
+    """``out``, or a fresh workspace for the broadcast shape of ``gains``."""
+    if out is None:
+        return snr_workspace(np.broadcast_shapes(*(np.shape(g) for g in gains)))
+    return out
+
+
+def _check_gains(mask: np.ndarray, *gains) -> None:
+    """Raise unless every gain is nonnegative, comparing into ``mask``."""
+    for g in gains:
+        if np.less(g, 0.0, out=mask).any():
+            raise ValueError("channel gains must be nonnegative")
+
+
+def _guarded_divide(num: np.ndarray, den: np.ndarray, mask: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """num / den where den > 0 and 0 elsewhere, computed in ``out``."""
+    out.fill(0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(num, den, out=out, where=np.greater(den, 0.0, out=mask))
+
+
+def _rho_star_into(eta: float, gamma_rd, out: np.ndarray) -> np.ndarray:
+    """1 / (1 + sqrt(eta * gamma_rd)), computed in ``out``."""
+    np.multiply(eta, gamma_rd, out=out)
+    np.sqrt(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
+
+
 def rho_star(eta: float, gamma_rd):
     """Power-splitting ratio 1 / (1 + sqrt(eta * gamma_rd)) maximizing the destination SNR."""
     if not 0 < eta <= 1:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
     if np.any(np.asarray(gamma_rd) < 0):
         raise ValueError("channel gain must be nonnegative")
-    out = 1.0 / (1.0 + np.sqrt(eta * np.asarray(gamma_rd, dtype=float)))
+    out = _rho_star_into(eta, gamma_rd, np.empty(np.shape(gamma_rd)))
     return float(out) if np.isscalar(gamma_rd) else out
 
 
-def _gamma_d_at(eta: float, rho: float, psi: float, gamma_sr, gamma_rd):
-    rho = np.float64(rho)
-    num = eta * rho * (1.0 - rho) * psi * gamma_sr * gamma_rd
-    den = eta * rho * gamma_rd + (1.0 - rho)
-    if 0 < rho < 1:
-        return num / den  # den >= 1 - rho > 0 for nonnegative gains
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-
-
-def gamma_d_spsr(p: SystemParams, gamma_sr, gamma_rd):
+def gamma_d_spsr(p: SystemParams, gamma_sr, gamma_rd, out=None):
     """Destination SNR under a fixed splitting ratio.
 
     Returns 0 at rho in {0, 1}: with everything harvested there is no signal
     left to forward, and with nothing harvested the relay has no power.
+    ``out`` is a workspace from :func:`snr_workspace` of the gains' shape
+    (one is made when it is ``None``); an array SNR is one of its rows.
     """
-    if np.any(np.asarray(gamma_sr) < 0) or np.any(np.asarray(gamma_rd) < 0):
-        raise ValueError("channel gains must be nonnegative")
-    out = _gamma_d_at(p.eta, p.rho, p.psi, gamma_sr, gamma_rd)
-    return float(out) if np.isscalar(gamma_sr) and np.isscalar(gamma_rd) else out
+    floats, mask = _workspace(out, gamma_sr, gamma_rd)
+    _check_gains(mask, gamma_sr, gamma_rd)
+    num, den = floats[0, ...], floats[1, ...]  # rows, 0-d arrays for scalar gains
+    rho = np.float64(p.rho)
+    np.multiply(p.eta * rho * (1.0 - rho) * p.psi, gamma_sr, out=num)
+    np.multiply(num, gamma_rd, out=num)
+    np.multiply(p.eta * rho, gamma_rd, out=den)
+    np.add(den, 1.0 - rho, out=den)
+    if 0 < rho < 1:
+        snr = np.divide(num, den, out=num)  # den >= 1 - rho > 0 for nonnegative gains
+    else:
+        snr = _guarded_divide(num, den, mask, floats[2, ...])
+    return float(snr) if np.isscalar(gamma_sr) and np.isscalar(gamma_rd) else snr
 
 
-def gamma_d_dpsr(p: SystemParams, gamma_sr, gamma_rd):
+def gamma_d_dpsr(p: SystemParams, gamma_sr, gamma_rd, out=None):
     """Destination SNR with the per-realization optimal splitting ratio.
 
     Equals ``gamma_d_spsr`` evaluated at ``rho_star(eta, gamma_rd)``:
     eta * psi * gamma_sr * gamma_rd / (1 + sqrt(eta * gamma_rd))**2.
+    ``out`` is a workspace as for ``gamma_d_spsr``.
     """
-    if np.any(np.asarray(gamma_sr) < 0) or np.any(np.asarray(gamma_rd) < 0):
-        raise ValueError("channel gains must be nonnegative")
-    out = p.eta * p.psi * np.asarray(gamma_sr, dtype=float) * gamma_rd \
-        / (1.0 + np.sqrt(p.eta * np.asarray(gamma_rd, dtype=float))) ** 2
-    return float(out) if np.isscalar(gamma_sr) and np.isscalar(gamma_rd) else out
+    floats, mask = _workspace(out, gamma_sr, gamma_rd)
+    _check_gains(mask, gamma_sr, gamma_rd)
+    num, den = floats[0, ...], floats[1, ...]  # rows, 0-d arrays for scalar gains
+    np.multiply(p.eta * p.psi, gamma_sr, out=num)
+    np.multiply(num, gamma_rd, out=num)
+    np.multiply(p.eta, gamma_rd, out=den)
+    np.sqrt(den, out=den)
+    np.add(1.0, den, out=den)
+    np.square(den, out=den)
+    snr = np.divide(num, den, out=num)
+    return float(snr) if np.isscalar(gamma_sr) and np.isscalar(gamma_rd) else snr
 
 
 def gamma_e(
@@ -176,6 +224,7 @@ def gamma_e(
     mode: str = "exact",
     scheme: str = "spsr",
     gamma_rd=None,
+    out=None,
 ) -> SnrPair:
     """Eavesdropper SNRs in both slots under jamming dilution.
 
@@ -184,39 +233,51 @@ def gamma_e(
     the jammers silent, ``exact`` at ``xi = 0`` zeroes the jamming term in
     both slots.  ``scheme='dpsr'``
     substitutes the per-realization optimal splitting ratio, which requires
-    ``gamma_rd``.
+    ``gamma_rd``.  ``out`` is a workspace as for :func:`gamma_d_spsr`; array
+    SNRs are two of its rows.
     """
     if mode not in E1_MODES:
         raise ValueError(f"mode must be one of {E1_MODES}, got {mode!r}")
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    for g in (gamma_se, gamma_sr, gamma_re, xi):
-        if np.any(np.asarray(g) < 0):
-            raise ValueError("channel gains must be nonnegative")
+    gains = (gamma_se, gamma_sr, gamma_re, xi)
+    dpsr = scheme == "dpsr"
+    floats, mask = _workspace(out, *gains, *([gamma_rd] if dpsr and gamma_rd is not None else []))
+    _check_gains(mask, *gains)
+    e1, e2, phi_xi, den, rest = (floats[i, ...] for i in range(5))
 
-    if scheme == "dpsr":
+    if dpsr:
         if gamma_rd is None:
             raise ValueError("dpsr needs gamma_rd to evaluate the optimal splitting ratio")
-        rho = rho_star(p.eta, gamma_rd)
+        if np.less(gamma_rd, 0.0, out=mask).any():
+            raise ValueError("channel gain must be nonnegative")
+        rho = _rho_star_into(p.eta, gamma_rd, rest)
+        eta_rho = np.multiply(p.eta, rho, out=den)
+        rest = np.subtract(1.0, rho, out=rest)
     else:
-        rho = p.rho
+        rho = np.float64(p.rho)
+        eta_rho, rest = p.eta * rho, 1.0 - rho
 
-    phi_xi = p.phi * np.asarray(xi, dtype=float)
+    np.multiply(p.phi, xi, out=phi_xi)
+    np.multiply(p.psi, gamma_se, out=e1)
     if mode == "approx":
-        if np.any(phi_xi == 0):
+        if np.equal(phi_xi, 0.0, out=mask).any():
             raise ValueError("approx mode divides by phi * xi, which is zero here")
-        e1 = p.psi * gamma_se / phi_xi
+        np.divide(e1, phi_xi, out=e1)
     else:
-        e1 = p.psi * gamma_se / (phi_xi + 1.0)
+        np.divide(e1, np.add(phi_xi, 1.0, out=e2), out=e1)
 
-    rho_arr = np.asarray(rho, dtype=float)
-    num = p.eta * rho_arr * (1.0 - rho_arr) * gamma_sr * gamma_re * p.psi
-    den = p.eta * rho_arr * gamma_re + (1.0 - rho_arr) * phi_xi + (1.0 - rho_arr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e2 = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+    # eta rho (1 - rho) gamma_sr gamma_re psi over
+    # eta rho gamma_re + (1 - rho) phi xi + (1 - rho), each in that order
+    np.multiply(eta_rho, rest, out=e2)
+    np.multiply(e2, gamma_sr, out=e2)
+    np.multiply(e2, gamma_re, out=e2)
+    np.multiply(e2, p.psi, out=e2)
+    np.multiply(eta_rho, gamma_re, out=den)
+    np.add(den, np.multiply(rest, phi_xi, out=phi_xi), out=den)
+    np.add(den, rest, out=den)
+    e2 = _guarded_divide(e2, den, mask, phi_xi)
 
-    scalar = all(np.isscalar(g) for g in (gamma_se, gamma_sr, gamma_re, xi)) \
-        and (gamma_rd is None or np.isscalar(gamma_rd))
-    if scalar:
+    if all(np.isscalar(g) for g in gains) and (gamma_rd is None or np.isscalar(gamma_rd)):
         return SnrPair(float(e1), float(e2))
-    return SnrPair(np.asarray(e1, dtype=float), np.asarray(e2, dtype=float))
+    return SnrPair(e1, e2)

@@ -11,8 +11,11 @@ drawing and counting ``ROW_BLOCK`` trials at a time; partial estimates merge
 by integer count addition, which makes merging exact and associative.  The
 partitions go through ``core.spread_map``, which runs them concurrently on
 at most as many threads as the process has usable CPUs (inline when that is
-one); each thread owns its partition's streams, so the counts equal those of
-a sequential run bit for bit.
+one); each thread owns its partition's streams and workspace, so the counts
+equal those of a sequential run bit for bit.  The workspace is made once per
+partition: a gain row per drawn link, the SNR rows of ``core.snr_workspace``
+and a bool mask.  Every block draws into it and computes its SNRs and counts
+in it, so no block allocates an array.
 
 Every run counts a list of schemes, ``(kind, rho)`` pairs that differ only
 in the splitting rule: each block draws the union of the links they read
@@ -30,7 +33,8 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from .channel import ChannelStats, draw_channels, link_streams
-from .core import E1_MODES, SCHEMES, SystemParams, gamma_d_dpsr, gamma_d_spsr, gamma_e, spread_map
+from .core import E1_MODES, SCHEMES, SNR_ROWS, SystemParams, gamma_d_dpsr, gamma_d_spsr, gamma_e, \
+    spread_map
 
 __all__ = ["METRICS", "SimConfig", "EstimateWithCI", "simulate_point"]
 
@@ -38,8 +42,12 @@ __all__ = ["METRICS", "SimConfig", "EstimateWithCI", "simulate_point"]
 METRICS = ("op", "ip")
 
 # Trials drawn and counted at a time.  A stream yields the same values
-# whatever the rows per call, so this fixes no result; 2^14 rows keep the
-# scratch in cache, where 2^18-row draws raised the peak resident set.
+# whatever the rows per call, so this fixes no result.  It sizes a
+# partition's workspace, one float row per drawn link and SNR_ROWS more
+# (at most 10 x 128 KiB), made once per partition: block-sized arrays made
+# fresh for every block left glibc to trim the heap top at each block's end
+# and fault it back in at the next, and 2^18-row blocks raised the peak
+# resident set.
 ROW_BLOCK = 1 << 14
 
 _Z95 = 1.96
@@ -131,27 +139,42 @@ def _links(metrics: Collection[str], kind: str, jamming: bool) -> set[str]:
     return links
 
 
+def _workspace(links: Collection[str], size: int):
+    """Scratch for blocks of up to ``size`` trials, allocated once and reused
+    by every block: one gain row per link of ``links``, in their order, for
+    ``draw_channels``, then an SNR workspace (see ``core.snr_workspace``)."""
+    floats = np.empty((len(links) + SNR_ROWS, size))
+    return dict(zip(links, floats)), (floats[len(links):], np.empty(size, dtype=bool))
+
+
 def _count_block(p: SystemParams, s: ChannelStats, c: SimConfig,
                  streams: Mapping[str, np.random.Generator], n: int,
                  metrics: Collection[str],
-                 runs: Sequence[tuple[str, SystemParams]]) -> list[tuple[int, int]]:
+                 runs: Sequence[tuple[str, SystemParams]], work) -> list[tuple[int, int]]:
     """(op, ip) success counts of ``n`` trials, one pair per (kind, params)
     run, all counted on one draw of the links in ``streams``; a metric not in
-    ``metrics`` counts 0."""
-    draw = draw_channels(s, p, streams, size=n)
+    ``metrics`` counts 0.  ``work`` is a :func:`_workspace` of at least ``n``
+    trials for the links of ``streams``; the draw and the SNRs go into it."""
+    gains, (snr, mask) = work
+    if n < len(mask):
+        gains = {link: row[:n] for link, row in gains.items()}
+        snr, mask = snr[:, :n], mask[:n]
+    draw = draw_channels(s, p, streams, size=n, out=gains)
     # with the jammers off the aggregate is zero (and e1_mode is exact)
-    xi = draw.get("je") if c.jamming else np.zeros(n)
+    xi = draw.get("je") if c.jamming else 0.0
     sr, rd = draw["sr"], draw.get("rd")
     counts = []
     for kind, rp in runs:
         op = ip = 0
         if "op" in metrics:
             gamma_d = gamma_d_dpsr if kind == "dpsr" else gamma_d_spsr
-            op = int(np.count_nonzero(gamma_d(rp, sr, rd) < rp.gamma_th))
+            snr_d = gamma_d(rp, sr, rd, out=(snr, mask))
+            op = int(np.count_nonzero(np.less(snr_d, rp.gamma_th, out=mask)))
         if "ip" in metrics:
             pair = gamma_e(rp, draw["se"], sr, draw["re"], xi,
-                           mode=c.e1_mode, scheme=kind, gamma_rd=rd)
-            ip = int(np.count_nonzero(pair.combined >= rp.gamma_th))
+                           mode=c.e1_mode, scheme=kind, gamma_rd=rd, out=(snr, mask))
+            combined = np.maximum(pair.gamma_e1, pair.gamma_e2, out=pair.gamma_e1)
+            ip = int(np.count_nonzero(np.greater_equal(combined, rp.gamma_th, out=mask)))
         counts.append((op, ip))
     return counts
 
@@ -181,8 +204,9 @@ def simulate_point(
     def partition_counts(part: tuple[int, int]) -> list[tuple[int, int]]:
         worker, n_worker = part
         streams = link_streams(c.seed, worker, links)
+        work = _workspace(streams, min(ROW_BLOCK, n_worker))
         return _sum_counts([_count_block(p, s, c, streams, min(ROW_BLOCK, n_worker - lo),
-                                         metrics, runs)
+                                         metrics, runs, work)
                             for lo in range(0, n_worker, ROW_BLOCK)])
 
     # numpy's bit generators and ufuncs release the GIL, so the partitions

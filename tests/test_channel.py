@@ -202,14 +202,15 @@ class TestDrawChannels:
 
 
 class _Uniforms:
-    """A stand-in stream whose ``random`` returns the given uniforms."""
+    """A stand-in stream whose ``random`` writes the given uniforms into ``out``."""
 
     def __init__(self, u):
         self.u = np.array(u, dtype=float)
 
-    def random(self, n):
-        assert n == len(self.u)
-        return self.u.copy()
+    def random(self, *, out):
+        assert len(out) == len(self.u)
+        out[:] = self.u
+        return out
 
 
 # KS statistic bound: the 0.1% critical value 1.95/sqrt(n) of the one-sample test

@@ -165,23 +165,61 @@ def _guarded_gamma_d(eta, rho, psi, gamma_sr, gamma_rd):
         return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
 
-class TestDestinationSnrFastPath:
-    """Inside (0, 1) gamma_d_spsr divides directly; it must return the bits
-    of the guarded division it skips."""
+def _reference_snrs(route, p, gsr, grd, gse, gre, xi):
+    # every SNR as first written, one fresh array per expression
+    if route == "d-spsr":
+        return (_guarded_gamma_d(p.eta, p.rho, p.psi, gsr, grd),)
+    if route == "d-dpsr":
+        return (p.eta * p.psi * np.asarray(gsr, dtype=float) * grd
+                / (1.0 + np.sqrt(p.eta * np.asarray(grd, dtype=float))) ** 2,)
+    _, kind, mode = route.split("-")
+    rho = 1.0 / (1.0 + np.sqrt(p.eta * np.asarray(grd, dtype=float))) if kind == "dpsr" else p.rho
+    phi_xi = p.phi * np.asarray(xi, dtype=float)
+    e1 = p.psi * gse / phi_xi if mode == "approx" else p.psi * gse / (phi_xi + 1.0)
+    rho = np.asarray(rho, dtype=float)
+    num = p.eta * rho * (1.0 - rho) * gsr * gre * p.psi
+    den = p.eta * rho * gre + (1.0 - rho) * phi_xi + (1.0 - rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return e1, np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
+
+def _snrs(route, p, gsr, grd, gse, gre, xi, out=None):
+    if route == "d-spsr":
+        return (gamma_d_spsr(p, gsr, grd, out=out),)
+    if route == "d-dpsr":
+        return (gamma_d_dpsr(p, gsr, grd, out=out),)
+    _, kind, mode = route.split("-")
+    pair = gamma_e(p, gse, gsr, gre, xi, mode=mode, scheme=kind, gamma_rd=grd, out=out)
+    return pair.gamma_e1, pair.gamma_e2
+
+
+class TestDestinationSnrFastPath:
+    """The SNR functions compute in a workspace, and gamma_d_spsr divides
+    directly inside (0, 1); they must return the bits of the formulas as
+    first written, with or without a workspace, for arrays and scalars."""
+
+    @pytest.mark.parametrize("route", ["d-spsr", "d-dpsr", "e-spsr-exact", "e-spsr-approx",
+                                       "e-dpsr-exact", "e-dpsr-approx"])
     @pytest.mark.parametrize("rho", [0.0, 1e-12, 0.225, 0.5, 0.875, 1.0 - 1e-12, 1.0])
-    def test_equals_the_guarded_division(self, rho):
+    def test_equals_the_guarded_division(self, route, rho):
         rng = np.random.default_rng(31)
         p = make_params(rho=rho, psi_db=13.0)
-        gsr, grd = rng.exponential(1.5, size=(2, 1000))
-        gsr[:3], grd[3:6] = 0.0, 0.0
-        ref = _guarded_gamma_d(p.eta, p.rho, p.psi, gsr, grd)
-        got = gamma_d_spsr(p, gsr, grd)
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-        for a, b in zip(gsr[:20], grd[:20]):
-            v = gamma_d_spsr(p, float(a), float(b))
-            assert isinstance(v, float)
-            assert v.hex() == float(_guarded_gamma_d(p.eta, p.rho, p.psi, a, b)).hex()
+        gains = rng.exponential(1.5, size=(5, 1000))  # gsr, grd, gse, gre, xi
+        # zero source, destination and wiretap gains; both of the last two
+        # at rows 6-8, where dpsr's second-slot denominator is 0
+        gains[0, :3], gains[1, 3:9], gains[3, 6:12] = 0.0, 0.0, 0.0
+        ref = _reference_snrs(route, p, *gains)
+        work = core.snr_workspace(gains.shape[1:])
+        for out in (None, work, work):
+            got = _snrs(route, p, *gains, out=out)
+            for g, r in zip(got, ref, strict=True):
+                assert np.array_equal(g.view(np.uint64), r.view(np.uint64))
+                assert out is None or np.shares_memory(g, out[0])
+        for column in gains[:, :20].T:
+            got = _snrs(route, p, *map(float, column))
+            for g, r in zip(got, _reference_snrs(route, p, *column), strict=True):
+                assert isinstance(g, float)
+                assert g.hex() == float(r).hex()
 
     def test_keeps_the_argument_checks(self):
         p = make_params(rho=0.5)

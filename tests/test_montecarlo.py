@@ -226,6 +226,39 @@ class TestMetricSubsets:
                            metrics=metrics)
 
 
+class TestBlockWorkspace:
+    def test_every_block_reuses_the_first_blocks_arrays(self, s1, monkeypatch):
+        # the arrays each boundary returns, call by call, kept alive
+        returned = {}
+
+        def spy(name, arrays):
+            fn = getattr(montecarlo, name)
+
+            def recorded(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                returned.setdefault(name, []).append(arrays(result))
+                return result
+
+            monkeypatch.setattr(montecarlo, name, recorded)
+
+        spy("draw_channels", lambda draw: list(draw.values()))
+        spy("gamma_d_spsr", lambda snr: [snr])
+        spy("gamma_d_dpsr", lambda snr: [snr])
+        spy("gamma_e", lambda pair: [pair.gamma_e1, pair.gamma_e2])
+        p = make_params(num_sources=3, num_jammers=4)
+        # one partition of three blocks, the last one partial
+        c = SimConfig(trials=3 * ROW_BLOCK - 5, seed=4)
+        simulate_point(p, s1, c, (("spsr", 0.225), ("spsr", 0.875), ("dpsr", 0.5)))
+        assert len(returned["draw_channels"]) == 3
+        for name, calls in returned.items():
+            per_block = len(calls) // 3
+            assert per_block * 3 == len(calls)
+            for i, arrays in enumerate(calls[per_block:]):
+                first = calls[i % per_block]
+                assert len(arrays) == len(first)
+                assert all(np.shares_memory(a, b) for a, b in zip(arrays, first)), name
+
+
 def _full_draw_ip_count(p, s, kind, streams, n):
     # the intercept count of one block from a draw of all five links, with
     # the jammers silent (a zero aggregate)
@@ -289,7 +322,8 @@ def _sequential_counts(p, s, c, kind):
         streams = link_streams(c.seed, worker, LINK_KEYS)
         for lo in range(0, n_worker, ROW_BLOCK):
             n = min(ROW_BLOCK, n_worker - lo)
-            [(op, ip)] = montecarlo._count_block(p, s, c, streams, n, METRICS, [(kind, p)])
+            [(op, ip)] = montecarlo._count_block(p, s, c, streams, n, METRICS, [(kind, p)],
+                                                 montecarlo._workspace(streams, n))
             op_total += op
             ip_total += ip
     return op_total, ip_total
