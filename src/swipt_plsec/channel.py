@@ -167,16 +167,18 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 def link_streams(master_seed: int, worker_index: int,
                  links: Collection[str]) -> dict[str, np.random.Generator]:
-    """Independent counter-based streams for the ``links`` of one worker of one run.
+    """Independent PCG64DXSM streams for the ``links`` of one worker of one run.
 
     Each is keyed purely by (master seed, worker index, link index in
-    ``LINK_KEYS``), so a link's values depend neither on the other links
-    drawn nor on execution order, and a partitioned run reproduces bit for
-    bit for a fixed worker count."""
+    ``LINK_KEYS``) through ``SeedSequence``, so a link's values depend
+    neither on the other links drawn nor on execution order, and a
+    partitioned run reproduces bit for bit for a fixed worker count.  No
+    stream is ever jumped or skipped, so a counter-based generator would buy
+    nothing; PCG64DXSM fills 2^14 uniforms in less than half Philox's time."""
     unknown = set(links) - set(LINK_KEYS)
     if unknown:
         raise ValueError(f"unknown links: {sorted(unknown)}")
-    return {link: np.random.Generator(np.random.Philox(
+    return {link: np.random.Generator(np.random.PCG64DXSM(
                 np.random.SeedSequence([int(master_seed), int(worker_index), index])))
             for index, link in enumerate(LINK_KEYS) if link in links}
 

@@ -147,27 +147,27 @@ class TestEngine:
 
 # (op, ip) success counts of simulate_point at s1, trials=600_001, seed=7, for
 # (workers, scheme) in (1, spsr), (1, dpsr), (3, spsr), (3, dpsr); recorded with
-# the engine that gives each link its own Philox stream keyed by (seed, worker,
-# link index), draws the best-of-M gain by the inverse CDF of the max and the
-# jammer sum by standard_gamma(K), and counts ROW_BLOCK trials at a time.  The
-# outage counts read no JE gain, so they do not change with K.
+# the engine that gives each link its own PCG64DXSM stream keyed by (seed,
+# worker, link index), draws the best-of-M gain by the inverse CDF of the max
+# and the jammer sum by standard_gamma(K), and counts ROW_BLOCK trials at a
+# time.  The outage counts read no JE gain, so they do not change with K.
 PINNED_COUNTS = {
-    (1, 1): ((190121, 40322), (176868, 30535), (190555, 40166), (177542, 30608)),
-    (1, 4): ((190121, 1068), (176868, 653), (190555, 1104), (177542, 647)),
-    (1, 8): ((190121, 37), (176868, 21), (190555, 29), (177542, 14)),
-    (1, 9): ((190121, 12), (176868, 11), (190555, 17), (177542, 13)),
-    (3, 1): ((40001, 83067), (34962, 62391), (39705, 83082), (34657, 62280)),
-    (3, 4): ((40001, 2952), (34962, 1798), (39705, 2962), (34657, 1823)),
-    (3, 8): ((40001, 108), (34962, 59), (39705, 91), (34657, 55)),
-    (3, 9): ((40001, 47), (34962, 31), (39705, 51), (34657, 33)),
-    (8, 1): ((15082, 132450), (11564, 101588), (15034, 132439), (11568, 101641)),
-    (8, 4): ((15082, 6467), (11564, 3909), (15034, 6510), (11568, 4026)),
-    (8, 8): ((15082, 265), (11564, 177), (15034, 247), (11568, 174)),
-    (8, 9): ((15082, 110), (11564, 76), (15034, 119), (11568, 73)),
-    (9, 1): ((14103, 138601), (10684, 106561), (14062, 138369), (10689, 106487)),
-    (9, 4): ((14103, 7084), (10684, 4262), (14062, 7100), (10689, 4411)),
-    (9, 8): ((14103, 297), (10684, 198), (14062, 281), (10689, 200)),
-    (9, 9): ((14103, 122), (10684, 88), (14062, 131), (10689, 83)),
+    (1, 1): ((189811, 40757), (176525, 30674), (190078, 40347), (176915, 30565)),
+    (1, 4): ((189811, 1115), (176525, 719), (190078, 1092), (176915, 663)),
+    (1, 8): ((189811, 47), (176525, 23), (190078, 35), (176915, 17)),
+    (1, 9): ((189811, 21), (176525, 17), (190078, 17), (176915, 14)),
+    (3, 1): ((39542, 83397), (34576, 62657), (39974, 82994), (34974, 62350)),
+    (3, 4): ((39542, 2963), (34576, 1877), (39974, 2930), (34974, 1783)),
+    (3, 8): ((39542, 107), (34576, 68), (39974, 98), (34974, 59)),
+    (3, 9): ((39542, 50), (34576, 33), (39974, 53), (34974, 32)),
+    (8, 1): ((14934, 132884), (11530, 101763), (15098, 132799), (11751, 101462)),
+    (8, 4): ((14934, 6577), (11530, 4103), (15098, 6471), (11751, 3974)),
+    (8, 8): ((14934, 256), (11530, 177), (15098, 232), (11751, 156)),
+    (8, 9): ((14934, 131), (11530, 88), (15098, 140), (11751, 78)),
+    (9, 1): ((13988, 138836), (10660, 106572), (14158, 138901), (10820, 106402)),
+    (9, 4): ((13988, 7177), (10660, 4459), (14158, 7048), (10820, 4344)),
+    (9, 8): ((13988, 290), (10660, 200), (14158, 258), (10820, 177)),
+    (9, 9): ((13988, 150), (10660, 97), (14158, 146), (10820, 86)),
 }
 
 
