@@ -241,16 +241,15 @@ def gamma_e(
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     gains = (gamma_se, gamma_sr, gamma_re, xi)
-    dpsr = scheme == "dpsr"
-    floats, mask = _workspace(out, *gains, *([gamma_rd] if dpsr and gamma_rd is not None else []))
+    rd = (gamma_rd,) if scheme == "dpsr" and gamma_rd is not None else ()
+    floats, mask = _workspace(out, *gains, *rd)
     _check_gains(mask, *gains)
     e1, e2, phi_xi, den, rest = (floats[i, ...] for i in range(5))
 
-    if dpsr:
+    if scheme == "dpsr":
         if gamma_rd is None:
             raise ValueError("dpsr needs gamma_rd to evaluate the optimal splitting ratio")
-        if np.less(gamma_rd, 0.0, out=mask).any():
-            raise ValueError("channel gain must be nonnegative")
+        _check_gains(mask, gamma_rd)
         rho = _rho_star_into(p.eta, gamma_rd, rest)
         eta_rho = np.multiply(p.eta, rho, out=den)
         rest = np.subtract(1.0, rho, out=rest)

@@ -33,8 +33,8 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from .channel import ChannelStats, draw_channels, link_streams
-from .core import E1_MODES, SCHEMES, SNR_ROWS, SystemParams, gamma_d_dpsr, gamma_d_spsr, gamma_e, \
-    spread_map
+from .core import (E1_MODES, SCHEMES, SNR_ROWS, SystemParams, gamma_d_dpsr, gamma_d_spsr,
+                   gamma_e, spread_map)
 
 __all__ = ["METRICS", "SimConfig", "EstimateWithCI", "simulate_point"]
 
