@@ -132,7 +132,7 @@ def snr_workspace(shape=()) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((SNR_ROWS, *shape)), np.empty(shape, dtype=bool)
 
 
-def _workspace(out, *gains) -> tuple[np.ndarray, np.ndarray]:
+def _workspace_for(out, *gains) -> tuple[np.ndarray, np.ndarray]:
     """``out``, or a fresh workspace for the broadcast shape of ``gains``."""
     if out is None:
         return snr_workspace(np.broadcast_shapes(*(np.shape(g) for g in gains)))
@@ -180,7 +180,7 @@ def gamma_d_spsr(p: SystemParams, gamma_sr, gamma_rd, out=None):
     ``out`` is a workspace from :func:`snr_workspace` of the gains' shape
     (one is made when it is ``None``); an array SNR is one of its rows.
     """
-    floats, mask = _workspace(out, gamma_sr, gamma_rd)
+    floats, mask = _workspace_for(out, gamma_sr, gamma_rd)
     _check_gains(mask, gamma_sr, gamma_rd)
     num, den = floats[0, ...], floats[1, ...]  # rows, 0-d arrays for scalar gains
     rho = np.float64(p.rho)
@@ -202,7 +202,7 @@ def gamma_d_dpsr(p: SystemParams, gamma_sr, gamma_rd, out=None):
     eta * psi * gamma_sr * gamma_rd / (1 + sqrt(eta * gamma_rd))**2.
     ``out`` is a workspace as for ``gamma_d_spsr``.
     """
-    floats, mask = _workspace(out, gamma_sr, gamma_rd)
+    floats, mask = _workspace_for(out, gamma_sr, gamma_rd)
     _check_gains(mask, gamma_sr, gamma_rd)
     num, den = floats[0, ...], floats[1, ...]  # rows, 0-d arrays for scalar gains
     np.multiply(p.eta * p.psi, gamma_sr, out=num)
@@ -242,7 +242,7 @@ def gamma_e(
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     gains = (gamma_se, gamma_sr, gamma_re, xi)
     rd = (gamma_rd,) if scheme == "dpsr" and gamma_rd is not None else ()
-    floats, mask = _workspace(out, *gains, *rd)
+    floats, mask = _workspace_for(out, *gains, *rd)
     _check_gains(mask, *gains)
     e1, e2, phi_xi, den, rest = (floats[i, ...] for i in range(5))
 

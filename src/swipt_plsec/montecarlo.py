@@ -142,7 +142,9 @@ def _links(metrics: Collection[str], kind: str, jamming: bool) -> set[str]:
 def _workspace(links: Collection[str], size: int):
     """Scratch for blocks of up to ``size`` trials, allocated once and reused
     by every block: one gain row per link of ``links``, in their order, for
-    ``draw_channels``, then an SNR workspace (see ``core.snr_workspace``)."""
+    ``draw_channels``, then an SNR workspace (see ``core.snr_workspace``).
+    The float rows are one allocation: as two, glibc trimmed and faulted
+    them back in on every call (155 faults per ``figure_ip`` MC point, not 1)."""
     floats = np.empty((len(links) + SNR_ROWS, size))
     return dict(zip(links, floats)), (floats[len(links):], np.empty(size, dtype=bool))
 

@@ -249,6 +249,7 @@ class TestBlockWorkspace:
         # one partition of three blocks, the last one partial
         c = SimConfig(trials=3 * ROW_BLOCK - 5, seed=4)
         simulate_point(p, s1, c, (("spsr", 0.225), ("spsr", 0.875), ("dpsr", 0.5)))
+        assert set(returned) == {"draw_channels", "gamma_d_spsr", "gamma_d_dpsr", "gamma_e"}
         assert len(returned["draw_channels"]) == 3
         for name, calls in returned.items():
             per_block = len(calls) // 3
