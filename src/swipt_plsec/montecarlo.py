@@ -3,10 +3,10 @@
 A run counts the metrics its caller asks for: outage (OP), intercept (IP) or
 both.  It draws only the links those metrics read -- OP reads SR and RD; IP
 reads SR, SE and RE, JE when the jammers are on, and RD under dpsr.  Every
-link has its own stream, keyed by (master seed, worker index, link), so a
-link's values do not depend on which others are drawn: an outage-only run,
-an intercept-only run and a joint run with the same configuration report
-bitwise-identical estimates.  Trials are partitioned across workers, each
+link has its own PCG64DXSM stream (``channel.link_streams``), keyed by
+(master seed, worker index, link), so a link's values do not depend on
+which others are drawn: an outage-only run, an intercept-only run and a
+joint run with the same configuration report bitwise-identical estimates.  Trials are partitioned across workers, each
 drawing and counting ``ROW_BLOCK`` trials at a time; partial estimates merge
 by integer count addition, which makes merging exact and associative.  The
 partitions go through ``core.spread_map``, which runs them concurrently on
