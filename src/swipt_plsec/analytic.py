@@ -291,11 +291,18 @@ def _silent(p: SystemParams, s: ChannelStats):
     return 1.0 - q1, lambda v: q1 * np.exp(-v)
 
 
-def _intercept(p: SystemParams, s: ChannelStats, p1: float, g, dynamic: bool) -> float:
-    """``p1`` + E[``g``(beta/z); z > 0], with a and beta at ``p.rho`` or, when
-    ``dynamic``, at ``rho*`` of each relay-to-destination gain node.  Raises
-    ``ValueError`` where psi is so small that gamma_th/psi, which scales
-    every threshold, overflows."""
+def _intercept(p: SystemParams, s: ChannelStats, silent: bool, dynamic: bool) -> float:
+    """The intercept probability P1 + E[G(beta/z); z > 0], with (P1, G) of
+    the jammers ``silent`` or on, and a and beta at ``p.rho`` or, when
+    ``dynamic``, at ``rho*`` of each relay-to-destination gain node: 1 at
+    gamma_th = 0.  Raises ``ValueError`` at a static rho outside (0, 1), with
+    the jammers on at phi = 0, and where psi is so small that gamma_th/psi,
+    which scales every threshold, overflows."""
+    if p.gamma_th == 0:
+        return 1.0
+    if not (dynamic or 0 < p.rho < 1):
+        raise ValueError("static-splitting intercept needs rho in (0, 1)")
+    p1, g = _silent(p, s) if silent else _jammed(p, s)
     if not math.isfinite(p.gamma_th / p.psi):
         raise ValueError(f"psi = {p.psi:g} is too small: gamma_th/psi overflows")
     m = p.num_sources
@@ -321,33 +328,21 @@ def _intercept(p: SystemParams, s: ChannelStats, p1: float, g, dynamic: bool) ->
 def ip_spsr_quadrature(p: SystemParams, s: ChannelStats) -> float:
     """Intercept probability under static splitting (the sweep's route):
     :func:`_intercept` at ``p.rho`` with the jammers on."""
-    if p.gamma_th == 0:
-        return 1.0
-    if not 0 < p.rho < 1:
-        raise ValueError("static-splitting intercept needs rho in (0, 1)")
-    return _intercept(p, s, *_jammed(p, s), dynamic=False)
+    return _intercept(p, s, silent=False, dynamic=False)
 
 
 def ip_spsr_no_jamming(p: SystemParams, s: ChannelStats) -> float:
     """Static-splitting intercept probability with the jammers silent."""
-    if p.gamma_th == 0:
-        return 1.0
-    if not 0 < p.rho < 1:
-        raise ValueError("static-splitting intercept needs rho in (0, 1)")
-    return _intercept(p, s, *_silent(p, s), dynamic=False)
+    return _intercept(p, s, silent=True, dynamic=False)
 
 
 def ip_dpsr_quadrature(p: SystemParams, s: ChannelStats) -> float:
     """Intercept probability under dynamic splitting (the sweep's route):
     :func:`_intercept` at the optimal ratio of each relay-to-destination
     gain, with the jammers on."""
-    if p.gamma_th == 0:
-        return 1.0
-    return _intercept(p, s, *_jammed(p, s), dynamic=True)
+    return _intercept(p, s, silent=False, dynamic=True)
 
 
 def ip_dpsr_no_jamming(p: SystemParams, s: ChannelStats) -> float:
     """Dynamic-splitting intercept probability with the jammers silent."""
-    if p.gamma_th == 0:
-        return 1.0
-    return _intercept(p, s, *_silent(p, s), dynamic=True)
+    return _intercept(p, s, silent=True, dynamic=True)

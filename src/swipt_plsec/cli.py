@@ -81,7 +81,8 @@ def _add_model_args(sub: argparse.ArgumentParser, for_sweep: bool) -> None:
     sub.add_argument("--phi-db", type=float, default=1.0, help="jammer power-to-noise ratio, dB")
     sub.add_argument("--num-sources", type=int, default=2, help="number of candidate sources")
     sub.add_argument("--num-jammers", type=int, default=1, help="number of friendly jammers")
-    sub.add_argument("--jamming", choices=("on", "off"), default="on")
+    sub.add_argument("--jamming", choices=("on", "off"), default="on",
+                     help="off silences the jammers: phi = 0 whatever --phi-db")
     sub.add_argument("--e1-mode", choices=("exact", "approx"), default="exact",
                      help="first-slot eavesdropper SNR model for the simulation")
     sub.add_argument("--trials", type=int, default=1_000_000,
@@ -105,8 +106,8 @@ def _add_model_args(sub: argparse.ArgumentParser, for_sweep: bool) -> None:
 
 def _build_params(args, rho: float) -> SystemParams:
     return SystemParams(
-        eta=args.eta, rho=rho,
-        psi=_db_to_linear(args.psi_db), phi=_db_to_linear(args.phi_db),
+        eta=args.eta, rho=rho, psi=_db_to_linear(args.psi_db),
+        phi=_db_to_linear(args.phi_db) if args.jamming == "on" else 0.0,
         num_sources=args.num_sources, num_jammers=args.num_jammers,
         c_th=args.c_th,
     )
@@ -115,7 +116,7 @@ def _build_params(args, rho: float) -> SystemParams:
 def _build_sim(args) -> SimConfig:
     trials = PAPER_FIDELITY_TRIALS if args.paper_fidelity else args.trials
     return SimConfig(trials=trials, seed=args.seed, workers=args.workers,
-                     jamming=args.jamming == "on", e1_mode=args.e1_mode)
+                     e1_mode=args.e1_mode)
 
 
 def _cmd_point(args) -> int:
@@ -150,6 +151,8 @@ def _cmd_point(args) -> int:
 def _cmd_sweep(args) -> int:
     stats = resolve_scenario(args.scenario)
     var, start, stop, step = args.sweep
+    if var == "phi_db" and args.jamming == "off":
+        raise ValueError("--jamming off sets phi = 0, which a phi_db --sweep would replace")
     kinds = [k.strip() for k in args.scheme.split(",") if k.strip()]
     unknown = set(kinds) - set(SCHEMES)
     if unknown:

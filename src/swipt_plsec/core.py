@@ -230,11 +230,11 @@ def gamma_e(
 
     ``mode`` selects the first-slot denominator: ``exact`` keeps the unit
     noise term (psi * gamma_se / (phi * xi + 1)), ``approx`` drops it.  With
-    the jammers silent, ``exact`` at ``xi = 0`` zeroes the jamming term in
-    both slots.  ``scheme='dpsr'``
-    substitutes the per-realization optimal splitting ratio, which requires
-    ``gamma_rd``.  ``out`` is a workspace as for :func:`gamma_d_spsr`; array
-    SNRs are two of its rows.
+    the jammers silent (phi = 0, where the simulation passes ``xi = 0``),
+    ``exact`` zeroes the jamming term in both slots and ``approx`` raises
+    ``ValueError``.  ``scheme='dpsr'`` substitutes the per-realization
+    optimal splitting ratio, which requires ``gamma_rd``.  ``out`` is a
+    workspace as for :func:`gamma_d_spsr`; array SNRs are two of its rows.
     """
     if mode not in E1_MODES:
         raise ValueError(f"mode must be one of {E1_MODES}, got {mode!r}")

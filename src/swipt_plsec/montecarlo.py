@@ -2,11 +2,12 @@
 
 A run counts the metrics its caller asks for: outage (OP), intercept (IP) or
 both.  It draws only the links those metrics read -- OP reads SR and RD; IP
-reads SR, SE and RE, JE when the jammers are on, and RD under dpsr.  Every
-link has its own PCG64DXSM stream (``channel.link_streams``), keyed by
-(master seed, worker index, link), so a link's values do not depend on
-which others are drawn: an outage-only run, an intercept-only run and a
-joint run with the same configuration report bitwise-identical estimates.  Trials are partitioned across workers, each
+reads SR, SE and RE, JE when phi > 0 (silent jammers are phi = 0, a zero
+aggregate), and RD under dpsr.  Every link has its own PCG64DXSM stream
+(``channel.link_streams``), keyed by (master seed, worker index, link), so a
+link's values do not depend on which others are drawn: an outage-only run,
+an intercept-only run and a joint run with the same configuration report
+bitwise-identical estimates.  Trials are partitioned across workers, each
 drawing and counting ``ROW_BLOCK`` trials at a time; partial estimates merge
 by integer count addition, which makes merging exact and associative.  The
 partitions go through ``core.spread_map``, which runs them concurrently on
@@ -60,14 +61,14 @@ class SimConfig:
 
     ``e1_mode`` picks the eavesdropper's first-slot SNR model: ``exact``
     keeps the unit noise term, ``approx`` uses the jamming-dominated form the
-    analytic intercept expressions are built on.  ``approx`` therefore
-    requires jamming to be on.
+    analytic intercept expressions are built on, so an intercept count in
+    ``approx`` mode at phi = 0 raises ``gamma_e``'s zero-jamming
+    ``ValueError``.  The jammers are on exactly when phi > 0.
     """
 
     trials: int = 5_000_000
     seed: int = 0
     workers: int = 1
-    jamming: bool = True
     e1_mode: str = "exact"
 
     def __post_init__(self):
@@ -79,8 +80,6 @@ class SimConfig:
             raise ValueError(f"need at least one worker, got {self.workers}")
         if self.e1_mode not in E1_MODES:
             raise ValueError(f"unknown e1_mode {self.e1_mode!r}")
-        if self.e1_mode == "approx" and not self.jamming:
-            raise ValueError("approx e1_mode divides by the jamming term; enable jamming")
 
     def partition(self) -> list[int]:
         """Per-worker trial counts: even split, remainder to the last worker."""
@@ -125,14 +124,15 @@ class EstimateWithCI:
         return abs(value - self.estimate) <= self.ci_halfwidth
 
 
-def _links(metrics: Collection[str], kind: str, jamming: bool) -> set[str]:
-    """Links whose gains the counts of ``metrics`` read under scheme ``kind``."""
+def _links(metrics: Collection[str], kind: str, jammed: bool) -> set[str]:
+    """Links whose gains the counts of ``metrics`` read under scheme ``kind``,
+    JE only when ``jammed``."""
     links = set()
     if "op" in metrics:
         links |= {"sr", "rd"}
     if "ip" in metrics:
         links |= {"sr", "se", "re"}
-        if jamming:
+        if jammed:
             links.add("je")
         if kind == "dpsr":
             links.add("rd")
@@ -162,8 +162,8 @@ def _count_block(p: SystemParams, s: ChannelStats, c: SimConfig,
         gains = {link: row[:n] for link, row in gains.items()}
         snr, mask = snr[:, :n], mask[:n]
     draw = draw_channels(s, p, streams, size=n, out=gains)
-    # with the jammers off the aggregate is zero (and e1_mode is exact)
-    xi = draw.get("je") if c.jamming else 0.0
+    # JE is drawn where an intercept count reads it (phi > 0); else the aggregate is zero
+    xi = draw.get("je", 0.0)
     sr, rd = draw["sr"], draw.get("rd")
     counts = []
     for kind, rp in runs:
@@ -201,7 +201,7 @@ def simulate_point(
         raise ValueError(f"need one or more schemes of kind {SCHEMES}, got {schemes!r}")
     # replace validates every field again, so skip it where nothing changes
     runs = [(kind, p if rho == p.rho else replace(p, rho=rho)) for kind, rho in schemes]
-    links = set().union(*(_links(metrics, kind, c.jamming) for kind, _ in runs))
+    links = set().union(*(_links(metrics, kind, p.phi > 0) for kind, _ in runs))
 
     def partition_counts(part: tuple[int, int]) -> list[tuple[int, int]]:
         worker, n_worker = part

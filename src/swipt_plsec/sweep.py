@@ -5,7 +5,8 @@ produces one row per (point, scheme).  The analytic routes run at their
 default accuracy, and all come from :mod:`swipt_plsec.analytic`, whose one
 Gauss-Kronrod (G10/K21) kernel averages a closed form over the best source
 gain.  Outage comes from ``op_spsr``/``op_dpsr``, intercept from
-``ip_*_quadrature``, or from ``ip_*_no_jamming`` with the jammers silent.
+``ip_*_quadrature``, or from ``ip_*_no_jamming`` at phi = 0, where the
+jammers are silent in the Monte-Carlo run too.
 No cell comes from :mod:`swipt_plsec.reference`: the paper's outage closed
 form and series, and the Bessel form of the slot-2 factor, cancel or stop
 converging inside the sweep envelope, and its intercept series is
@@ -198,10 +199,10 @@ def analytic_op(p: SystemParams, s: ChannelStats, scheme_kind: str) -> float:
     return op_dpsr(p, s) if scheme_kind == "dpsr" else op_spsr(p, s)
 
 
-def analytic_ip(p: SystemParams, s: ChannelStats, scheme_kind: str, jamming: bool) -> float:
+def analytic_ip(p: SystemParams, s: ChannelStats, scheme_kind: str) -> float:
     if scheme_kind == "dpsr":
-        return ip_dpsr_quadrature(p, s) if jamming else ip_dpsr_no_jamming(p, s)
-    return ip_spsr_quadrature(p, s) if jamming else ip_spsr_no_jamming(p, s)
+        return ip_dpsr_quadrature(p, s) if p.phi > 0 else ip_dpsr_no_jamming(p, s)
+    return ip_spsr_quadrature(p, s) if p.phi > 0 else ip_spsr_no_jamming(p, s)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -239,7 +240,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     errors.append(f"analytic op: {exc}")
             if spec.outputs in ("ip", "both"):
                 try:
-                    row.ip_analytic = analytic_ip(rp, s, kind, spec.sim.jamming)
+                    row.ip_analytic = analytic_ip(rp, s, kind)
                 except (NumericalError, ValueError) as exc:
                     errors.append(f"analytic ip: {exc}")
             row.runtime_ms = (time.perf_counter() - t0) * 1e3

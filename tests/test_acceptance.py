@@ -13,6 +13,7 @@ analysis.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -184,8 +185,9 @@ class TestCriterion3InterceptBenchmarks:
             # the benchmark values realize the jamming-dominated first-slot
             # model, which is the engine's approx mode
             sim = SimConfig(trials=1_000_000, seed=derive_seed(31, int(psi_db)),
-                            jamming=jamming, e1_mode="approx" if jamming else "exact")
-            [(_, mc)] = simulate_point(p, S1, sim, [(scheme, p.rho)], ("ip",))
+                            e1_mode="approx" if jamming else "exact")
+            model = p if jamming else replace(p, phi=0.0)  # silent jammers are phi = 0
+            [(_, mc)] = simulate_point(model, S1, sim, [(scheme, p.rho)], ("ip",))
             for label, value in (("analytic", analytic), ("mc", mc.estimate)):
                 if abs(value - golden) > 0.10 * golden:
                     failures.append((psi_db, scheme, jamming, label, value, golden))

@@ -72,9 +72,16 @@ class TestSimConfig:
         assert c.partition() == [3, 3, 4]
         assert sum(c.partition()) == c.trials
 
-    def test_approx_requires_jamming(self):
-        with pytest.raises(ValueError):
-            SimConfig(jamming=False, e1_mode="approx")
+    def test_approx_requires_jamming(self, s1):
+        # silent jammers are phi = 0: an approx outage count reads no
+        # eavesdropper SNR, while an approx intercept count would divide by
+        # the zero jamming term
+        p = replace(make_params(), phi=0.0)
+        c = SimConfig(trials=1000, seed=1, e1_mode="approx")
+        [(op, _)] = simulate_point(p, s1, c, [("spsr", p.rho)], ("op",))
+        assert 0.0 < op.estimate < 1.0
+        with pytest.raises(ValueError, match=r"approx mode divides by phi \* xi"):
+            simulate_point(p, s1, c, [("spsr", p.rho)], ("ip",))
 
     @pytest.mark.parametrize("kwargs", [
         dict(trials=0), dict(workers=0), dict(e1_mode="none"),
@@ -129,10 +136,9 @@ class TestEngine:
 
     def test_jamming_off_raises_intercept(self, s1):
         p = make_params(psi_db=2.0, rho=0.55)
-        [(_, on)] = simulate_point(p, s1, SimConfig(trials=200_000, seed=21, jamming=True),
-                                   [("spsr", p.rho)], ("ip",))
-        [(_, off)] = simulate_point(p, s1, SimConfig(trials=200_000, seed=21, jamming=False),
-                                    [("spsr", p.rho)], ("ip",))
+        c = SimConfig(trials=200_000, seed=21)
+        [(_, on)] = simulate_point(p, s1, c, [("spsr", p.rho)], ("ip",))
+        [(_, off)] = simulate_point(replace(p, phi=0.0), s1, c, [("spsr", p.rho)], ("ip",))
         assert off.estimate > on.estimate + 5 * on.ci_halfwidth
 
     def test_approx_mode_upper_bounds_exact(self, s1):
@@ -262,7 +268,7 @@ class TestBlockWorkspace:
 
 def _full_draw_ip_count(p, s, kind, streams, n):
     # the intercept count of one block from a draw of all five links, with
-    # the jammers silent (a zero aggregate)
+    # the jammers silent (phi = 0 and a zero aggregate)
     d = draw_channels(s, p, streams, size=n)
     pair = gamma_e(p, d["se"], d["sr"], d["re"], np.zeros(n), mode="exact",
                    scheme=kind, gamma_rd=d["rd"])
@@ -270,9 +276,9 @@ def _full_draw_ip_count(p, s, kind, streams, n):
 
 
 class TestJammingOff:
-    """With the jammers off the intercept reads no jammer gain, so its runs
-    build no JE stream; each other link's values are those of a run that
-    also draws JE."""
+    """With the jammers silent (phi = 0) the intercept reads no jammer gain,
+    so its runs build no JE stream; each other link's values are those of a
+    run that also draws JE."""
 
     @staticmethod
     def _record_links(monkeypatch):
@@ -290,8 +296,8 @@ class TestJammingOff:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("scheme", ["spsr", "dpsr"])
     def test_counts_equal_those_of_the_full_draw(self, s1, monkeypatch, workers, scheme):
-        p = make_params(num_sources=3, num_jammers=4)
-        c = SimConfig(trials=2 * ROW_BLOCK + 5, seed=17, workers=workers, jamming=False)
+        p = replace(make_params(num_sources=3, num_jammers=4), phi=0.0)
+        c = SimConfig(trials=2 * ROW_BLOCK + 5, seed=17, workers=workers)
         expected = 0
         for worker, n_worker in enumerate(c.partition()):
             streams = link_streams(c.seed, worker, LINK_KEYS)
@@ -306,8 +312,8 @@ class TestJammingOff:
 
     @pytest.mark.parametrize("scheme", ["spsr", "dpsr"])
     def test_no_je_stream_whatever_the_metrics(self, s1, monkeypatch, scheme):
-        p = make_params(num_sources=2, num_jammers=8)
-        c = SimConfig(trials=1003, seed=5, jamming=False)
+        p = replace(make_params(num_sources=2, num_jammers=8), phi=0.0)
+        c = SimConfig(trials=1003, seed=5)
         expected = _full_draw_ip_count(p, s1, scheme, link_streams(c.seed, 0, LINK_KEYS),
                                        c.trials)
         built = self._record_links(monkeypatch)
@@ -382,8 +388,8 @@ class TestSchemeSets:
     @pytest.mark.parametrize("metrics", [("op",), ("ip",), METRICS])
     def test_each_scheme_equals_its_own_run(self, s1, workers, jamming, e1_mode, metrics):
         p = make_params(num_sources=3, num_jammers=4)
-        c = SimConfig(trials=2 * ROW_BLOCK + 5, seed=23, workers=workers,
-                      jamming=jamming, e1_mode=e1_mode)
+        p = p if jamming else replace(p, phi=0.0)  # silent jammers
+        c = SimConfig(trials=2 * ROW_BLOCK + 5, seed=23, workers=workers, e1_mode=e1_mode)
         alone = [simulate_point(replace(p, rho=rho), s1, c, [(kind, rho)], metrics)[0]
                  for kind, rho in SCHEMES]
         for order in (SCHEMES, SCHEMES[::-1]):

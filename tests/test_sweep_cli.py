@@ -3,6 +3,7 @@ import csv
 import math
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from swipt_plsec import (
     SchemePoint,
     SweepSpec,
     compare_report,
+    ip_dpsr_no_jamming,
+    ip_spsr_no_jamming,
     read_csv,
     run_sweep,
     write_csv,
@@ -25,7 +28,7 @@ from conftest import make_params
 
 
 def tiny_sim(**kw):
-    defaults = dict(trials=2000, seed=42, workers=1, jamming=True, e1_mode="approx")
+    defaults = dict(trials=2000, seed=42, workers=1, e1_mode="approx")
     defaults.update(kw)
     return SimConfig(**defaults)
 
@@ -252,11 +255,13 @@ class TestRunSweep:
             for name in ("integrate", "sum_series", "bessel_k", "meijer_g3013", "gamma_fn"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbid(name))
+        rhos = {"spsr@0.225": 0.225, "spsr@0.875": 0.875, "dpsr": 0.5}
         for jamming in (True, False):
             for psi_db in (-10.0, 10.0, 40.0):
-                spec = SweepSpec(variable="M", start=1, stop=12, step=1,
-                                 params=make_params(psi_db=psi_db), stats=s1,
-                                 sim=tiny_sim(trials=256, jamming=jamming, e1_mode="exact"),
+                params = make_params(psi_db=psi_db)
+                params = params if jamming else replace(params, phi=0.0)  # silent jammers
+                spec = SweepSpec(variable="M", start=1, stop=12, step=1, params=params,
+                                 stats=s1, sim=tiny_sim(trials=256, e1_mode="exact"),
                                  schemes=(SchemePoint("spsr", 0.225), SchemePoint("spsr", 0.875),
                                           SchemePoint("dpsr")),
                                  outputs="both")
@@ -265,6 +270,10 @@ class TestRunSweep:
                 for r in rows:
                     assert r.error == ""
                     assert r.op_analytic is not None and r.ip_analytic is not None
+                    if not jamming:  # phi = 0 takes the no-jamming routes
+                        rp = replace(params, num_sources=int(r.value), rho=rhos[r.scheme])
+                        route = ip_dpsr_no_jamming if r.scheme == "dpsr" else ip_spsr_no_jamming
+                        assert r.ip_analytic == route(rp, s1)
         assert reached == []
 
 
@@ -342,7 +351,7 @@ class TestCompareReport:
             spec = SweepSpec(
                 variable="psi_db", start=-5, stop=15, step=2,
                 params=make_params(rho=0.55), stats=s1,
-                sim=SimConfig(trials=1_000_000, seed=99, jamming=True, e1_mode=mode),
+                sim=SimConfig(trials=1_000_000, seed=99, e1_mode=mode),
                 schemes=(SchemePoint("spsr", 0.55),), outputs="ip")
             return compare_report(run_sweep(spec))
         approx = sweep("approx")
@@ -411,6 +420,18 @@ class TestCli:
         assert len(shared) == 6
         assert all(None not in cells for cells in shared.values())
         assert shared == alone
+
+    def test_jamming_off_writes_the_csv_of_phi_zero(self, tmp_path):
+        args = ["sweep", "--scenario", "s1", "--sweep", "psi_db:-10:40:10", "--scheme", "spsr,dpsr",
+                "--rho", "0.225", "--trials", "3000", "--workers", "2", "--seed", "11"]
+        rows = []
+        for name, model in (("off", ["--jamming", "off"]), ("zero", ["--phi-db=-inf"])):
+            path = tmp_path / f"{name}.csv"
+            assert main([*args, *model, "--output", str(path)]) == 0
+            rows.append(read_csv(path).rows)
+            for r in rows[-1]:
+                r.runtime_ms = None
+        assert len(rows[0]) == 12 and rows[0] == rows[1]
 
     def test_sweep_and_compare(self, tmp_path, capsys):
         out_csv = tmp_path / "s.csv"
@@ -493,8 +514,11 @@ class TestCli:
         # refused before any cell is computed, not by every row's MC run
         (["point", "--seed", "-1"], "seed must be non-negative, got -1"),
         (["sweep", "--sweep", "M:1:2:1", "--seed", "-1"], "seed must be non-negative, got -1"),
+        # phi = 0 would be swept back on
+        (["sweep", "--jamming", "off", "--sweep", "phi_db:0:2:1"],
+         "--jamming off sets phi = 0, which a phi_db --sweep would replace"),
     ], ids=["point-psi-db", "point-phi-db", "psi-nan", "phi-nan", "c-th-nan",
-            "point-seed-negative", "sweep-seed-negative"])
+            "point-seed-negative", "sweep-seed-negative", "jamming-off-phi-sweep"])
     def test_unusable_model_value_reported(self, tmp_path, capsys, args, message):
         out_csv = tmp_path / "o.csv"
         extra = ["--output", str(out_csv)] if args[0] == "sweep" else []
