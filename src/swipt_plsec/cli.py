@@ -1,9 +1,13 @@
 """Command-line experiment runner.
 
-Subcommands: ``point`` (one parameter point, run as a one-point psi sweep),
+Subcommands: ``point`` (a one-point psi sweep, printed row by row),
 ``sweep`` (one variable sweep written as CSV), ``compare`` (analytic-vs-MC
 agreement report on a sweep CSV), ``scenario-check`` (validate a scenario
 file and print its rates).
+``point`` and ``sweep`` take one set of model options and build their
+:class:`SweepSpec` in one place, so a point is row for row the one-point
+sweep at its ``--psi-db``; ``point`` only defaults ``--scheme`` to ``spsr``
+and prints its header from the spec it ran.
 All dB-valued inputs convert to linear as 10**(x/10) at this boundary (a
 value beyond float range is an error); the library below is strictly linear.
 The gate options (``--gap-allowance``, ``--max-flagged``, ``--fail-on-flags``)
@@ -34,7 +38,6 @@ from .sweep import (
 __all__ = ["main"]
 
 TABLE_RHOS = (0.225, 0.325, 0.5, 0.875, 0.915)
-PAPER_FIDELITY_TRIALS = 5_000_000
 
 
 def _parse_rho_list(text: str) -> list[float]:
@@ -47,6 +50,15 @@ def _parse_rho_list(text: str) -> list[float]:
     if not values:
         raise argparse.ArgumentTypeError("empty rho list")
     return values
+
+
+def _parse_schemes(text: str) -> list[str]:
+    kinds = [k.strip() for k in text.split(",") if k.strip()]
+    unknown = sorted(set(kinds) - set(SCHEMES))
+    if unknown or not kinds:
+        raise argparse.ArgumentTypeError(
+            f"unknown scheme(s) {unknown}" if unknown else "empty scheme list")
+    return kinds
 
 
 def _parse_sweep(text: str) -> tuple[str, float, float, float]:
@@ -72,7 +84,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_model_args(sub: argparse.ArgumentParser, for_sweep: bool) -> None:
+def _add_model_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scenario", default="s1",
                      help="scenario file path or packaged name (default: s1)")
     sub.add_argument("--eta", type=float, default=0.8, help="energy-conversion efficiency")
@@ -87,99 +99,82 @@ def _add_model_args(sub: argparse.ArgumentParser, for_sweep: bool) -> None:
                      help="first-slot eavesdropper SNR model for the simulation")
     sub.add_argument("--trials", type=int, default=1_000_000,
                      help="Monte-Carlo trials per point (default 10^6)")
-    sub.add_argument("--paper-fidelity", action="store_true",
-                     help=f"use {PAPER_FIDELITY_TRIALS} trials per point")
     sub.add_argument("--seed", type=int, default=12345, help="master seed")
     sub.add_argument("--workers", type=int, default=1,
                      help="stream partitions, run concurrently on at most as many threads "
                           "as there are usable CPUs; a fixed (seed, workers) reproduces "
                           "bitwise")
-    if for_sweep:
-        sub.add_argument("--scheme", default="spsr,dpsr",
-                         help=f"comma list drawn from {{{', '.join(SCHEMES)}}}")
-        sub.add_argument("--rho", type=_parse_rho_list, default=[0.5],
-                         help="comma list of splitting ratios for spsr curves, or 'table1'")
-    else:
-        sub.add_argument("--scheme", choices=SCHEMES, default="spsr")
-        sub.add_argument("--rho", type=float, default=0.5, help="splitting ratio for spsr")
+    sub.add_argument("--scheme", type=_parse_schemes, default=list(SCHEMES),
+                     help=f"comma list drawn from {{{', '.join(SCHEMES)}}}")
+    sub.add_argument("--rho", type=_parse_rho_list, default=[0.5],
+                     help="comma list of splitting ratios for spsr curves, or 'table1'")
 
 
-def _build_params(args, rho: float) -> SystemParams:
-    return SystemParams(
-        eta=args.eta, rho=rho, psi=_db_to_linear(args.psi_db),
-        phi=_db_to_linear(args.phi_db) if args.jamming == "on" else 0.0,
-        num_sources=args.num_sources, num_jammers=args.num_jammers,
-        c_th=args.c_th,
-    )
-
-
-def _build_sim(args) -> SimConfig:
-    trials = PAPER_FIDELITY_TRIALS if args.paper_fidelity else args.trials
-    return SimConfig(trials=trials, seed=args.seed, workers=args.workers,
-                     e1_mode=args.e1_mode)
-
-
-def _cmd_point(args) -> int:
-    scheme = SchemePoint("dpsr") if args.scheme == "dpsr" else SchemePoint("spsr", args.rho)
-    spec = SweepSpec(
-        variable="psi_db", start=args.psi_db, stop=args.psi_db, step=1.0,
-        params=_build_params(args, args.rho), stats=resolve_scenario(args.scenario),
-        sim=_build_sim(args), schemes=(scheme,),
-    )
-    result = run_sweep(spec)
-    row = result.rows[0]
-
-    print(f"scenario={args.scenario} scheme={row.scheme} psi={args.psi_db:g} dB "
-          f"phi={args.phi_db:g} dB jamming={args.jamming} e1_mode={args.e1_mode} "
-          f"trials={spec.sim.trials}")
-    if row.op_analytic is not None:
-        print(f"  OP analytic = {row.op_analytic:.6g}")
-    if row.op_mc is not None:
-        print(f"  OP mc       = {row.op_mc:.6g} +/- {row.op_ci:.2g}")
-    if row.ip_analytic is not None:
-        print(f"  IP analytic = {row.ip_analytic:.6g}")
-    if row.ip_mc is not None:
-        print(f"  IP mc       = {row.ip_mc:.6g} +/- {row.ip_ci:.2g}")
-    if row.error:
-        print(f"  error: {row.error}", file=sys.stderr)
-    if args.output:
-        write_csv(result, args.output)
-        print(f"wrote {args.output}")
-    return 1 if row.error else 0
-
-
-def _cmd_sweep(args) -> int:
-    stats = resolve_scenario(args.scenario)
-    var, start, stop, step = args.sweep
-    if var == "phi_db" and args.jamming == "off":
+def _spec(args, variable: str, start: float, stop: float, step: float,
+          outputs: str) -> SweepSpec:
+    """The sweep of ``variable`` over start:stop:step that the model options describe."""
+    if variable == "phi_db" and args.jamming == "off":
         raise ValueError("--jamming off sets phi = 0, which a phi_db --sweep would replace")
-    kinds = [k.strip() for k in args.scheme.split(",") if k.strip()]
-    unknown = set(kinds) - set(SCHEMES)
-    if unknown:
-        print(f"unknown scheme(s): {sorted(unknown)}", file=sys.stderr)
-        return 2
     schemes: list[SchemePoint] = []
-    for kind in kinds:
+    for kind in args.scheme:
         if kind == "dpsr":
             schemes.append(SchemePoint("dpsr"))
-        elif var == "rho":
+        elif variable == "rho":
             schemes.append(SchemePoint("spsr"))
         else:
             schemes.extend(SchemePoint("spsr", r) for r in args.rho)
-    params = _build_params(args, args.rho[0] if var != "rho" else 0.5)
-    spec = SweepSpec(
-        variable=var, start=start, stop=stop, step=step,
-        params=params, stats=stats, sim=_build_sim(args),
-        schemes=tuple(schemes), outputs=args.outputs,
+    params = SystemParams(
+        eta=args.eta, rho=args.rho[0] if variable != "rho" else 0.5,
+        psi=_db_to_linear(args.psi_db),
+        phi=_db_to_linear(args.phi_db) if args.jamming == "on" else 0.0,
+        num_sources=args.num_sources, num_jammers=args.num_jammers, c_th=args.c_th,
     )
+    return SweepSpec(
+        variable=variable, start=start, stop=stop, step=step,
+        params=params, stats=resolve_scenario(args.scenario),
+        sim=SimConfig(trials=args.trials, seed=args.seed, workers=args.workers,
+                      e1_mode=args.e1_mode),
+        schemes=tuple(schemes), outputs=outputs,
+    )
+
+
+def _report_errors(result) -> int:
+    """Print each row error to stderr; return the number of rows with one."""
+    failed = [row for row in result.rows if row.error]
+    for row in failed:
+        print(f"  {result.variable}={row.value:g} {row.scheme}: {row.error}", file=sys.stderr)
+    return len(failed)
+
+
+def _cmd_point(args) -> int:
+    spec = _spec(args, "psi_db", args.psi_db, args.psi_db, 1.0, "both")
     result = run_sweep(spec)
-    write_csv(result, args.output)
-    n_err = sum(1 for r in result.rows if r.error)
-    print(f"wrote {args.output}: {len(result.rows)} rows, {n_err} with errors")
+    phi = spec.params.phi
+    phi_db = 10 * math.log10(phi) if phi > 0 else -math.inf
+    print(f"scenario={args.scenario} psi={spec.start:g} dB phi={phi_db:g} dB "
+          f"e1_mode={spec.sim.e1_mode} trials={spec.sim.trials}")
     for row in result.rows:
-        if row.error:
-            print(f"  {result.variable}={row.value:g} {row.scheme}: {row.error}",
-                  file=sys.stderr)
+        print(row.scheme)
+        if row.op_analytic is not None:
+            print(f"  OP analytic = {row.op_analytic:.6g}")
+        if row.op_mc is not None:
+            print(f"  OP mc       = {row.op_mc:.6g} +/- {row.op_ci:.2g}")
+        if row.ip_analytic is not None:
+            print(f"  IP analytic = {row.ip_analytic:.6g}")
+        if row.ip_mc is not None:
+            print(f"  IP mc       = {row.ip_mc:.6g} +/- {row.ip_ci:.2g}")
+    n_err = _report_errors(result)
+    if args.output:
+        write_csv(result, args.output)
+        print(f"wrote {args.output}")
+    return 1 if n_err else 0
+
+
+def _cmd_sweep(args) -> int:
+    result = run_sweep(_spec(args, *args.sweep, args.outputs))
+    write_csv(result, args.output)
+    n_err = _report_errors(result)
+    print(f"wrote {args.output}: {len(result.rows)} rows, {n_err} with errors")
     if args.fail_on_flags is not None:
         report = compare_report(result)
         print(f"flagged {len(report.flagged)}/{report.n_compared} comparisons")
@@ -242,12 +237,12 @@ def main(argv: list[str] | None = None) -> int:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_point = subs.add_parser("point", help="evaluate one parameter point")
-    _add_model_args(p_point, for_sweep=False)
-    p_point.add_argument("--output", default=None, help="optional single-row CSV")
-    p_point.set_defaults(func=_cmd_point)
+    _add_model_args(p_point)
+    p_point.add_argument("--output", default=None, help="optional CSV of the point's rows")
+    p_point.set_defaults(func=_cmd_point, scheme=["spsr"])
 
     p_sweep = subs.add_parser("sweep", help="run a one-variable sweep to CSV")
-    _add_model_args(p_sweep, for_sweep=True)
+    _add_model_args(p_sweep)
     p_sweep.add_argument("--sweep", type=_parse_sweep, required=True,
                          metavar="VAR:START:STOP:STEP",
                          help="variable in {psi_db, rho, M, K, phi_db} and grid")

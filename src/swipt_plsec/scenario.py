@@ -10,8 +10,9 @@ Format, one ``key = value`` pair per line (``#`` starts a comment):
     lambda.se = 3.1434      # optional; direct rates win over geometry
 
 Either the full set of positions (S, R, D, E, J) or all five ``lambda.*``
-keys must be present.  Files are resolved by path first, then by name inside
-``$SWIPT_PLSEC_SCENARIO_DIR``, then among the packaged scenarios (s1, s2).
+keys must be present, and no key may appear twice.  Files are resolved by
+path first, then by name inside ``$SWIPT_PLSEC_SCENARIO_DIR``, then among
+the packaged scenarios (s1, s2).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ def parse_scenario(text: str, source: str = "scenario") -> ChannelStats:
     decimals: int | None = None
     positions: dict[str, tuple[float, float]] = {}
     lambdas: dict[str, float] = {}
+    first_line: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -63,6 +65,10 @@ def parse_scenario(text: str, source: str = "scenario") -> ChannelStats:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in first_line:
+            raise ScenarioError(f"duplicate key {key!r}, first given on line {first_line[key]}",
+                                lineno, source)
+        first_line[key] = lineno
         try:
             if key == "chi":
                 chi = float(value)

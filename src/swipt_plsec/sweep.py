@@ -30,7 +30,8 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 from .analytic import (
@@ -78,9 +79,6 @@ _VARIABLE_FIELDS = {
     "phi_db": ("phi", _db_to_linear),
 }
 SWEEP_VARIABLES = tuple(_VARIABLE_FIELDS)
-
-_CSV_FIELDS = ("scheme", "op_analytic", "op_mc", "op_ci",
-               "ip_analytic", "ip_mc", "ip_ci", "runtime_ms", "error")
 
 
 @dataclass(frozen=True)
@@ -169,6 +167,18 @@ class SweepRow:
     ip_ci: float | None = None
     runtime_ms: float | None = None
     error: str = ""
+
+
+def _optional_float(text: str) -> float | None:
+    return float(text) if text else None
+
+
+# CSV columns: SweepRow's fields in order, ``value`` headed by the swept
+# variable; each is read back by the parser of its annotated type
+_CSV_FIELDS = tuple(f.name for f in fields(SweepRow))
+_CSV_CELLS = attrgetter(*_CSV_FIELDS)
+_CSV_PARSERS = tuple({"float": float, "str": str, "float | None": _optional_float}[f.type]
+                     for f in fields(SweepRow))
 
 
 @dataclass
@@ -311,24 +321,15 @@ def compare_report(result: SweepResult, gap_allowance: float = 0.01) -> CompareR
     return CompareReport(per_scheme, flagged, n_compared)
 
 
-def _fmt(x: float | None) -> str:
-    if x is None:
-        return ""
-    return f"{x:.12g}"
-
-
 def write_csv(result: SweepResult, path: str | Path) -> None:
-    """12-significant-digit decimal CSV, LF line endings, nulls as empty fields."""
+    """One column per :class:`SweepRow` field, in order; 12-significant-digit
+    decimals, LF line endings, nulls as empty fields."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow((result.variable,) + _CSV_FIELDS)
+        writer.writerow((result.variable,) + _CSV_FIELDS[1:])
         for row in result.rows:
-            writer.writerow([
-                _fmt(row.value), row.scheme,
-                _fmt(row.op_analytic), _fmt(row.op_mc), _fmt(row.op_ci),
-                _fmt(row.ip_analytic), _fmt(row.ip_mc), _fmt(row.ip_ci),
-                _fmt(row.runtime_ms), row.error,
-            ])
+            writer.writerow(["" if x is None else x if isinstance(x, str) else f"{x:.12g}"
+                             for x in _CSV_CELLS(row)])
 
 
 def read_csv(path: str | Path) -> SweepResult:
@@ -341,20 +342,14 @@ def read_csv(path: str | Path) -> SweepResult:
             header = next(reader, None)
             if header is None:
                 raise ValueError(f"{path}: empty file, expected a sweep CSV header")
-            if tuple(header[1:]) != _CSV_FIELDS:
+            if tuple(header[1:]) != _CSV_FIELDS[1:]:
                 raise ValueError(f"unexpected sweep CSV header in {path}")
             rows = []
             for rec in reader:
                 if len(rec) != len(header):
                     raise ValueError(f"{path}, line {reader.line_num}: {len(rec)} fields, "
                                      f"the header has {len(header)}")
-                opt = [float(v) if v else None for v in rec[2:9]]
-                rows.append(SweepRow(
-                    value=float(rec[0]), scheme=rec[1],
-                    op_analytic=opt[0], op_mc=opt[1], op_ci=opt[2],
-                    ip_analytic=opt[3], ip_mc=opt[4], ip_ci=opt[5],
-                    runtime_ms=opt[6], error=rec[9],
-                ))
+                rows.append(SweepRow(*(parse(v) for parse, v in zip(_CSV_PARSERS, rec))))
         except csv.Error as exc:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return SweepResult(header[0], rows)

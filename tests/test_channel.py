@@ -115,6 +115,9 @@ class TestChannelStats:
 
 
 class TestScenarioFiles:
+    GEOMETRY = ["chi = 2.5", "positions.S = 0, 0", "positions.R = 5, 0", "positions.D = 1, 0",
+                "positions.E = 0.5, 1.5", "positions.J = 0.5, 1"]
+
     def test_lambda_only_file(self, tmp_path):
         f = tmp_path / "flat.scenario"
         f.write_text("lambda.sr = 0.2\nlambda.rd = 0.2\nlambda.re = 2.0\n"
@@ -132,14 +135,31 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="unknown key"):
             parse_scenario("wavelength = 3\n")
 
-    @pytest.mark.parametrize("line", ["lambda.sr = nan", "lambda.se = inf", "chi = nan",
-                                      "positions.R = nan, 0", "chi = 1e6"])
-    def test_non_finite_value_file_rejected(self, line):
-        # a later line overrides the geometry's; at chi 1e6 a rate overflows
-        geometry = ["chi = 2.5", "positions.S = 0, 0", "positions.R = 5, 0", "positions.D = 1, 0",
-                    "positions.E = 0.5, 1.5", "positions.J = 0.5, 1"]
-        with pytest.raises(ScenarioError):
-            parse_scenario("\n".join(geometry + [line]))
+    @pytest.mark.parametrize("line,message", [
+        ("lambda.sr = nan", "lambda_sr must be finite"),
+        ("lambda.se = inf", "lambda_se must be finite"),
+        ("chi = nan", "pathloss exponent must be finite"),
+        ("positions.R = nan, 0", "distance must be finite"),
+        ("chi = 1e6", "beyond float range")])
+    def test_non_finite_value_file_rejected(self, line, message):
+        # the bad value replaces the geometry's line of its key, or adds an
+        # override; at chi 1e6 a rate overflows
+        key = line.partition("=")[0]
+        lines = [g for g in self.GEOMETRY if not g.startswith(key)] + [line]
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario("\n".join(lines))
+
+    @pytest.mark.parametrize("key,first,again", [
+        ("chi", "chi = 2.5", "chi = 3"), ("positions.J", "positions.J = 0.5, 1", "positions.J = 2, 2"),
+        ("lambda.se", "lambda.se = 3", "lambda.se = 3")])
+    def test_repeated_key_rejected(self, key, first, again):
+        # the last value would otherwise win silently
+        lines = [g for g in self.GEOMETRY if not g.startswith(key)] + [first, "# note", again]
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario("\n".join(lines))
+        n = len(lines)
+        assert str(exc.value) == (f"scenario, line {n}: duplicate key {key!r}, "
+                                  f"first given on line {n - 2}")
 
     def test_incomplete_geometry_rejected(self):
         with pytest.raises(ScenarioError, match="incomplete"):

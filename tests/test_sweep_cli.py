@@ -388,16 +388,39 @@ class TestCli:
         out = capsys.readouterr().out
         assert "OP analytic" in out and "IP mc" in out
 
-    def test_point_is_row_zero_of_a_one_point_sweep(self, tmp_path):
-        args = ["--scenario", "s1", "--scheme", "dpsr", "--psi-db", "2", "--trials", "3000",
+    @pytest.mark.parametrize("schemes,n_rows", [
+        (["--scheme", "dpsr"], 1), (["--scheme", "spsr,dpsr", "--rho", "0.225,0.875"], 3),
+        (["--rho", "table1"], 5)], ids=["dpsr", "two-schemes", "table1"])
+    def test_point_is_row_zero_of_a_one_point_sweep(self, tmp_path, schemes, n_rows):
+        args = ["--scenario", "s1", *schemes, "--psi-db", "2", "--trials", "3000",
                 "--e1-mode", "approx", "--seed", "7"]
         assert main(["point", *args, "--output", str(tmp_path / "p.csv")]) == 0
-        assert main(["sweep", *args, "--sweep", "psi_db:2:2:1",
+        # point's default scheme is spsr; a --scheme in args overrides it here too
+        assert main(["sweep", "--scheme", "spsr", *args, "--sweep", "psi_db:2:2:1",
                      "--output", str(tmp_path / "s.csv")]) == 0
-        point, = read_csv(tmp_path / "p.csv").rows
-        row, = read_csv(tmp_path / "s.csv").rows
-        point.runtime_ms = row.runtime_ms = None
-        assert point == row
+        point = read_csv(tmp_path / "p.csv").rows
+        rows = read_csv(tmp_path / "s.csv").rows
+        for row in point + rows:
+            row.runtime_ms = None
+        assert len(point) == n_rows and point == rows
+
+    @pytest.mark.parametrize("command", [["point"], ["sweep", "--sweep", "psi_db:2:2:1"]])
+    def test_unknown_scheme_refused(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--scheme", "spsr,xpsr", "--output", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert "unknown scheme(s) ['xpsr']" in capsys.readouterr().err
+
+    def test_point_reports_every_row_error(self, tmp_path, capsys):
+        # approx mode divides by the jamming term, which --jamming off zeroes
+        out_csv = tmp_path / "p.csv"
+        assert main(["point", "--scenario", "s1", "--scheme", "spsr,dpsr", "--jamming", "off",
+                     "--e1-mode", "approx", "--trials", "1000",
+                     "--output", str(out_csv)]) == 1
+        rows = read_csv(out_csv).rows
+        assert [r.scheme for r in rows] == ["spsr@0.5", "dpsr"]
+        assert all(r.error.startswith("mc: approx mode divides by phi") for r in rows)
+        assert capsys.readouterr().err.count("mc: approx mode divides by phi") == 2
 
     @pytest.mark.parametrize("jamming", ["on", "off"])
     def test_shared_point_run_equals_one_scheme_sweeps(self, tmp_path, jamming):
@@ -421,17 +444,24 @@ class TestCli:
         assert all(None not in cells for cells in shared.values())
         assert shared == alone
 
-    def test_jamming_off_writes_the_csv_of_phi_zero(self, tmp_path):
-        args = ["sweep", "--scenario", "s1", "--sweep", "psi_db:-10:40:10", "--scheme", "spsr,dpsr",
+    @pytest.mark.parametrize("command,n_rows", [
+        (["sweep", "--sweep", "psi_db:-10:40:10"], 12), (["point", "--psi-db", "20"], 2)],
+        ids=["sweep", "point"])
+    def test_jamming_off_writes_the_csv_of_phi_zero(self, tmp_path, capsys, command, n_rows):
+        args = [*command, "--scenario", "s1", "--scheme", "spsr,dpsr",
                 "--rho", "0.225", "--trials", "3000", "--workers", "2", "--seed", "11"]
-        rows = []
+        rows, heads = [], []
         for name, model in (("off", ["--jamming", "off"]), ("zero", ["--phi-db=-inf"])):
             path = tmp_path / f"{name}.csv"
             assert main([*args, *model, "--output", str(path)]) == 0
+            heads.append(capsys.readouterr().out.splitlines()[0])
             rows.append(read_csv(path).rows)
             for r in rows[-1]:
                 r.runtime_ms = None
-        assert len(rows[0]) == 12 and rows[0] == rows[1]
+        assert len(rows[0]) == n_rows and rows[0] == rows[1]
+        if command[0] == "point":  # its header reads phi off the model it ran
+            assert heads[0] == heads[1]
+            assert " phi=-inf dB " in heads[0] and "jamming" not in heads[0]
 
     def test_sweep_and_compare(self, tmp_path, capsys):
         out_csv = tmp_path / "s.csv"
@@ -479,11 +509,13 @@ class TestCli:
                 assert None not in cols[metric][f"{metric}_{c}"]
                 assert cols[metric][f"{other}_{c}"] == [None] * 6
 
-    def test_paper_fidelity_raises_trials(self, capsys):
-        rc = main(["point", "--scenario", "s1", "--scheme", "spsr", "--rho", "0.5",
-                   "--c-th", "0", "--trials", "10", "--paper-fidelity"])
-        assert rc == 0
-        assert "trials=5000000" in capsys.readouterr().out
+    def test_paper_fidelity_is_refused(self, capsys):
+        # --trials is the only way to set the trial count
+        with pytest.raises(SystemExit) as exc:
+            main(["point", "--scenario", "s1", "--scheme", "spsr", "--rho", "0.5",
+                  "--c-th", "0", "--trials", "10", "--paper-fidelity"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --paper-fidelity" in capsys.readouterr().err
 
     def test_rho_list_keyword(self, tmp_path):
         out_csv = tmp_path / "t.csv"
