@@ -43,13 +43,17 @@ __all__ = ["METRICS", "SimConfig", "EstimateWithCI", "simulate_point"]
 METRICS = ("op", "ip")
 
 # Trials drawn and counted at a time.  A stream yields the same values
-# whatever the rows per call, so this fixes no result.  It sizes a
-# partition's workspace, one float row per drawn link and SNR_ROWS more
-# (at most 10 x 128 KiB), made once per partition: block-sized arrays made
-# fresh for every block left glibc to trim the heap top at each block's end
-# and fault it back in at the next, and 2^18-row blocks raised the peak
-# resident set.
-ROW_BLOCK = 1 << 14
+# whatever the rows per call, so this fixes no result.  A block makes about
+# 35 numpy calls whatever its size, and each hands the GIL back and forth
+# with the other partitions' threads, so larger blocks mean fewer handoffs
+# per trial: a two-thread mc_op pass took 160 ms at 2^14 and 133 ms at 2^15,
+# where one thread took 177 and 170 ms.  The price is memory: the block
+# sizes a partition's workspace, one float row per drawn link and SNR_ROWS
+# more (at most 10 x 256 KiB), made once per partition.  2^16 gained little
+# more and raised mc_op's peak resident set by 4.5 to 7 MB (up to 11%).
+# Block-sized arrays made fresh for every block left glibc to trim the heap
+# top at each block's end and fault it back in at the next.
+ROW_BLOCK = 1 << 15
 
 _Z95 = 1.96
 _WILSON_SWITCH = 1e-4

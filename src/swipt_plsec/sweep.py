@@ -169,15 +169,25 @@ class SweepRow:
     error: str = ""
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _optional_float(text: str) -> float | None:
-    return float(text) if text else None
+    return _finite_float(text) if text else None
 
 
 # CSV columns: SweepRow's fields in order, ``value`` headed by the swept
 # variable; each is read back by the parser of its annotated type
 _CSV_FIELDS = tuple(f.name for f in fields(SweepRow))
 _CSV_CELLS = attrgetter(*_CSV_FIELDS)
-_CSV_PARSERS = tuple({"float": float, "str": str, "float | None": _optional_float}[f.type]
+_CSV_PARSERS = tuple({"float": _finite_float, "str": str, "float | None": _optional_float}[f.type]
                      for f in fields(SweepRow))
 
 
@@ -335,7 +345,8 @@ def write_csv(result: SweepResult, path: str | Path) -> None:
 def read_csv(path: str | Path) -> SweepResult:
     """Read a :func:`write_csv` file back; raises ``ValueError`` naming the
     file and line for an empty file, a foreign header, a row whose field
-    count differs from the header's, or a record the csv module rejects."""
+    count differs from the header's, a number cell that is not a finite
+    number, or a record the csv module rejects."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -349,7 +360,13 @@ def read_csv(path: str | Path) -> SweepResult:
                 if len(rec) != len(header):
                     raise ValueError(f"{path}, line {reader.line_num}: {len(rec)} fields, "
                                      f"the header has {len(header)}")
-                rows.append(SweepRow(*(parse(v) for parse, v in zip(_CSV_PARSERS, rec))))
+                cells = []
+                for name, parse, text in zip(header, _CSV_PARSERS, rec):
+                    try:
+                        cells.append(parse(text))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}, line {reader.line_num}: {name}: {exc}") from None
+                rows.append(SweepRow(*cells))
         except csv.Error as exc:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return SweepResult(header[0], rows)

@@ -266,6 +266,26 @@ class TestBlockWorkspace:
                 assert all(np.shares_memory(a, b) for a, b in zip(arrays, first)), name
 
 
+class TestBlockSize:
+    """ROW_BLOCK fixes no count: a stream yields the same values however its
+    rows are split across calls, and every count is per trial."""
+
+    # one worker: 17 blocks at 2^12, three at ROW_BLOCK; a remainder worker at 3
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("jamming", [True, False])
+    def test_counts_equal_at_every_block_size(self, s1, monkeypatch, workers, jamming):
+        p = make_params(num_sources=3, num_jammers=4)
+        p = p if jamming else replace(p, phi=0.0)  # silent jammers
+        c = SimConfig(trials=2 * ROW_BLOCK + 5, seed=29, workers=workers)
+        schemes = (("spsr", 0.3), ("dpsr", p.rho))
+        runs = []
+        for block in (1 << 12, 1 << 14, ROW_BLOCK):
+            monkeypatch.setattr(montecarlo, "ROW_BLOCK", block)
+            runs.append(simulate_point(p, s1, c, schemes))
+        assert all(0 < est.successes < c.trials for pair in runs[0] for est in pair)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def _full_draw_ip_count(p, s, kind, streams, n):
     # the intercept count of one block from a draw of all five links, with
     # the jammers silent (phi = 0 and a zero aggregate)

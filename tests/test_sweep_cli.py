@@ -619,6 +619,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "line 3" in err
 
+    @pytest.mark.parametrize("column,cell", [("op_analytic", "abc"), ("op_analytic", "nan"),
+                                             ("op_mc", "inf"), ("psi_db", "-inf")])
+    def test_compare_refuses_a_cell_that_is_not_a_finite_number(self, tmp_path, capsys,
+                                                                 column, cell):
+        # a NaN cell compares false with every bound, so it would pass any gate
+        path = tmp_path / "cell.csv"
+        rows = [SweepRow(value=v, scheme="dpsr", op_analytic=0.5, op_mc=0.5, op_ci=0.001)
+                for v in (1.0, 2.0)]
+        write_csv(SweepResult("psi_db", rows), path)
+        header, *records = list(csv.reader(path.read_text().splitlines()))
+        records[1][header.index(column)] = cell
+        path.write_text("".join(",".join(rec) + "\n" for rec in (header, *records)))
+        with pytest.raises(ValueError, match=rf"cell\.csv, line 3: {column}: expected a finite "
+                                             rf"number, got '{cell}'"):
+            read_csv(path)
+        assert main(["compare", "--input", str(path), "--max-flagged", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 3" in err
+
     def test_compare_reports_a_record_the_csv_module_rejects(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
         row = SweepRow(value=1.0, scheme="x" * (csv.field_size_limit() + 1))
