@@ -43,16 +43,16 @@ __all__ = ["METRICS", "SimConfig", "EstimateWithCI", "simulate_point"]
 METRICS = ("op", "ip")
 
 # Trials drawn and counted at a time.  A stream yields the same values
-# whatever the rows per call, so this fixes no result.  A block makes about
-# 35 numpy calls whatever its size, and each hands the GIL back and forth
-# with the other partitions' threads, so larger blocks mean fewer handoffs
-# per trial: a two-thread mc_op pass took 160 ms at 2^14 and 133 ms at 2^15,
-# where one thread took 177 and 170 ms.  The price is memory: the block
-# sizes a partition's workspace, one float row per drawn link and SNR_ROWS
-# more (at most 10 x 256 KiB), made once per partition.  2^16 gained little
-# more and raised mc_op's peak resident set by 4.5 to 7 MB (up to 11%).
-# Block-sized arrays made fresh for every block left glibc to trim the heap
-# top at each block's end and fault it back in at the next.
+# whatever the rows per call, so this fixes no count.  A block makes the same
+# numpy calls whatever its size, and each hands the GIL between the
+# partitions' threads, so larger blocks mean fewer handoffs per trial: on 2
+# cores an mc_op pass took 161 ms on two threads and 183 ms inline at 2^14,
+# and 132 and 178 ms at 2^15.  The block sizes a partition's workspace, one
+# float row per drawn link and SNR_ROWS more (at most 10 x 256 KiB), made
+# once per partition; 2^16 ran no faster and raised mc_op's peak resident
+# set by about 5 MB, 12% over 2^14.  Block-sized arrays made fresh for every
+# block left glibc to trim the heap top at each block's end and fault it
+# back in at the next.
 ROW_BLOCK = 1 << 15
 
 _Z95 = 1.96
