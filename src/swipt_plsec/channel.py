@@ -52,6 +52,15 @@ def pathloss_rate(distance: float, chi: float) -> float:
         raise ValueError(f"rate {distance}**{chi} is beyond float range") from None
 
 
+def _link_distance(positions: Mapping[str, tuple[float, float]], link: str,
+                   decimals: int | None) -> float:
+    """Length of ``link`` between its nodes' ``positions``, rounded to
+    ``decimals`` places when that is set."""
+    a, b = LINK_KEYS[link]
+    d = math.dist(positions[a], positions[b])
+    return d if decimals is None else round(d, decimals)
+
+
 def best_source_cdf(x, lam: float, num_sources: int):
     """CDF (1 - exp(-lam x))**M of the largest of ``num_sources`` i.i.d.
     Exp(lam) gains."""
@@ -130,14 +139,12 @@ class ChannelStats:
         if unknown:
             raise ValueError(f"unknown override links: {sorted(unknown)}")
         rates = {}
-        for link, (a, b) in LINK_KEYS.items():
+        for link in LINK_KEYS:
             if link in overrides:
                 rates[link] = float(overrides[link])
-                continue
-            d = math.dist(positions[a], positions[b])
-            if distance_decimals is not None:
-                d = round(d, distance_decimals)
-            rates[link] = pathloss_rate(d, chi)
+            else:
+                rates[link] = pathloss_rate(
+                    _link_distance(positions, link, distance_decimals), chi)
         return cls(
             lambda_sr=rates["sr"], lambda_rd=rates["rd"], lambda_re=rates["re"],
             lambda_je=rates["je"], lambda_se=rates["se"],
@@ -150,13 +157,8 @@ class ChannelStats:
         """Link distances implied by the stored positions (quantized as configured)."""
         if self.positions is None:
             raise ValueError("no positions stored")
-        out = {}
-        for link, (a, b) in LINK_KEYS.items():
-            d = math.dist(self.positions[a], self.positions[b])
-            if self.distance_decimals is not None:
-                d = round(d, self.distance_decimals)
-            out[link] = d
-        return out
+        return {link: _link_distance(self.positions, link, self.distance_decimals)
+                for link in LINK_KEYS}
 
 
 def derive_seed(master_seed: int, index: int) -> int:

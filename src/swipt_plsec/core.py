@@ -5,15 +5,10 @@ arguments accept scalars or numpy arrays interchangeably.  The relay splits
 the received power into a fraction ``rho`` harvested for its own transmission
 and ``1 - rho`` kept for the information signal, and forwards with the
 amplify-and-forward gain already folded into the SNR expressions.
-
-``usable_cpus`` and ``spread_map`` are the one thread policy of the package:
-the MC partitions run through ``spread_map``.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,26 +29,6 @@ E1_MODES = ("exact", "approx")
 SCHEMES = ("spsr", "dpsr")
 # float rows of an SNR workspace: gamma_e under dpsr holds five at once
 SNR_ROWS = 5
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on (its affinity set where the platform has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
-def spread_map(fn, items) -> list:
-    """``[fn(x) for x in items]`` on up to ``usable_cpus()`` threads, inline
-    with no pool at one.  Results come back in item order, and the first item
-    in that order to raise is the one whose error propagates."""
-    items = list(items)
-    threads = min(len(items), usable_cpus())
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def snr_threshold(c_th: float) -> float:

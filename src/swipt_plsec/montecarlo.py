@@ -10,13 +10,13 @@ an intercept-only run and a joint run with the same configuration report
 bitwise-identical estimates.  Trials are partitioned across workers, each
 drawing and counting ``ROW_BLOCK`` trials at a time; partial estimates merge
 by integer count addition, which makes merging exact and associative.  The
-partitions go through ``core.spread_map``, which runs them concurrently on
-at most as many threads as the process has usable CPUs (inline when that is
-one); each thread owns its partition's streams and workspace, so the counts
-equal those of a sequential run bit for bit.  The workspace is made once per
-partition: a gain row per drawn link, the SNR rows of ``core.snr_workspace``
-and a bool mask.  Every block draws into it and computes its SNRs and counts
-in it, so no block allocates an array.
+partitions run concurrently on one thread pool of at most as many threads as
+the process has usable CPUs (``usable_cpus``), or inline with no pool when
+that is one; each thread owns its partition's streams and workspace, so the
+counts equal those of a sequential run bit for bit.  The workspace is made
+once per partition: a gain row per drawn link, the SNR rows of
+``core.snr_workspace`` and a bool mask.  Every block draws into it and
+computes its SNRs and counts in it, so no block allocates an array.
 
 Every run counts a list of schemes, ``(kind, rho)`` pairs that differ only
 in the splitting rule: each block draws the union of the links they read
@@ -28,6 +28,8 @@ bitwise those of a run of its one-element list.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Collection, Mapping, Sequence
 
@@ -35,7 +37,7 @@ import numpy as np
 
 from .channel import ChannelStats, draw_channels, link_streams
 from .core import (E1_MODES, SCHEMES, SNR_ROWS, SystemParams, gamma_d_dpsr, gamma_d_spsr,
-                   gamma_e, spread_map)
+                   gamma_e)
 
 __all__ = ["METRICS", "SimConfig", "EstimateWithCI", "simulate_point"]
 
@@ -59,6 +61,14 @@ _Z95 = 1.96
 _WILSON_SWITCH = 1e-4
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the platform has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Trial-engine configuration.
@@ -70,7 +80,7 @@ class SimConfig:
     ``ValueError``.  The jammers are on exactly when phi > 0.
     """
 
-    trials: int = 5_000_000
+    trials: int = 1_000_000
     seed: int = 0
     workers: int = 1
     e1_mode: str = "exact"
@@ -216,8 +226,15 @@ def simulate_point(
                             for lo in range(0, n_worker, ROW_BLOCK)])
 
     # numpy's bit generators and ufuncs release the GIL, so the partitions
-    # really run side by side; each keeps its own streams
+    # really run side by side; each keeps its own streams.  pool.map returns
+    # them in order, and the first to raise in that order propagates
     parts = [(worker, n) for worker, n in enumerate(c.partition()) if n > 0]
+    threads = min(len(parts), usable_cpus())
+    if threads <= 1:
+        counts = [partition_counts(part) for part in parts]
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            counts = list(pool.map(partition_counts, parts))
     return [(EstimateWithCI.from_counts(op, c.trials) if "op" in metrics else None,
              EstimateWithCI.from_counts(ip, c.trials) if "ip" in metrics else None)
-            for op, ip in _sum_counts(spread_map(partition_counts, parts))]
+            for op, ip in _sum_counts(counts)]

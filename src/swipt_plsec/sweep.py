@@ -253,12 +253,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             rp = p if rho == p.rho else replace(p, rho=rho)
             row = SweepRow(value=value, scheme=scheme.label)
             errors = []
-            if spec.outputs in ("op", "both"):
+            if "op" in metrics:
                 try:
                     row.op_analytic = analytic_op(rp, s, kind)
                 except (NumericalError, ValueError) as exc:
                     errors.append(f"analytic op: {exc}")
-            if spec.outputs in ("ip", "both"):
+            if "ip" in metrics:
                 try:
                     row.ip_analytic = analytic_ip(rp, s, kind)
                 except (NumericalError, ValueError) as exc:

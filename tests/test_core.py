@@ -1,6 +1,4 @@
 import math
-import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -304,59 +302,3 @@ class TestEavesdropperSnr:
         hi = gamma_e(p_hi, 1.0, 1.0, 1.0, 1.0, mode="exact")
         assert hi.gamma_e1 > lo.gamma_e1
         assert hi.gamma_e2 > lo.gamma_e2
-
-
-class TestSpreadMap:
-    """``core.spread_map`` is the package's one thread policy: the MC
-    partitions and the outer dynamic-splitting IP average both go through it."""
-
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
-    def test_results_in_item_order(self, monkeypatch, cpus):
-        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
-
-        def slow_square(x):
-            time.sleep(0.001 * (10 - x))  # early items finish last
-            return x * x
-
-        assert core.spread_map(slow_square, range(10)) == [x * x for x in range(10)]
-
-    def test_one_cpu_runs_inline_without_a_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was created at one usable CPU")
-
-        monkeypatch.setattr(core, "usable_cpus", lambda: 1)
-        monkeypatch.setattr(core, "ThreadPoolExecutor", no_pool)
-        idents = core.spread_map(lambda _: threading.get_ident(), range(5))
-        assert set(idents) == {threading.get_ident()}
-
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_threads_capped_at_usable_cpus(self, monkeypatch, cpus):
-        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
-        lock = threading.Lock()
-        in_flight = peak = 0
-
-        def recorded(_):
-            nonlocal in_flight, peak
-            with lock:
-                in_flight += 1
-                peak = max(peak, in_flight)
-            time.sleep(0.002)
-            with lock:
-                in_flight -= 1
-            return threading.get_ident()
-
-        idents = core.spread_map(recorded, range(12))
-        assert len(set(idents)) <= cpus and peak <= cpus
-
-    @pytest.mark.parametrize("cpus", [1, 4])
-    def test_first_failing_item_in_order_propagates(self, monkeypatch, cpus):
-        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
-
-        def f(x):
-            if x >= 3:
-                time.sleep(0.001 * (10 - x))  # later failures finish first
-                raise ValueError(f"item {x}")
-            return x
-
-        with pytest.raises(ValueError, match=r"^item 3$"):
-            core.spread_map(f, range(10))

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from swipt_plsec import (
     op_spsr,
     simulate_point,
 )
-from swipt_plsec import core, montecarlo
+from swipt_plsec import montecarlo
 from swipt_plsec.channel import LINK_KEYS, draw_channels, link_streams
 from swipt_plsec.montecarlo import METRICS, ROW_BLOCK
 
@@ -360,8 +361,8 @@ class TestWorkerThreads:
     @pytest.mark.parametrize("cpus", [None, 1, 2, 4])
     def test_threads_capped_and_counts_sequential(self, s1, monkeypatch, cpus):
         if cpus is not None:
-            monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
-        cap = min(64, core.usable_cpus())
+            monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)
+        cap = min(64, montecarlo.usable_cpus())
         p = make_params(num_sources=3, num_jammers=2)
         c = SimConfig(trials=64 * 700 + 5, seed=13, workers=64)
         idents = set()
@@ -393,6 +394,83 @@ class TestWorkerThreads:
             assert idents == {threading.get_ident()}  # inline, no pool
         monkeypatch.setattr(montecarlo, "_count_block", count_block)
         assert (op.successes, ip.successes) == _sequential_counts(p, s1, c, "spsr")
+
+
+
+class TestPartitionPool:
+    """A run's partitions share one pool of at most ``usable_cpus()``
+    threads, and run inline with no pool at one."""
+
+    @staticmethod
+    def _recorded_blocks(monkeypatch, delay=0.0):
+        """Wrap ``_count_block`` to record the calling threads and the peak
+        number of blocks in flight, each held for ``delay`` seconds."""
+        seen = {"idents": set(), "in_flight": 0, "peak": 0}
+        lock = threading.Lock()
+        count_block = montecarlo._count_block
+
+        def recorded(*args):
+            with lock:
+                seen["idents"].add(threading.get_ident())
+                seen["in_flight"] += 1
+                seen["peak"] = max(seen["peak"], seen["in_flight"])
+            try:
+                time.sleep(delay)
+                return count_block(*args)
+            finally:
+                with lock:
+                    seen["in_flight"] -= 1
+
+        monkeypatch.setattr(montecarlo, "_count_block", recorded)
+        return seen
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_counts_equal_whatever_the_cpus(self, s1, monkeypatch, cpus):
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)
+        p = make_params(num_sources=2, num_jammers=3)
+        c = SimConfig(trials=10 * 300 + 7, seed=17, workers=10)
+        [(op, ip)] = simulate_point(p, s1, c, [("dpsr", p.rho)])
+        assert (op.successes, ip.successes) == _sequential_counts(p, s1, c, "dpsr")
+
+    def test_one_cpu_runs_inline_without_a_pool(self, s1, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was created at one usable CPU")
+
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        seen = self._recorded_blocks(monkeypatch)
+        p = make_params()
+        simulate_point(p, s1, SimConfig(trials=5 * 100, seed=3, workers=5), [("spsr", p.rho)])
+        assert seen["idents"] == {threading.get_ident()}
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_threads_capped_at_usable_cpus(self, s1, monkeypatch, cpus):
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)
+        seen = self._recorded_blocks(monkeypatch, delay=0.002)
+        p = make_params()
+        simulate_point(p, s1, SimConfig(trials=12 * 100, seed=3, workers=12), [("spsr", p.rho)])
+        assert len(seen["idents"]) <= cpus and seen["peak"] <= cpus
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_first_failing_partition_in_order_propagates(self, s1, monkeypatch, cpus):
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)
+        p = replace(make_params(), phi=0.0)
+        approx = SimConfig(trials=4 * 100, seed=3, workers=4, e1_mode="approx")
+        with pytest.raises(ValueError, match="approx mode divides by phi"):
+            simulate_point(p, s1, approx, [("spsr", p.rho)], ("ip",))
+
+        streams = montecarlo.link_streams
+
+        def failing(seed, worker, links):
+            if worker >= 3:
+                time.sleep(0.001 * (10 - worker))  # later failures finish first
+                raise ValueError(f"partition {worker}")
+            return streams(seed, worker, links)
+
+        monkeypatch.setattr(montecarlo, "link_streams", failing)
+        c = SimConfig(trials=10 * 100, seed=3, workers=10)
+        with pytest.raises(ValueError, match=r"^partition 3$"):
+            simulate_point(p, s1, c, [("spsr", p.rho)])
 
 
 SCHEMES = (("spsr", 0.225), ("spsr", 0.875), ("dpsr", 0.5))

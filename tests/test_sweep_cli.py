@@ -19,7 +19,7 @@ from swipt_plsec import (
     run_sweep,
     write_csv,
 )
-from swipt_plsec import analytic, montecarlo, reference, specfun, sweep
+from swipt_plsec import analytic, cli, montecarlo, reference, specfun, sweep
 from swipt_plsec.cli import main
 from swipt_plsec.montecarlo import ROW_BLOCK, SimConfig
 from swipt_plsec.sweep import SweepResult, SweepRow, sweep_values
@@ -481,14 +481,29 @@ class TestCli:
         assert main(["compare", "--input", str(path)]) == 0  # report-only default
         assert main(["compare", "--input", str(path), "--max-flagged", "0.5"]) == 1
 
-    def test_sweep_fail_on_flags_gate(self, tmp_path):
+    def test_sweep_then_compare_max_flagged_gate(self, tmp_path):
         out_csv = tmp_path / "gap.csv"
         base = ["sweep", "--scenario", "s1", "--sweep", "psi_db:2:4:2",
                 "--scheme", "spsr", "--rho", "0.55", "--trials", "300000",
                 "--outputs", "ip", "--output", str(out_csv)]
+        gate = ["compare", "--input", str(out_csv), "--max-flagged", "0.1"]
         # exact-mode simulation exposes the first-slot modeling gap (~0.035)
-        assert main(base + ["--e1-mode", "exact", "--fail-on-flags", "0.1"]) == 1
-        assert main(base + ["--e1-mode", "approx", "--fail-on-flags", "0.1"]) == 0
+        assert main(base + ["--e1-mode", "exact"]) == 0
+        assert main(gate) == 1
+        assert main(base + ["--e1-mode", "approx"]) == 0
+        assert main(gate) == 0
+
+    def test_trials_default_is_the_library_default(self, monkeypatch, capsys):
+        specs = []
+
+        def recorded(spec):
+            specs.append(spec)
+            return SweepResult(spec.variable, [])
+
+        monkeypatch.setattr(cli, "run_sweep", recorded)
+        assert main(["point", "--scenario", "s1"]) == 0
+        assert specs[0].sim.trials == SimConfig().trials == 10**6
+        assert "trials=1000000" in capsys.readouterr().out
 
     def test_one_metric_sweeps_write_the_joint_mc_columns(self, tmp_path):
         # two workers of just over one block each
@@ -578,13 +593,14 @@ class TestCli:
                 assert message in row.error and row.op_analytic is None and row.op_mc is None
         assert capsys.readouterr().err.count(message) == 2
 
-    @pytest.mark.parametrize("args", [
-        ["compare", "--max-flagged", "0", "--gap-allowance", "nan"],
-        ["compare", "--max-flagged", "nan"],
-        ["compare", "--gap-allowance", "inf"],
-        ["sweep", "--fail-on-flags", "nan"]],
-        ids=["gap-allowance-nan", "max-flagged-nan", "gap-allowance-inf", "fail-on-flags-nan"])
-    def test_non_finite_gate_refused(self, tmp_path, capsys, args):
+    @pytest.mark.parametrize("args,message", [
+        (["compare", "--max-flagged", "0", "--gap-allowance", "nan"], "expected a finite number"),
+        (["compare", "--max-flagged", "nan"], "expected a finite number"),
+        (["compare", "--gap-allowance", "inf"], "expected a finite number"),
+        # sweep only writes the columns; compare is the one agreement gate
+        (["sweep", "--fail-on-flags", "nan"], "unrecognized arguments: --fail-on-flags"),
+    ], ids=["gap-allowance-nan", "max-flagged-nan", "gap-allowance-inf", "fail-on-flags-nan"])
+    def test_non_finite_gate_refused(self, tmp_path, capsys, args, message):
         # a NaN gate never fails: every comparison with it is false
         path = tmp_path / "flagged.csv"
         rows = [SweepRow(value=1.0, scheme="dpsr", op_analytic=0.9, op_mc=0.1, op_ci=0.001)]
@@ -595,7 +611,7 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main([*args, *where])
         assert exc.value.code == 2
-        assert "expected a finite number" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_unknown_scenario_exit(self, capsys):
         assert main(["point", "--scenario", "missing-file"]) == 1
