@@ -24,7 +24,6 @@ from .channel import (
     pathloss_rate,
 )
 from .core import (
-    SnrPair,
     SystemParams,
     achievable_rate,
     gamma_d_dpsr,
@@ -70,7 +69,6 @@ __all__ = [
     "SchemePoint",
     "SeriesNotConverged",
     "SimConfig",
-    "SnrPair",
     "SweepSpec",
     "SystemParams",
     "achievable_rate",

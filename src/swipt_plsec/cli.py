@@ -8,14 +8,16 @@ file and print its rates).
 :class:`SweepSpec` in one place, so a point is row for row the one-point
 sweep at its ``--psi-db``; ``point`` only defaults ``--scheme`` to ``spsr``
 and prints its header from the spec it ran.
-All dB-valued inputs convert to linear as 10**(x/10) at this boundary (a
-value beyond float range is an error); the library below is strictly linear.
+The dB-valued options ``--psi-db`` and ``--phi-db`` convert to linear as
+10**(x/10) at this boundary (a value beyond float range is an error).  A
+``psi_db`` or ``phi_db`` grid stays in dB: the sweep converts each grid value
+by the same rule, so every ``SystemParams`` field is linear.
 ``sweep`` computes and writes the analytic and Monte-Carlo columns; only
 ``compare`` judges their agreement.  Its gate options (``--gap-allowance``,
 ``--max-flagged``) must be finite, since a NaN gate would never fail, and
 are parsed by the sweep CSV's number rule.  The option choices and defaults
-that the library fixes (``--e1-mode``, ``--trials``, ``--workers``) are read
-from it.
+that the library fixes (``--e1-mode``, ``--outputs``, the ``--sweep``
+variables, ``--trials``, ``--workers``) are read from it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .montecarlo import SimConfig
 from .scenario import ScenarioError, packaged_scenarios, resolve_scenario
 from .specfun import NumericalError
 from .sweep import (
+    OUTPUTS,
+    SWEEP_VARIABLES,
     SchemePoint,
     SweepSpec,
     _db_to_linear,
@@ -201,11 +205,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_scenario_check(args) -> int:
-    try:
-        stats = resolve_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 1
+    stats = resolve_scenario(args.scenario)
     print(f"scenario {args.scenario}: chi={stats.chi}, "
           f"distance_decimals={stats.distance_decimals}")
     rc = 0
@@ -242,8 +242,8 @@ def main(argv: list[str] | None = None) -> int:
     _add_model_args(p_sweep)
     p_sweep.add_argument("--sweep", type=_parse_sweep, required=True,
                          metavar="VAR:START:STOP:STEP",
-                         help="variable in {psi_db, rho, M, K, phi_db} and grid")
-    p_sweep.add_argument("--outputs", choices=("op", "ip", "both"), default="both")
+                         help=f"variable in {{{', '.join(SWEEP_VARIABLES)}}} and grid")
+    p_sweep.add_argument("--outputs", choices=tuple(OUTPUTS), default="both")
     p_sweep.add_argument("--output", required=True, help="CSV destination")
     p_sweep.set_defaults(func=_cmd_sweep)
 

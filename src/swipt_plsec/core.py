@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "SystemParams",
-    "SnrPair",
     "snr_threshold",
     "achievable_rate",
     "rho_star",
@@ -85,19 +84,6 @@ class SystemParams:
         if self.num_jammers < 1:
             raise ValueError(f"need at least one jammer, got {self.num_jammers}")
         object.__setattr__(self, "gamma_th", snr_threshold(self.c_th))
-
-
-@dataclass(frozen=True)
-class SnrPair:
-    """Eavesdropper SNRs for the broadcast slot and the relaying slot."""
-
-    gamma_e1: object
-    gamma_e2: object
-
-    @property
-    def combined(self):
-        """Selection combining: the larger of the two per-slot SNRs."""
-        return np.maximum(self.gamma_e1, self.gamma_e2)
 
 
 def snr_workspace(shape=()) -> tuple[np.ndarray, np.ndarray]:
@@ -200,8 +186,9 @@ def gamma_e(
     scheme: str = "spsr",
     gamma_rd=None,
     out=None,
-) -> SnrPair:
-    """Eavesdropper SNRs in both slots under jamming dilution.
+):
+    """Eavesdropper SNR under jamming dilution: the larger of its two slots'
+    SNRs (selection combining), the SNR an intercept is defined on.
 
     ``mode`` selects the first-slot denominator: ``exact`` keeps the unit
     noise term (psi * gamma_se / (phi * xi + 1)), ``approx`` drops it.  With
@@ -209,7 +196,7 @@ def gamma_e(
     ``exact`` zeroes the jamming term in both slots and ``approx`` raises
     ``ValueError``.  ``scheme='dpsr'`` substitutes the per-realization
     optimal splitting ratio, which requires ``gamma_rd``.  ``out`` is a
-    workspace as for :func:`gamma_d_spsr`; array SNRs are two of its rows.
+    workspace as for :func:`gamma_d_spsr`; an array SNR is its first row.
     """
     if mode not in E1_MODES:
         raise ValueError(f"mode must be one of {E1_MODES}, got {mode!r}")
@@ -251,7 +238,7 @@ def gamma_e(
     np.add(den, np.multiply(rest, phi_xi, out=phi_xi), out=den)
     np.add(den, rest, out=den)
     e2 = _guarded_divide(e2, den, mask, phi_xi)
-
+    snr = np.maximum(e1, e2, out=e1)  # selection combining of the two slots
     if all(np.isscalar(g) for g in gains) and (gamma_rd is None or np.isscalar(gamma_rd)):
-        return SnrPair(float(e1), float(e2))
-    return SnrPair(e1, e2)
+        return float(snr)
+    return snr

@@ -16,7 +16,10 @@ that is one; each thread owns its partition's streams and workspace, so the
 counts equal those of a sequential run bit for bit.  The workspace is made
 once per partition: a gain row per drawn link, the SNR rows of
 ``core.snr_workspace`` and a bool mask.  Every block draws into it and
-computes its SNRs and counts in it, so no block allocates an array.
+computes its SNRs and counts in it, so no block allocates an array.  Each
+count thresholds one SNR: an outage the destination's (``core.gamma_d_*``),
+an intercept the eavesdropper's, the larger of its two slots' SNRs, which
+``core.gamma_e`` returns combined.
 
 Every run counts a list of schemes, ``(kind, rho)`` pairs that differ only
 in the splitting rule: each block draws the union of the links they read
@@ -187,10 +190,9 @@ def _count_block(p: SystemParams, s: ChannelStats, c: SimConfig,
             snr_d = gamma_d(rp, sr, rd, out=(snr, mask))
             op = int(np.count_nonzero(np.less(snr_d, rp.gamma_th, out=mask)))
         if "ip" in metrics:
-            pair = gamma_e(rp, draw["se"], sr, draw["re"], xi,
-                           mode=c.e1_mode, scheme=kind, gamma_rd=rd, out=(snr, mask))
-            combined = np.maximum(pair.gamma_e1, pair.gamma_e2, out=pair.gamma_e1)
-            ip = int(np.count_nonzero(np.greater_equal(combined, rp.gamma_th, out=mask)))
+            snr_e = gamma_e(rp, draw["se"], sr, draw["re"], xi,
+                            mode=c.e1_mode, scheme=kind, gamma_rd=rd, out=(snr, mask))
+            ip = int(np.count_nonzero(np.greater_equal(snr_e, rp.gamma_th, out=mask)))
         counts.append((op, ip))
     return counts
 

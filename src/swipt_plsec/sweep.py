@@ -49,6 +49,7 @@ from .specfun import NumericalError
 
 __all__ = [
     "SWEEP_VARIABLES",
+    "OUTPUTS",
     "SchemePoint",
     "SweepSpec",
     "SweepRow",
@@ -80,10 +81,13 @@ _VARIABLE_FIELDS = {
 }
 SWEEP_VARIABLES = tuple(_VARIABLE_FIELDS)
 
+# a sweep's ``outputs`` -> the metrics its rows carry
+OUTPUTS = {"op": ("op",), "ip": ("ip",), "both": METRICS}
+
 
 @dataclass(frozen=True)
 class SchemePoint:
-    """One curve of a sweep: static splitting at a fixed rho, or dynamic.
+    """One curve of a sweep: static splitting at a fixed rho in [0, 1], or dynamic.
 
     ``rho=None`` on a static-splitting scheme means the swept variable
     supplies rho (only valid in a rho sweep).
@@ -97,6 +101,8 @@ class SchemePoint:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.kind == "dpsr" and self.rho is not None:
             raise ValueError("dynamic splitting takes no rho")
+        if self.rho is not None and not 0 <= self.rho <= 1:
+            raise ValueError(f"rho must be in [0, 1], got {self.rho}")
 
     @property
     def label(self) -> str:
@@ -129,8 +135,8 @@ class SweepSpec:
             raise ValueError("step must be positive")
         if self.start > self.stop:
             raise ValueError("need start <= stop")
-        if self.outputs not in ("op", "ip", "both"):
-            raise ValueError(f"outputs must be op, ip or both, got {self.outputs!r}")
+        if self.outputs not in OUTPUTS:
+            raise ValueError(f"outputs must be one of {tuple(OUTPUTS)}, got {self.outputs!r}")
         if not self.schemes:
             raise ValueError("need at least one scheme")
         if self.variable == "rho":
@@ -235,7 +241,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     rows: list[SweepRow] = []
     s = spec.stats
-    metrics = METRICS if spec.outputs == "both" else (spec.outputs,)
+    metrics = OUTPUTS[spec.outputs]
     field, convert = _VARIABLE_FIELDS[spec.variable]
     for index, value in enumerate(sweep_values(spec.start, spec.stop, spec.step)):
         try:
@@ -306,29 +312,23 @@ def compare_report(result: SweepResult, gap_allowance: float = 0.01) -> CompareR
     """
     if not math.isfinite(gap_allowance):
         raise ValueError(f"gap_allowance must be finite, got {gap_allowance!r}")
-    per_scheme: dict[str, dict[str, float]] = {}
+    gaps: dict[str, list[float]] = {}  # per scheme, in row order
     flagged = []
-    n_compared = 0
     for row in result.rows:
-        for metric in ("op", "ip"):
+        for metric in METRICS:
             a = getattr(row, f"{metric}_analytic")
             m = getattr(row, f"{metric}_mc")
             ci = getattr(row, f"{metric}_ci")
             if a is None or m is None or ci is None:
                 continue
-            n_compared += 1
             gap = abs(a - m)
-            stats = per_scheme.setdefault(row.scheme, {"max_gap": 0.0, "sum_gap": 0.0, "n": 0})
-            stats["max_gap"] = max(stats["max_gap"], gap)
-            stats["sum_gap"] += gap
-            stats["n"] += 1
+            gaps.setdefault(row.scheme, []).append(gap)
             bound = 3.0 * ci + gap_allowance
             if gap > bound:
                 flagged.append((row.value, row.scheme, metric, gap, bound))
-    for stats in per_scheme.values():
-        stats["mean_gap"] = stats["sum_gap"] / stats["n"]
-        del stats["sum_gap"]
-    return CompareReport(per_scheme, flagged, n_compared)
+    per_scheme = {scheme: {"max_gap": max(g), "n": len(g), "mean_gap": sum(g) / len(g)}
+                  for scheme, g in gaps.items()}
+    return CompareReport(per_scheme, flagged, sum(map(len, gaps.values())))
 
 
 def write_csv(result: SweepResult, path: str | Path) -> None:

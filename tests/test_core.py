@@ -178,17 +178,31 @@ def _reference_snrs(route, p, gsr, grd, gse, gre, xi):
     num = p.eta * rho * (1.0 - rho) * gsr * gre * p.psi
     den = p.eta * rho * gre + (1.0 - rho) * phi_xi + (1.0 - rho)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return e1, np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+        e2 = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+    return e1, e2, np.maximum(e1, e2)
+
+
+def _slots(p, gse, gsr, gre, xi, **kwargs):
+    """The eavesdropper SNR of each slot alone, one call at a time, since each
+    may return a row of the same ``out`` workspace: a zero SR gain silences
+    slot 2, a zero SE gain slot 1."""
+    yield gamma_e(p, gse, 0.0 * gsr, gre, xi, **kwargs)
+    yield gamma_e(p, 0.0 * gse, gsr, gre, xi, **kwargs)
 
 
 def _snrs(route, p, gsr, grd, gse, gre, xi, out=None):
+    # one call at a time: an eavesdropper route yields each slot alone, then
+    # the two combined
     if route == "d-spsr":
-        return (gamma_d_spsr(p, gsr, grd, out=out),)
+        yield gamma_d_spsr(p, gsr, grd, out=out)
+        return
     if route == "d-dpsr":
-        return (gamma_d_dpsr(p, gsr, grd, out=out),)
+        yield gamma_d_dpsr(p, gsr, grd, out=out)
+        return
     _, kind, mode = route.split("-")
-    pair = gamma_e(p, gse, gsr, gre, xi, mode=mode, scheme=kind, gamma_rd=grd, out=out)
-    return pair.gamma_e1, pair.gamma_e2
+    kwargs = dict(mode=mode, scheme=kind, gamma_rd=grd, out=out)
+    yield from _slots(p, gse, gsr, gre, xi, **kwargs)
+    yield gamma_e(p, gse, gsr, gre, xi, **kwargs)
 
 
 class TestDestinationSnrFastPath:
@@ -245,23 +259,23 @@ class TestRhoStar:
 
 class TestEavesdropperSnr:
     def test_first_slot_exact_and_approx(self):
+        # zero SR and RE gains: only slot 1 reaches the eavesdropper
         p = SystemParams(eta=0.8, rho=0.5, psi=10.0, phi=1.0,
                          num_sources=2, num_jammers=1, c_th=0.5)
         exact = gamma_e(p, 1.0, 0.0, 0.0, 1.0, mode="exact")
         approx = gamma_e(p, 1.0, 0.0, 0.0, 1.0, mode="approx")
-        assert exact.gamma_e1 == pytest.approx(5.0, rel=1e-14)
-        assert approx.gamma_e1 == pytest.approx(10.0, rel=1e-14)
+        assert exact == pytest.approx(5.0, rel=1e-14)
+        assert approx == pytest.approx(10.0, rel=1e-14)
 
     def test_second_slot_hand_value(self):
+        # zero SE gain: only slot 2 reaches the eavesdropper
         p = SystemParams(eta=0.8, rho=0.5, psi=10.0, phi=1.0,
                          num_sources=2, num_jammers=1, c_th=0.5)
-        pair = gamma_e(p, 0.0, 1.0, 1.0, 1.0, mode="exact")
-        assert pair.gamma_e2 == pytest.approx(2.0 / 1.4, rel=1e-14)
+        assert gamma_e(p, 0.0, 1.0, 1.0, 1.0, mode="exact") == pytest.approx(2.0 / 1.4, rel=1e-14)
 
     def test_nothing_reaches_eavesdropper(self):
         p = make_params()
-        pair = gamma_e(p, 0.0, 0.0, 1.0, 1.0, mode="exact")
-        assert pair.combined == 0.0
+        assert gamma_e(p, 0.0, 0.0, 1.0, 1.0, mode="exact") == 0.0
 
     def test_approx_rejects_zero_jamming(self):
         p = make_params()
@@ -272,23 +286,27 @@ class TestEavesdropperSnr:
         # the jammers silent: exact mode at xi = 0 leaves slot 1 undiluted,
         # and slot 2 that of a jammed draw with no jamming power
         p = make_params(psi_db=10.0)
-        pair = gamma_e(p, 2.0, 1.0, 1.0, 0.0, mode="exact")
-        assert pair.gamma_e1 == pytest.approx(p.psi * 2.0, rel=1e-14)
-        ref = gamma_e(replace(p, phi=0.0), 2.0, 1.0, 1.0, 5.0, mode="exact")
-        assert pair.gamma_e2 == pytest.approx(ref.gamma_e2, rel=1e-14)
+        e1, e2 = _slots(p, 2.0, 1.0, 1.0, 0.0, mode="exact")
+        assert e1 == pytest.approx(p.psi * 2.0, rel=1e-14)
+        _, ref = _slots(replace(p, phi=0.0), 2.0, 1.0, 1.0, 5.0, mode="exact")
+        assert e2 == pytest.approx(ref, rel=1e-14)
+        assert gamma_e(p, 2.0, 1.0, 1.0, 0.0, mode="exact") == max(e1, e2)
 
     def test_dpsr_equals_spsr_at_optimal_split(self):
         rng = np.random.default_rng(31)
         p = make_params()
         for _ in range(100):
             gse, gsr, gre, xi, grd = rng.exponential(1.0, size=5)
-            dyn = gamma_e(p, gse, gsr, gre, xi, mode="exact", scheme="dpsr", gamma_rd=grd)
+            dyn1, dyn2 = _slots(p, gse, gsr, gre, xi, mode="exact", scheme="dpsr",
+                                gamma_rd=grd)
             p_at = SystemParams(eta=p.eta, rho=rho_star(p.eta, grd), psi=p.psi, phi=p.phi,
                                 num_sources=p.num_sources, num_jammers=p.num_jammers,
                                 c_th=p.c_th)
-            ref = gamma_e(p_at, gse, gsr, gre, xi, mode="exact")
-            assert dyn.gamma_e2 == pytest.approx(ref.gamma_e2, rel=1e-12)
-            assert dyn.gamma_e1 == pytest.approx(ref.gamma_e1, rel=1e-12)
+            ref1, ref2 = _slots(p_at, gse, gsr, gre, xi, mode="exact")
+            assert dyn2 == pytest.approx(ref2, rel=1e-12)
+            assert dyn1 == pytest.approx(ref1, rel=1e-12)
+            assert gamma_e(p, gse, gsr, gre, xi, mode="exact", scheme="dpsr",
+                           gamma_rd=grd) == max(dyn1, dyn2)
 
     def test_dpsr_requires_gamma_rd(self):
         p = make_params()
@@ -298,7 +316,9 @@ class TestEavesdropperSnr:
     def test_monotone_in_psi(self):
         p_lo = make_params(psi_db=0.0)
         p_hi = make_params(psi_db=6.0)
-        lo = gamma_e(p_lo, 1.0, 1.0, 1.0, 1.0, mode="exact")
-        hi = gamma_e(p_hi, 1.0, 1.0, 1.0, 1.0, mode="exact")
-        assert hi.gamma_e1 > lo.gamma_e1
-        assert hi.gamma_e2 > lo.gamma_e2
+        lo1, lo2 = _slots(p_lo, 1.0, 1.0, 1.0, 1.0, mode="exact")
+        hi1, hi2 = _slots(p_hi, 1.0, 1.0, 1.0, 1.0, mode="exact")
+        assert hi1 > lo1
+        assert hi2 > lo2
+        assert gamma_e(p_hi, 1.0, 1.0, 1.0, 1.0, mode="exact") > \
+            gamma_e(p_lo, 1.0, 1.0, 1.0, 1.0, mode="exact")

@@ -251,7 +251,7 @@ class TestBlockWorkspace:
         spy("draw_channels", lambda draw: list(draw.values()))
         spy("gamma_d_spsr", lambda snr: [snr])
         spy("gamma_d_dpsr", lambda snr: [snr])
-        spy("gamma_e", lambda pair: [pair.gamma_e1, pair.gamma_e2])
+        spy("gamma_e", lambda snr: [snr])
         p = make_params(num_sources=3, num_jammers=4)
         # one partition of three blocks, the last one partial
         c = SimConfig(trials=3 * ROW_BLOCK - 5, seed=4)
@@ -291,9 +291,9 @@ def _full_draw_ip_count(p, s, kind, streams, n):
     # the intercept count of one block from a draw of all five links, with
     # the jammers silent (phi = 0 and a zero aggregate)
     d = draw_channels(s, p, streams, size=n)
-    pair = gamma_e(p, d["se"], d["sr"], d["re"], np.zeros(n), mode="exact",
-                   scheme=kind, gamma_rd=d["rd"])
-    return int(np.count_nonzero(pair.combined >= p.gamma_th))
+    snr = gamma_e(p, d["se"], d["sr"], d["re"], np.zeros(n), mode="exact",
+                  scheme=kind, gamma_rd=d["rd"])
+    return int(np.count_nonzero(snr >= p.gamma_th))
 
 
 class TestJammingOff:

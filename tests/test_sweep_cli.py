@@ -12,6 +12,7 @@ from swipt_plsec import (
     QuadratureError,
     SchemePoint,
     SweepSpec,
+    SystemParams,
     compare_report,
     ip_dpsr_no_jamming,
     ip_spsr_no_jamming,
@@ -93,6 +94,34 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="variable"):
             SweepSpec(variable="eta", start=0, stop=1, step=0.1,
                       params=make_params(), stats=s1, sim=tiny_sim())
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(step=0.0), "step must be positive"),
+        (dict(step=-1.0), "step must be positive"),
+        (dict(start=3.0, stop=1.0), "need start <= stop"),
+        (dict(outputs="all"), r"outputs must be one of \('op', 'ip', 'both'\), got 'all'"),
+        (dict(schemes=()), "need at least one scheme"),
+        (dict(variable="rho", start=0.2, stop=0.8, step=0.3), "rho sweep supplies rho"),
+    ], ids=["step-zero", "step-negative", "start-above-stop", "unknown-outputs",
+            "no-schemes", "rho-sweep-explicit-rho"])
+    def test_refused(self, s1, kwargs, message):
+        spec = dict(variable="psi_db", start=1.0, stop=3.0, step=1.0, params=make_params(),
+                    stats=s1, sim=tiny_sim(), schemes=(SchemePoint("spsr", 0.5),))
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(**{**spec, **kwargs})
+
+
+class TestSchemePoint:
+    @pytest.mark.parametrize("rho", [1.5, -1.0, math.nan])
+    def test_rho_outside_the_unit_interval_refused(self, rho):
+        # refused where the curve is declared, not by run_sweep after the
+        # earlier curves' cells are computed
+        with pytest.raises(ValueError, match=rf"rho must be in \[0, 1\], got {rho}"):
+            SchemePoint("spsr", rho)
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    def test_rho_endpoints_accepted(self, rho):
+        assert SchemePoint("spsr", rho).label == f"spsr@{rho:g}"
 
 
 class TestRunSweep:
@@ -379,7 +408,18 @@ class TestCli:
         f = tmp_path / "broken.scenario"
         f.write_text("chi 2.5\n")
         assert main(["scenario-check", "--scenario", str(f)]) == 1
-        assert "line 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and "line 1" in err
+
+    def test_scenario_check_direct_rates(self, tmp_path, capsys):
+        f = tmp_path / "rates.scenario"
+        f.write_text("lambda.sr = 0.2\nlambda.rd = 0.25\nlambda.re = 2.0\n"
+                     "lambda.je = 0.3\nlambda.se = 3.0\n")
+        assert main(["scenario-check", "--scenario", str(f)]) == 0
+        # no geometry: each rate as given, with no distance and no mismatch check
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "  lambda_sr = 0.2", "  lambda_rd = 0.25", "  lambda_re = 2", "  lambda_je = 0.3",
+            "  lambda_se = 3"]
 
     def test_point_runs(self, capsys):
         rc = main(["point", "--scenario", "s2", "--scheme", "spsr", "--rho", "0.5",
@@ -474,6 +514,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "compared 12 analytic/mc pairs" in out
 
+    def test_compare_refuses_a_csv_with_error_rows(self, tmp_path, capsys):
+        rows = [SweepRow(value=1.0, scheme="dpsr", op_analytic=0.2, op_mc=0.2, op_ci=0.01),
+                SweepRow(value=2.0, scheme="dpsr", error="mc: failed")]
+        path = tmp_path / "errors.csv"
+        write_csv(SweepResult("psi_db", rows), path)
+        assert main(["compare", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "flagged fraction: 0.000" in captured.out
+        assert "1 rows carry errors" in captured.err
+
     def test_compare_max_flagged_gate(self, tmp_path):
         rows = [SweepRow(value=1.0, scheme="dpsr", op_analytic=0.9, op_mc=0.1, op_ci=0.001)]
         path = tmp_path / "bad.csv"
@@ -531,6 +581,48 @@ class TestCli:
                   "--c-th", "0", "--trials", "10", "--paper-fidelity"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --paper-fidelity" in capsys.readouterr().err
+
+    def test_rho_outside_the_unit_interval_refused_before_the_sweep(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        def entered(spec):
+            raise AssertionError("run_sweep entered")
+
+        monkeypatch.setattr(cli, "run_sweep", entered)
+        out_csv = tmp_path / "o.csv"
+        assert main(["sweep", "--scenario", "s1", "--sweep", "psi_db:0:1:1", "--rho", "0.5,1.5",
+                     "--output", str(out_csv)]) == 1
+        assert capsys.readouterr().err == "error: rho must be in [0, 1], got 1.5\n"
+        assert not out_csv.exists()
+
+    def test_rho_sweep(self, tmp_path, s1):
+        # the swept rho is each spsr row's own; dpsr reads none
+        out_csv = tmp_path / "rho.csv"
+        assert main(["sweep", "--scenario", "s1", "--sweep", "rho:0.1:0.9:0.4",
+                     "--trials", "1000", "--outputs", "op", "--output", str(out_csv)]) == 0
+        result = read_csv(out_csv)
+        assert result.variable == "rho"
+        assert [(r.value, r.scheme) for r in result.rows] == [
+            (rho, kind) for rho in (0.1, 0.5, 0.9) for kind in ("spsr", "dpsr")]
+        for row in result.rows:
+            p = SystemParams(eta=0.8, rho=row.value, psi=sweep._db_to_linear(2.0),
+                             phi=sweep._db_to_linear(1.0), num_sources=2, num_jammers=1,
+                             c_th=0.5)
+            op = analytic.op_spsr(p, s1) if row.scheme == "spsr" else analytic.op_dpsr(p, s1)
+            assert row.op_analytic == float(f"{op:.12g}")
+            assert row.op_mc is not None and row.error == ""
+
+    def test_analytic_ip_refusal_marks_only_its_cell(self, tmp_path, capsys):
+        # rho 0 harvests nothing: outage is certain, and the static intercept
+        # route refuses, while the Monte-Carlo columns are still counted
+        out_csv = tmp_path / "p.csv"
+        assert main(["point", "--scenario", "s1", "--rho", "0", "--trials", "2000",
+                     "--output", str(out_csv)]) == 1
+        [row] = read_csv(out_csv).rows
+        assert row.op_analytic == 1.0 and row.ip_analytic is None
+        assert None not in (row.op_mc, row.op_ci, row.ip_mc, row.ip_ci)
+        message = "analytic ip: static-splitting intercept needs rho in (0, 1)"
+        assert row.error == message
+        assert message in capsys.readouterr().err
 
     def test_rho_list_keyword(self, tmp_path):
         out_csv = tmp_path / "t.csv"
@@ -627,6 +719,12 @@ class TestCli:
     def test_read_csv_names_the_file_and_line_of_a_short_row(self, tmp_path):
         path = self._short_row_csv(tmp_path)
         with pytest.raises(ValueError, match=r"short\.csv, line 3: 3 fields, the header has 10"):
+            read_csv(path)
+
+    def test_read_csv_refuses_a_foreign_header(self, tmp_path):
+        path = tmp_path / "foreign.csv"
+        path.write_text("psi_db,scheme,op\n1,dpsr,0.5\n")
+        with pytest.raises(ValueError, match=r"unexpected sweep CSV header in .*foreign\.csv"):
             read_csv(path)
 
     def test_compare_reports_a_short_row(self, tmp_path, capsys):
