@@ -109,7 +109,9 @@ def _add_model_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--workers", type=int, default=SimConfig.workers,
                      help="stream partitions, run concurrently on at most as many threads "
                           "as there are usable CPUs; a fixed (seed, workers) reproduces "
-                          "bitwise")
+                          "bitwise. Fewer workers than usable CPUs, with at least 2^15 "
+                          "trials each, let a point's analytic cells run on a spare CPU "
+                          "beside its Monte-Carlo run")
     sub.add_argument("--scheme", type=_parse_schemes, default=list(SCHEMES),
                      help=f"comma list drawn from {{{', '.join(SCHEMES)}}}")
     sub.add_argument("--rho", type=_parse_rho_list, default=[0.5],

@@ -22,17 +22,25 @@ draw; each row's estimates are bitwise those of a run of its scheme alone.
 The run counts only the metrics ``outputs`` asks for and draws only the
 links they read, so its estimates are bitwise those of a joint run.  A grid
 value that gives no usable parameters marks its point's rows, and the sweep
-goes on.
+goes on.  Where a point's Monte-Carlo run leaves a usable CPU idle and is
+large enough (``_overlaps``), its analytic cells run on one helper thread,
+in the caller's context, while the calling thread runs the Monte-Carlo;
+the two share no stream, seed or workspace, so every cell is bitwise that
+of the inline path.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
+from typing import Collection, Sequence
 
 from .analytic import (
     ip_dpsr_no_jamming,
@@ -44,7 +52,7 @@ from .analytic import (
 )
 from .channel import ChannelStats, derive_seed
 from .core import SCHEMES, SystemParams
-from .montecarlo import METRICS, SimConfig, simulate_point
+from .montecarlo import METRICS, ROW_BLOCK, SimConfig, simulate_point, usable_cpus
 from .specfun import NumericalError
 
 __all__ = [
@@ -160,7 +168,9 @@ class SweepRow:
     """One (point, scheme) cell set.
 
     ``runtime_ms`` is the row's analytic time plus an equal share of its
-    point's Monte-Carlo time, which all the point's rows share.
+    point's Monte-Carlo time, which all the point's rows share.  Where the
+    analytic cells overlap the Monte-Carlo run, a point's row times can add
+    up to more than its wall time.
     """
 
     value: float
@@ -231,63 +241,100 @@ def analytic_ip(p: SystemParams, s: ChannelStats, scheme_kind: str) -> float:
     return ip_spsr_quadrature(p, s) if p.phi > 0 else ip_spsr_no_jamming(p, s)
 
 
+def _overlaps(sim: SimConfig) -> bool:
+    """Whether each point's analytic cells run on a helper thread beside its
+    Monte-Carlo run: when the run leaves a usable CPU idle, and each of its
+    partitions draws at least one full block of ``ROW_BLOCK`` (2^15) trials.
+
+    The cells and the run share the GIL, which numpy releases only in calls
+    on more than 500 elements, so small runs lose time to the handoffs.  On
+    2 cores a two-point ``figure_ip`` sweep (one worker) took 0.96-1.18
+    times its inline time overlapped at 2^12-2^14 trials, and 0.75-0.90 at
+    2^15, 0.61-0.65 at 2^16 and 0.77-0.81 at 2^17.
+    """
+    cpus = usable_cpus()
+    return min(sim.workers, cpus) < cpus and sim.trials >= sim.workers * ROW_BLOCK
+
+
+def _analytic_cells(value: float, p: SystemParams, s: ChannelStats,
+                    schemes: Sequence[tuple[str, str, float]],
+                    metrics: Collection[str]) -> list[tuple[SweepRow, list[str]]]:
+    """One (row, its errors) pair per (label, kind, rho) scheme of the point
+    at ``p``: the row's analytic cells, and its analytic time in ``runtime_ms``."""
+    point = []
+    for label, kind, rho in schemes:
+        t0 = time.perf_counter()
+        # replace validates every field again, so skip it where nothing changes
+        rp = p if rho == p.rho else replace(p, rho=rho)
+        row = SweepRow(value=value, scheme=label)
+        errors = []
+        if "op" in metrics:
+            try:
+                row.op_analytic = analytic_op(rp, s, kind)
+            except (NumericalError, ValueError) as exc:
+                errors.append(f"analytic op: {exc}")
+        if "ip" in metrics:
+            try:
+                row.ip_analytic = analytic_ip(rp, s, kind)
+            except (NumericalError, ValueError) as exc:
+                errors.append(f"analytic ip: {exc}")
+        row.runtime_ms = (time.perf_counter() - t0) * 1e3
+        point.append((row, errors))
+    return point
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Execute the sweep; failures mark the row and the sweep continues.
 
     Each analytic metric is computed on its own, so a failure of one leaves
     the other's cell filled; the row error names the metric that failed.  A
     Monte-Carlo failure marks every row of its point, which share one run,
-    and so does a grid value that gives no usable parameters.
+    and so does a grid value that gives no usable parameters.  Where
+    :func:`_overlaps` holds, a point's analytic cells run on one helper
+    thread, in the caller's context, while this thread runs its Monte-Carlo;
+    the helper is joined before the rows are filled.
     """
     rows: list[SweepRow] = []
     s = spec.stats
     metrics = OUTPUTS[spec.outputs]
     field, convert = _VARIABLE_FIELDS[spec.variable]
-    for index, value in enumerate(sweep_values(spec.start, spec.stop, spec.step)):
-        try:
-            p = replace(spec.params, **{field: convert(value)})
-        except ValueError as exc:  # an unusable point marks its rows only
-            rows.extend(SweepRow(value=value, scheme=sp.label, error=f"params: {exc}")
-                        for sp in spec.schemes)
-            continue
-        # the schemes' params differ only in rho: a static curve's own, else the point's
-        schemes = [(sp.kind, p.rho if sp.rho is None else sp.rho) for sp in spec.schemes]
-        point = []  # (row, its errors) per scheme
-        for scheme, (kind, rho) in zip(spec.schemes, schemes):
+    with ThreadPoolExecutor(1) if _overlaps(spec.sim) else nullcontext() as helper:
+        for index, value in enumerate(sweep_values(spec.start, spec.stop, spec.step)):
+            try:
+                p = replace(spec.params, **{field: convert(value)})
+            except ValueError as exc:  # an unusable point marks its rows only
+                rows.extend(SweepRow(value=value, scheme=sp.label, error=f"params: {exc}")
+                            for sp in spec.schemes)
+                continue
+            # the schemes' params differ only in rho: a static curve's own, else the point's
+            schemes = [(sp.label, sp.kind, p.rho if sp.rho is None else sp.rho)
+                       for sp in spec.schemes]
+            cells = (value, p, s, schemes, metrics)
+            if helper:  # the cells run there while this thread runs the MC
+                pending = helper.submit(contextvars.copy_context().run, _analytic_cells, *cells)
+            else:
+                point = _analytic_cells(*cells)
             t0 = time.perf_counter()
-            # replace validates every field again, so skip it where nothing changes
-            rp = p if rho == p.rho else replace(p, rho=rho)
-            row = SweepRow(value=value, scheme=scheme.label)
-            errors = []
-            if "op" in metrics:
-                try:
-                    row.op_analytic = analytic_op(rp, s, kind)
-                except (NumericalError, ValueError) as exc:
-                    errors.append(f"analytic op: {exc}")
-            if "ip" in metrics:
-                try:
-                    row.ip_analytic = analytic_ip(rp, s, kind)
-                except (NumericalError, ValueError) as exc:
-                    errors.append(f"analytic ip: {exc}")
-            row.runtime_ms = (time.perf_counter() - t0) * 1e3
-            point.append((row, errors))
-        t0 = time.perf_counter()
-        try:
-            sim = replace(spec.sim, seed=derive_seed(spec.sim.seed, index))
-            estimates = simulate_point(p, s, sim, schemes, metrics)
-            for (row, _), (op_est, ip_est) in zip(point, estimates):
+            mc_error = None
+            try:
+                sim = replace(spec.sim, seed=derive_seed(spec.sim.seed, index))
+                estimates = simulate_point(p, s, sim, [(kind, rho) for _, kind, rho in schemes],
+                                           metrics)
+            except ValueError as exc:
+                estimates, mc_error = [(None, None)] * len(schemes), f"mc: {exc}"
+            mc_share_ms = (time.perf_counter() - t0) * 1e3 / len(schemes)
+            if helper:
+                point = pending.result()
+            for (row, errors), (op_est, ip_est) in zip(point, estimates):
                 if op_est is not None:
                     row.op_mc, row.op_ci = op_est.estimate, op_est.ci_halfwidth
                 if ip_est is not None:
                     row.ip_mc, row.ip_ci = ip_est.estimate, ip_est.ci_halfwidth
-        except ValueError as exc:
-            for _, errors in point:
-                errors.append(f"mc: {exc}")
-        mc_share_ms = (time.perf_counter() - t0) * 1e3 / len(point)
-        for row, errors in point:
-            row.error = "; ".join(errors)
-            row.runtime_ms += mc_share_ms
-            rows.append(row)
+                if mc_error:
+                    errors.append(mc_error)
+                row.error = "; ".join(errors)
+                row.runtime_ms += mc_share_ms
+                rows.append(row)
     return SweepResult(spec.variable, rows)
 
 

@@ -306,6 +306,154 @@ class TestRunSweep:
         assert reached == []
 
 
+def _set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(sweep, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)
+
+
+def _count_helpers(monkeypatch):
+    """Patch ``sweep.ThreadPoolExecutor`` to count the pools a sweep builds."""
+    built = []
+
+    class Counted(sweep.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "ThreadPoolExecutor", Counted)
+    return built
+
+
+def _csv_but_runtime(result, path):
+    write_csv(result, path)
+    rows = list(csv.reader(path.read_text().splitlines()))
+    k = rows[0].index("runtime_ms")
+    return [row[:k] + row[k + 1:] for row in rows]
+
+
+class TestAnalyticOverlap:
+    """A point's analytic cells run on one helper thread beside its MC run
+    when the run leaves a usable CPU idle and each partition draws at least
+    ``ROW_BLOCK`` trials; otherwise inline.  Either way the CSV is the same."""
+
+    THREE = (SchemePoint("spsr", 0.225), SchemePoint("spsr", 0.875), SchemePoint("dpsr"))
+
+    def _spec(self, s1, trials, workers=1, outputs="both", **sim):
+        return SweepSpec(variable="psi_db", start=0, stop=10, step=10,
+                         params=make_params(), stats=s1,
+                         sim=tiny_sim(trials=trials, workers=workers, **sim),
+                         schemes=self.THREE, outputs=outputs)
+
+    @pytest.mark.parametrize("below", [True, False], ids=["below-rule", "at-rule"])
+    @pytest.mark.parametrize("outputs", ["op", "ip", "both"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_overlapped_and_inline_csv_equal(self, s1, tmp_path, monkeypatch, cpus, workers,
+                                             outputs, below):
+        # phi 0 (underflow), 1 dB, and a phi beyond float range; spsr at rho 0
+        # refuses its analytic IP, approx-mode MC refuses an intercept at phi 0
+        trials = workers * ROW_BLOCK - below
+        spec = SweepSpec(variable="phi_db", start=-3250, stop=3250, step=3250,
+                         params=make_params(), stats=s1,
+                         sim=tiny_sim(trials=trials, workers=workers, e1_mode="approx"),
+                         schemes=(SchemePoint("spsr", 0.0), SchemePoint("dpsr")),
+                         outputs=outputs)
+        _set_cpus(monkeypatch, 1)
+        inline = _csv_but_runtime(run_sweep(spec), tmp_path / "inline.csv")
+        _set_cpus(monkeypatch, cpus)
+        built = _count_helpers(monkeypatch)
+        assert _csv_but_runtime(run_sweep(spec), tmp_path / "cpus.csv") == inline
+        assert len(built) == (workers < cpus and not below)
+        rho = "analytic ip: static-splitting intercept needs rho in (0, 1)"
+        mc = "mc: approx mode divides by phi * xi, which is zero here"
+        params = "params: 3250 dB is beyond float range in linear units"
+        expected = ["", "", "", "", params, params] if outputs == "op" else \
+            [f"{rho}; {mc}", mc, rho, "", params, params]
+        assert [row[-1] for row in inline[1:]] == expected
+
+    @pytest.mark.parametrize("cpus, workers, trials", [
+        (2, 1, ROW_BLOCK - 1), (4, 1, 256), (4, 3, 3 * ROW_BLOCK - 1),
+        (1, 1, ROW_BLOCK), (2, 2, 2 * ROW_BLOCK), (2, 4, 1 << 20)])
+    def test_small_runs_and_busy_cpus_stay_inline(self, s1, monkeypatch, cpus, workers, trials):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a helper pool")
+
+        _set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(sweep, "ThreadPoolExecutor", refuse)
+        rows = run_sweep(self._spec(s1, trials, workers, outputs="op")).rows
+        assert len(rows) == 6 and all(r.error == "" for r in rows)
+
+    def test_a_figure_sweep_builds_one_helper(self, s1, monkeypatch):
+        # two points, one pool of one thread for the whole sweep
+        _set_cpus(monkeypatch, 2)
+        built = _count_helpers(monkeypatch)
+        rows = run_sweep(self._spec(s1, ROW_BLOCK, e1_mode="exact")).rows
+        assert built == [(1,)]
+        assert len(rows) == 6 and all(r.error == "" for r in rows)
+
+    def test_helper_cells_see_the_callers_errstate(self, s1, monkeypatch):
+        analytic_op = sweep.analytic_op
+        seen = []
+
+        def recording(*args):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+            return analytic_op(*args)
+
+        monkeypatch.setattr(sweep, "analytic_op", recording)
+        for cpus in (1, 2):
+            _set_cpus(monkeypatch, cpus)
+            with np.errstate(all="raise"):
+                run_sweep(self._spec(s1, ROW_BLOCK, outputs="op"))
+        inline, overlapped = seen[:6], seen[6:]
+        assert all(main for main, _ in inline) and not any(main for main, _ in overlapped)
+        assert [err for _, err in overlapped] == [err for _, err in inline]
+        assert inline[0][1] == {key: "raise" for key in ("divide", "over", "under", "invalid")}
+
+    def test_cells_overlap_the_mc_run(self, s1, monkeypatch):
+        # each cell sleeps 0.1 s on the helper while the MC sleeps 0.3 s here,
+        # so the point's row times add up to more than its wall time
+        analytic_op, simulate = sweep.analytic_op, sweep.simulate_point
+
+        def slow_cell(*args):
+            time.sleep(0.1)
+            return analytic_op(*args)
+
+        def slow_mc(*args, **kwargs):
+            time.sleep(0.3)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "analytic_op", slow_cell)
+        monkeypatch.setattr(sweep, "simulate_point", slow_mc)
+        _set_cpus(monkeypatch, 2)
+        spec = replace(self._spec(s1, ROW_BLOCK, outputs="op"), stop=0)
+        t0 = time.perf_counter()
+        rows = run_sweep(spec).rows
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        assert all(r.runtime_ms >= 100.0 + 100.0 for r in rows)
+        assert sum(r.runtime_ms for r in rows) > wall_ms + 200.0
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    def test_no_helper_thread_outlives_the_sweep(self, s1, monkeypatch, fail):
+        analytic_ip = sweep.analytic_ip
+
+        def route(p, s, kind):
+            if fail and p.psi > 1.0:  # the second point's cells
+                raise RuntimeError("planted route fault")
+            return analytic_ip(p, s, kind)
+
+        monkeypatch.setattr(sweep, "analytic_ip", route)
+        _set_cpus(monkeypatch, 2)
+        built = _count_helpers(monkeypatch)
+        before = threading.enumerate()
+        if fail:
+            with pytest.raises(RuntimeError, match="planted route fault"):
+                run_sweep(self._spec(s1, ROW_BLOCK))
+        else:
+            assert len(run_sweep(self._spec(s1, ROW_BLOCK)).rows) == 6
+        assert len(built) == 1
+        assert threading.enumerate() == before
+
+
 class TestCsvRoundTrip:
     def test_identical_values(self, s1, tmp_path):
         spec = SweepSpec(variable="psi_db", start=0, stop=4, step=2,
