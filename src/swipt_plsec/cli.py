@@ -13,11 +13,13 @@ The dB-valued options ``--psi-db`` and ``--phi-db`` convert to linear as
 ``psi_db`` or ``phi_db`` grid stays in dB: the sweep converts each grid value
 by the same rule, so every ``SystemParams`` field is linear.
 ``sweep`` computes and writes the analytic and Monte-Carlo columns; only
-``compare`` judges their agreement.  Its gate options (``--gap-allowance``,
-``--max-flagged``) must be finite, since a NaN gate would never fail, and
-are parsed by the sweep CSV's number rule.  The option choices and defaults
+``compare`` judges their agreement.  Its gate options are parsed by the
+sweep CSV's number rule and must be finite, ``--gap-allowance`` >= 0 and
+``--max-flagged`` in [0, 1]: a NaN gate never fails, nor a fraction above
+1; a negative fraction fails with no flag, and a negative allowance flags
+pairs that agree exactly.  The option choices and defaults
 that the library fixes (``--e1-mode``, ``--outputs``, the ``--sweep``
-variables, ``--trials``, ``--workers``) are read from it.
+variables, ``--trials``, ``--workers``, its block size) are read from it.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import argparse
 import math
 import sys
 
-from .channel import LINK_KEYS, pathloss_rate
+from .channel import LINK_KEYS, ChannelStats
 from .core import E1_MODES, SCHEMES, SystemParams
-from .montecarlo import SimConfig
+from .montecarlo import ROW_BLOCK, SimConfig
 from .scenario import ScenarioError, packaged_scenarios, resolve_scenario
 from .specfun import NumericalError
 from .sweep import (
@@ -83,11 +85,17 @@ def _parse_sweep(text: str) -> tuple[str, float, float, float]:
     return var, start, stop, step
 
 
-def _finite_float(text: str) -> float:
-    try:
-        return _csv_finite_float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _gate(low: float, high: float, what: str):
+    """Argparse type: a finite number by the sweep CSV's rule, in [low, high]."""
+    def parse(text: str) -> float:
+        try:
+            value = _csv_finite_float(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
 
 
 def _add_model_args(sub: argparse.ArgumentParser) -> None:
@@ -109,9 +117,9 @@ def _add_model_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--workers", type=int, default=SimConfig.workers,
                      help="stream partitions, run concurrently on at most as many threads "
                           "as there are usable CPUs; a fixed (seed, workers) reproduces "
-                          "bitwise. Fewer workers than usable CPUs, with at least 2^15 "
-                          "trials each, let a point's analytic cells run on a spare CPU "
-                          "beside its Monte-Carlo run")
+                          "bitwise. Fewer workers than usable CPUs, with at least "
+                          f"2^{ROW_BLOCK.bit_length() - 1} trials each, let a point's "
+                          "analytic cells run on a spare CPU beside its Monte-Carlo run")
     sub.add_argument("--scheme", type=_parse_schemes, default=list(SCHEMES),
                      help=f"comma list drawn from {{{', '.join(SCHEMES)}}}")
     sub.add_argument("--rho", type=_parse_rho_list, default=[0.5],
@@ -123,16 +131,12 @@ def _spec(args, variable: str, start: float, stop: float, step: float,
     """The sweep of ``variable`` over start:stop:step that the model options describe."""
     if variable == "phi_db" and args.jamming == "off":
         raise ValueError("--jamming off sets phi = 0, which a phi_db --sweep would replace")
-    schemes: list[SchemePoint] = []
-    for kind in args.scheme:
-        if kind == "dpsr":
-            schemes.append(SchemePoint("dpsr"))
-        elif variable == "rho":
-            schemes.append(SchemePoint("spsr"))
-        else:
-            schemes.extend(SchemePoint("spsr", r) for r in args.rho)
+    # a static curve per --rho value, or one whose rho the rho grid supplies
+    rhos = [None] if variable == "rho" else args.rho
+    schemes = [SchemePoint(kind, rho) for kind in args.scheme
+               for rho in ([None] if kind == "dpsr" else rhos)]
     params = SystemParams(
-        eta=args.eta, rho=args.rho[0] if variable != "rho" else 0.5,
+        eta=args.eta, rho=args.rho[0],
         psi=_db_to_linear(args.psi_db),
         phi=_db_to_linear(args.phi_db) if args.jamming == "on" else 0.0,
         num_sources=args.num_sources, num_jammers=args.num_jammers, c_th=args.c_th,
@@ -163,14 +167,12 @@ def _cmd_point(args) -> int:
           f"e1_mode={spec.sim.e1_mode} trials={spec.sim.trials}")
     for row in result.rows:
         print(row.scheme)
-        if row.op_analytic is not None:
-            print(f"  OP analytic = {row.op_analytic:.6g}")
-        if row.op_mc is not None:
-            print(f"  OP mc       = {row.op_mc:.6g} +/- {row.op_ci:.2g}")
-        if row.ip_analytic is not None:
-            print(f"  IP analytic = {row.ip_analytic:.6g}")
-        if row.ip_mc is not None:
-            print(f"  IP mc       = {row.ip_mc:.6g} +/- {row.ip_ci:.2g}")
+        for metric in ("op", "ip"):
+            a, mc, ci = (getattr(row, f"{metric}_{col}") for col in ("analytic", "mc", "ci"))
+            if a is not None:
+                print(f"  {metric.upper()} analytic = {a:.6g}")
+            if mc is not None:
+                print(f"  {metric.upper()} mc       = {mc:.6g} +/- {ci:.2g}")
     n_err = _report_errors(result)
     if args.output:
         write_csv(result, args.output)
@@ -210,21 +212,20 @@ def _cmd_scenario_check(args) -> int:
     stats = resolve_scenario(args.scenario)
     print(f"scenario {args.scenario}: chi={stats.chi}, "
           f"distance_decimals={stats.distance_decimals}")
-    rc = 0
-    if stats.positions is not None:
-        dists = stats.distances()
-        for link in LINK_KEYS:
-            lam = getattr(stats, f"lambda_{link}")
-            d = dists[link]
-            geo = pathloss_rate(d, stats.chi)
-            note = ""
-            if abs(geo - lam) > 1e-4 + 1e-3 * lam:
-                note = f"  MISMATCH vs geometry {geo:.6g}"
-                rc = 1
-            print(f"  lambda_{link} = {lam:.6g}  (distance {d:g}){note}")
-    else:
+    if stats.positions is None:
         for link in LINK_KEYS:
             print(f"  lambda_{link} = {getattr(stats, f'lambda_{link}'):.6g}")
+        return 0
+    dists = stats.distances()
+    # the rates of the geometry alone, without the file's overrides
+    geometry = ChannelStats.from_positions(stats.positions, stats.chi, stats.distance_decimals)
+    rc = 0
+    for link in LINK_KEYS:
+        lam, geo = getattr(stats, f"lambda_{link}"), getattr(geometry, f"lambda_{link}")
+        note = ""
+        if abs(geo - lam) > 1e-4 + 1e-3 * lam:
+            note, rc = f"  MISMATCH vs geometry {geo:.6g}", 1
+        print(f"  lambda_{link} = {lam:.6g}  (distance {dists[link]:g}){note}")
     return rc
 
 
@@ -251,9 +252,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p_cmp = subs.add_parser("compare", help="report analytic-vs-MC agreement for a sweep CSV")
     p_cmp.add_argument("--input", required=True)
-    p_cmp.add_argument("--gap-allowance", type=_finite_float, default=0.01,
+    p_cmp.add_argument("--gap-allowance", type=_gate(0.0, math.inf, "a number >= 0"),
+                       default=0.01,
                        help="absolute model-gap allowance added to 3*ci (default 0.01)")
-    p_cmp.add_argument("--max-flagged", type=_finite_float, default=None, metavar="FRACTION",
+    p_cmp.add_argument("--max-flagged", type=_gate(0.0, 1.0, "a fraction in [0, 1]"),
+                       default=None, metavar="FRACTION",
                        help="exit nonzero above this flagged fraction (default: report only)")
     p_cmp.set_defaults(func=_cmd_compare)
 

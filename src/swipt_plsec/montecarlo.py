@@ -13,9 +13,10 @@ by integer count addition, which makes merging exact and associative.  The
 partitions run concurrently on one thread pool of at most as many threads as
 the process has usable CPUs (``usable_cpus``), or inline with no pool when
 that is one; each thread owns its partition's streams and workspace, so the
-counts equal those of a sequential run bit for bit.  The workspace is made
-once per partition: a gain row per drawn link, the SNR rows of
-``core.snr_workspace`` and a bool mask.  Every block draws into it and
+counts equal those of a sequential run bit for bit (``leaves_cpu_idle``
+says when a run leaves a usable CPU idle).  The workspace is made once per
+partition: a gain row per drawn link, the SNR rows and bool mask of
+``core.snr_workspace``, laid out here.  Every block draws into it and
 computes its SNRs and counts in it, so no block allocates an array.  Each
 count thresholds one SNR: an outage the destination's (``core.gamma_d_*``),
 an intercept the eavesdropper's, the larger of its two slots' SNRs, which
@@ -159,11 +160,29 @@ def _links(metrics: Collection[str], kind: str, jammed: bool) -> set[str]:
 def _workspace(links: Collection[str], size: int):
     """Scratch for blocks of up to ``size`` trials, allocated once and reused
     by every block: one gain row per link of ``links``, in their order, for
-    ``draw_channels``, then an SNR workspace (see ``core.snr_workspace``).
+    ``draw_channels``, then the rows and mask of ``core.snr_workspace``.
     The float rows are one allocation: as two, glibc trimmed and faulted
     them back in on every call (155 faults per ``figure_ip`` MC point, not 1)."""
     floats = np.empty((len(links) + SNR_ROWS, size))
     return dict(zip(links, floats)), (floats[len(links):], np.empty(size, dtype=bool))
+
+
+def _plan(c: SimConfig) -> tuple[list[tuple[int, int]], int]:
+    """The (worker, trials) partitions that draw trials, and the threads they
+    run on: one per partition, at most one per usable CPU."""
+    parts = [(worker, n) for worker, n in enumerate(c.partition()) if n > 0]
+    return parts, min(len(parts), usable_cpus())
+
+
+def leaves_cpu_idle(c: SimConfig) -> bool:
+    """Whether a run of ``c`` leaves a usable CPU idle while each partition
+    draws full blocks of ``ROW_BLOCK`` trials.  Work on that CPU shares the
+    GIL with the run, which numpy releases only in calls on more than 500
+    elements: on 2 cores a two-point ``figure_ip``-like sweep (one worker)
+    with its analytic cells overlapped took 0.96-1.18 times its inline time
+    at 2^12-2^14 trials, 0.75-0.90 at 2^15, 0.61-0.65 at 2^16 and 0.77-0.81
+    at 2^17."""
+    return _plan(c)[1] < usable_cpus() and min(c.partition()) >= ROW_BLOCK
 
 
 def _count_block(p: SystemParams, s: ChannelStats, c: SimConfig,
@@ -230,8 +249,7 @@ def simulate_point(
     # numpy's bit generators and ufuncs release the GIL, so the partitions
     # really run side by side; each keeps its own streams.  pool.map returns
     # them in order, and the first to raise in that order propagates
-    parts = [(worker, n) for worker, n in enumerate(c.partition()) if n > 0]
-    threads = min(len(parts), usable_cpus())
+    parts, threads = _plan(c)
     if threads <= 1:
         counts = [partition_counts(part) for part in parts]
     else:

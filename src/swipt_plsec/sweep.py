@@ -2,31 +2,23 @@
 
 A sweep varies one of ``psi_db``, ``rho``, ``M``, ``K``, ``phi_db`` and
 produces one row per (point, scheme).  The analytic routes run at their
-default accuracy, and all come from :mod:`swipt_plsec.analytic`, whose one
-Gauss-Kronrod (G10/K21) kernel averages a closed form over the best source
-gain.  Outage comes from ``op_spsr``/``op_dpsr``, intercept from
-``ip_*_quadrature``, or from ``ip_*_no_jamming`` at phi = 0, where the
-jammers are silent in the Monte-Carlo run too.
-No cell comes from :mod:`swipt_plsec.reference`: the paper's outage closed
-form and series, and the Bessel form of the slot-2 factor, cancel or stop
-converging inside the sweep envelope, and its intercept series is
-asymptotic.  The swept variable
-is applied once per point, by the field and conversion ``_VARIABLE_FIELDS``
-gives it, and each scheme changes only ``rho`` (its own, or the point's), so
-the schemes of a point differ in nothing else.  Each point draws
-its Monte-Carlo seed from (master seed, point index), so points can be
-computed in any order, or concurrently, without changing results.  The rows
-of one point share its per-link streams (common random numbers), and one
-Monte-Carlo run per point draws them once and counts every scheme on the
-draw; each row's estimates are bitwise those of a run of its scheme alone.
-The run counts only the metrics ``outputs`` asks for and draws only the
-links they read, so its estimates are bitwise those of a joint run.  A grid
-value that gives no usable parameters marks its point's rows, and the sweep
-goes on.  Where a point's Monte-Carlo run leaves a usable CPU idle and is
-large enough (``_overlaps``), its analytic cells run on one helper thread,
-in the caller's context, while the calling thread runs the Monte-Carlo;
-the two share no stream, seed or workspace, so every cell is bitwise that
-of the inline path.
+default accuracy, and all come from :mod:`swipt_plsec.analytic`: outage
+from ``op_spsr``/``op_dpsr``, intercept from ``ip_*_quadrature``, or from
+``ip_*_no_jamming`` at phi = 0, where the jammers are silent in the
+Monte-Carlo run too.  No cell comes from :mod:`swipt_plsec.reference`, whose
+closed forms and series cancel, stop converging or are asymptotic inside
+the sweep envelope.  The swept variable is applied once per point, by the
+field and conversion ``_VARIABLE_FIELDS`` gives it, and each scheme changes
+only ``rho`` (its own, or the point's), so the schemes of a point differ in
+nothing else.  Each point draws its Monte-Carlo seed from (master seed,
+point index), so points can be computed in any order without changing
+results, and makes one :func:`~swipt_plsec.montecarlo.simulate_point` run
+for all its schemes and the metrics ``outputs`` asks for; the engine's
+docstring says why each row is bitwise that of a run of its scheme and
+metric alone.  A grid value that gives no usable parameters marks its
+point's rows, and the sweep goes on.  Where the engine's
+``leaves_cpu_idle`` holds, :func:`run_sweep` overlaps each point's analytic
+cells with its Monte-Carlo run.
 """
 
 from __future__ import annotations
@@ -52,7 +44,7 @@ from .analytic import (
 )
 from .channel import ChannelStats, derive_seed
 from .core import SCHEMES, SystemParams
-from .montecarlo import METRICS, ROW_BLOCK, SimConfig, simulate_point, usable_cpus
+from .montecarlo import METRICS, SimConfig, leaves_cpu_idle, simulate_point
 from .specfun import NumericalError
 
 __all__ = [
@@ -241,21 +233,6 @@ def analytic_ip(p: SystemParams, s: ChannelStats, scheme_kind: str) -> float:
     return ip_spsr_quadrature(p, s) if p.phi > 0 else ip_spsr_no_jamming(p, s)
 
 
-def _overlaps(sim: SimConfig) -> bool:
-    """Whether each point's analytic cells run on a helper thread beside its
-    Monte-Carlo run: when the run leaves a usable CPU idle, and each of its
-    partitions draws at least one full block of ``ROW_BLOCK`` (2^15) trials.
-
-    The cells and the run share the GIL, which numpy releases only in calls
-    on more than 500 elements, so small runs lose time to the handoffs.  On
-    2 cores a two-point ``figure_ip`` sweep (one worker) took 0.96-1.18
-    times its inline time overlapped at 2^12-2^14 trials, and 0.75-0.90 at
-    2^15, 0.61-0.65 at 2^16 and 0.77-0.81 at 2^17.
-    """
-    cpus = usable_cpus()
-    return min(sim.workers, cpus) < cpus and sim.trials >= sim.workers * ROW_BLOCK
-
-
 def _analytic_cells(value: float, p: SystemParams, s: ChannelStats,
                     schemes: Sequence[tuple[str, str, float]],
                     metrics: Collection[str]) -> list[tuple[SweepRow, list[str]]]:
@@ -290,15 +267,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     the other's cell filled; the row error names the metric that failed.  A
     Monte-Carlo failure marks every row of its point, which share one run,
     and so does a grid value that gives no usable parameters.  Where
-    :func:`_overlaps` holds, a point's analytic cells run on one helper
-    thread, in the caller's context, while this thread runs its Monte-Carlo;
-    the helper is joined before the rows are filled.
+    ``montecarlo.leaves_cpu_idle`` holds for ``spec.sim``, a point's analytic
+    cells run on one helper thread, in the caller's context, while this
+    thread runs its Monte-Carlo; the helper is joined before the rows are
+    filled.  The threads share no stream, seed or workspace, so every cell
+    is bitwise that of the inline path.
     """
     rows: list[SweepRow] = []
     s = spec.stats
     metrics = OUTPUTS[spec.outputs]
     field, convert = _VARIABLE_FIELDS[spec.variable]
-    with ThreadPoolExecutor(1) if _overlaps(spec.sim) else nullcontext() as helper:
+    with ThreadPoolExecutor(1) if leaves_cpu_idle(spec.sim) else nullcontext() as helper:
         for index, value in enumerate(sweep_values(spec.start, spec.stop, spec.step)):
             try:
                 p = replace(spec.params, **{field: convert(value)})
@@ -355,17 +334,16 @@ def compare_report(result: SweepResult, gap_allowance: float = 0.01) -> CompareR
     """Flag rows where |analytic - mc| exceeds 3*ci + ``gap_allowance``.
 
     The allowance absorbs the first-slot modeling gap between the analytic
-    intercept expressions and an exact-mode simulation; it must be finite.
+    intercept expressions and an exact-mode simulation; it must be finite
+    and non-negative, since a negative one flags pairs that agree exactly.
     """
-    if not math.isfinite(gap_allowance):
-        raise ValueError(f"gap_allowance must be finite, got {gap_allowance!r}")
+    if not 0 <= gap_allowance < math.inf:
+        raise ValueError(f"gap_allowance must be finite and non-negative, got {gap_allowance!r}")
     gaps: dict[str, list[float]] = {}  # per scheme, in row order
     flagged = []
     for row in result.rows:
         for metric in METRICS:
-            a = getattr(row, f"{metric}_analytic")
-            m = getattr(row, f"{metric}_mc")
-            ci = getattr(row, f"{metric}_ci")
+            a, m, ci = (getattr(row, f"{metric}_{col}") for col in ("analytic", "mc", "ci"))
             if a is None or m is None or ci is None:
                 continue
             gap = abs(a - m)

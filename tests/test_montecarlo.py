@@ -451,6 +451,21 @@ class TestPartitionPool:
         simulate_point(p, s1, SimConfig(trials=12 * 100, seed=3, workers=12), [("spsr", p.rho)])
         assert len(seen["idents"]) <= cpus and seen["peak"] <= cpus
 
+    @pytest.mark.parametrize("block", [ROW_BLOCK, 1 << 12])
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_a_cpu_is_idle_beside_runs_of_full_blocks(self, monkeypatch, cpus, block):
+        # fewer partitions than usable CPUs, each of at least one full block
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(montecarlo, "ROW_BLOCK", block)
+        for workers in (1, 2, 3, 4, 5):
+            for trials in (1, 256, block - 1, block, workers * block - 1, workers * block,
+                           4 * block, 1 << 20):
+                c = SimConfig(trials=trials, workers=workers)
+                expected = workers < cpus and trials >= workers * block
+                assert montecarlo.leaves_cpu_idle(c) == expected, (workers, trials)
+        # more workers than trials: the one drawing partition does not make it full
+        assert not montecarlo.leaves_cpu_idle(SimConfig(trials=block + 1, workers=block + 2))
+
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_first_failing_partition_in_order_propagates(self, s1, monkeypatch, cpus):
         monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)

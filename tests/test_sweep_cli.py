@@ -307,7 +307,7 @@ class TestRunSweep:
 
 
 def _set_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(sweep, "usable_cpus", lambda: cpus)
+    # the engine owns the thread policy; the sweep asks it
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)
 
 
@@ -432,6 +432,23 @@ class TestAnalyticOverlap:
         assert all(r.runtime_ms >= 100.0 + 100.0 for r in rows)
         assert sum(r.runtime_ms for r in rows) > wall_ms + 200.0
 
+    def test_the_engines_block_size_sets_the_rule(self, s1, monkeypatch):
+        # a retuned block is one edit in the engine: the sweep reads no copy
+        monkeypatch.setattr(montecarlo, "ROW_BLOCK", 1 << 12)
+        _set_cpus(monkeypatch, 2)
+        built = _count_helpers(monkeypatch)
+        rows = run_sweep(self._spec(s1, 1 << 12, outputs="op")).rows
+        assert built == [(1,)]
+        assert len(rows) == 6 and all(r.error == "" for r in rows)
+
+    def test_the_engines_cpu_count_sets_the_rule(self, s1, monkeypatch):
+        # a figure_ip-like sweep on one usable CPU, patched in the engine alone
+        _set_cpus(monkeypatch, 1)
+        built = _count_helpers(monkeypatch)
+        rows = run_sweep(self._spec(s1, 4 * ROW_BLOCK, e1_mode="exact")).rows
+        assert built == []
+        assert len(rows) == 6 and all(r.error == "" for r in rows)
+
     @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
     def test_no_helper_thread_outlives_the_sweep(self, s1, monkeypatch, fail):
         analytic_ip = sweep.analytic_ip
@@ -506,9 +523,10 @@ class TestCompareReport:
         assert len(report.flagged) == report.n_compared
         assert report.flagged_fraction == 1.0
 
-    @pytest.mark.parametrize("allowance", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("allowance", [math.nan, math.inf, -math.inf, -5.0, -1e-300])
     def test_non_finite_gap_allowance_refused(self, allowance):
-        # a NaN bound flags nothing, so the gate would always pass
+        # a NaN bound flags nothing, so the gate would always pass; a
+        # negative one flags pairs that agree exactly
         with pytest.raises(ValueError, match="gap_allowance must be finite"):
             compare_report(self._result(), gap_allowance=allowance)
 
@@ -759,6 +777,24 @@ class TestCli:
             assert row.op_analytic == float(f"{op:.12g}")
             assert row.op_mc is not None and row.error == ""
 
+    def test_rho_sweep_validates_the_base_rho(self, tmp_path, capsys):
+        # --rho is read as every other fixed option is, whatever the sweep
+        out_csv = tmp_path / "rho.csv"
+        assert main(["sweep", "--scenario", "s1", "--sweep", "rho:0.2:0.4:0.2", "--rho", "7",
+                     "--trials", "1000", "--output", str(out_csv)]) == 1
+        assert capsys.readouterr().err == "error: rho must be in [0, 1], got 7.0\n"
+        assert not out_csv.exists()
+
+    def test_rho_sweep_csv_is_free_of_the_base_rho(self, tmp_path):
+        # the grid replaces the base rho at every point
+        csvs = []
+        for i, rho in enumerate((["--rho", "0.3"], [])):
+            out_csv = tmp_path / f"rho{i}.csv"
+            assert main(["sweep", "--scenario", "s1", "--sweep", "rho:0.2:0.4:0.2",
+                         "--trials", "1000", "--output", str(out_csv), *rho]) == 0
+            csvs.append(_csv_but_runtime(read_csv(out_csv), tmp_path / f"again{i}.csv"))
+        assert csvs[0] == csvs[1]
+
     def test_analytic_ip_refusal_marks_only_its_cell(self, tmp_path, capsys):
         # rho 0 harvests nothing: outage is certain, and the static intercept
         # route refuses, while the Monte-Carlo columns are still counted
@@ -839,9 +875,15 @@ class TestCli:
         (["compare", "--gap-allowance", "inf"], "expected a finite number"),
         # sweep only writes the columns; compare is the one agreement gate
         (["sweep", "--fail-on-flags", "nan"], "unrecognized arguments: --fail-on-flags"),
-    ], ids=["gap-allowance-nan", "max-flagged-nan", "gap-allowance-inf", "fail-on-flags-nan"])
+        (["compare", "--gap-allowance", "-5"], "expected a number >= 0, got '-5'"),
+        (["compare", "--max-flagged", "-0.5"], "expected a fraction in [0, 1], got '-0.5'"),
+        (["compare", "--max-flagged", "1.5"], "expected a fraction in [0, 1], got '1.5'"),
+    ], ids=["gap-allowance-nan", "max-flagged-nan", "gap-allowance-inf", "fail-on-flags-nan",
+            "gap-allowance-negative", "max-flagged-negative", "max-flagged-above-one"])
     def test_non_finite_gate_refused(self, tmp_path, capsys, args, message):
-        # a NaN gate never fails: every comparison with it is false
+        # a NaN gate never fails: every comparison with it is false; a
+        # negative allowance flags every pair, a negative fraction fails a
+        # CSV with no flags, and a fraction above 1 never fails
         path = tmp_path / "flagged.csv"
         rows = [SweepRow(value=1.0, scheme="dpsr", op_analytic=0.9, op_mc=0.1, op_ci=0.001)]
         write_csv(SweepResult("psi_db", rows), path)
