@@ -12,7 +12,10 @@ positive, so nothing cancels.
   omega(z) is the largest relay-to-destination gain still in outage:
   lambda_sr * B / z under a fixed ratio (A = gamma_th/((1-rho) psi),
   B = gamma_th/(eta rho psi)), and 1/(eta r**2), r = sqrt(1 + z/a) - 1, at
-  the optimal ratio (A = gamma_th/psi).
+  the optimal ratio (A = gamma_th/psi).  The outage routes also take a
+  column of points, which the kernel averages ``_PANEL_CELLS`` cells at a
+  time, and return one outcome per cell: its value, or the error its
+  one-cell call raises, unraised.  Each cell keeps the bits of that call.
 - Intercept is P1 + E[G(beta/z); z > 0].  P1 = (1 + c/lambda_je)**-K is the
   probability slot 1 alone is intercepted, c = gamma_th lambda_se phi/psi;
   beta = lambda_sr gamma_th lambda_re/(eta rho psi); and G, the chance
@@ -46,8 +49,10 @@ mode realizes.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
+from typing import Sequence
 
 import numpy as np
 
@@ -189,19 +194,52 @@ def _accept(sums):
     return value
 
 
-def _best_source_average(h, a, m: int):
+def _outcome(evaluate):
+    """``evaluate()``, or the :class:`NumericalError` it raises, unraised."""
+    try:
+        return evaluate()
+    except NumericalError as exc:
+        return exc
+
+
+def _accept_each(sums) -> list:
+    """One outcome per row of ``sums`` (cells, 2): the float ``_accept``
+    gives that row alone, or the :class:`QuadratureError` it raises."""
+    try:
+        return _accept(sums).tolist()
+    except QuadratureError:
+        return [_outcome(lambda: float(_accept(row))) for row in sums]
+
+
+def _best_source_average(h, a, m):
     """E[h(z); z > 0] for z = u - ``a``, u the largest of ``m`` Exp(1)
     variables, by G10/K21 on the 588 nodes of ``_Z_PANELS``: each node
     weighted by the density of u at a + z, times z.
 
     ``a`` is a float or an array of shape (..., 1), and ``h`` maps the node
-    array to values that broadcast against it; the result has the leading
-    shape of ``a``.  Raises :class:`QuadratureError` where a value is not
-    finite or its estimate exceeds ``_TOL``."""
+    array to values that broadcast against it.  With an int ``m`` the result
+    has the leading shape of ``a``, summed by one product with the weights,
+    and raises :class:`QuadratureError` where a value is not finite or its
+    estimate exceeds ``_TOL``.  A list ``m``, one int per row of an ``a`` of
+    shape (cells, 1), makes each row a cell of a column, with the bits of
+    its one-row call: its best-of-M factor is raised to a Python-int power,
+    once per distinct m (numpy squares for the int 2, where a broadcast
+    exponent array calls ``pow``), and its sum is its own product with the
+    weights (one matrix product sums in another order).  The result is then
+    one :func:`_accept_each` outcome per cell."""
     z, weights = _z_table()
     u = a + z
-    density = m * np.exp(-u) * (-np.expm1(-u)) ** (m - 1)
-    return _accept((h(z) * density).dot(weights))
+    if not isinstance(m, list):
+        density = m * np.exp(-u) * (-np.expm1(-u)) ** (m - 1)
+        return _accept((h(z) * density).dot(weights))
+    base = -np.expm1(-u)
+    lo = 0
+    for k, run in itertools.groupby(m):  # each run of equal neighbours
+        hi = lo + len(list(run))
+        base[lo:hi] **= k - 1
+        lo = hi
+    values = h(z) * (np.array(m)[:, None] * np.exp(-u) * base)
+    return _accept_each(np.array([row.dot(weights) for row in values]))
 
 
 def _probability(value: float, what: str) -> float:
@@ -220,45 +258,84 @@ def _probability(value: float, what: str) -> float:
 # ---------------------------------------------------------------------------
 # outage
 
+# Cells the outage kernel averages at a time: a (16, 588) float64 temporary
+# is 75 KB, under glibc's 128 KiB mmap threshold.  16 cells ran fastest per
+# column; 21 (the size of the dpsr gain panel) ran 13% slower.
+_PANEL_CELLS = 16
 
-def _outage(p: SystemParams, a: float, h) -> float:
-    """F_M(``a``) + E[h(z); z > 0]: the source-side threshold missed, or met
-    with a relay-to-destination gain too small for it."""
-    m = p.num_sources
+
+def _outage(ps: SystemParams | Sequence[SystemParams], s: ChannelStats, setup, h):
+    """One outage outcome per cell of the column ``ps``: F_M(a) + E[h(z, a,
+    c); z > 0], the source-side threshold missed, or met with a
+    relay-to-destination gain too small for it.  ``setup(p, s)`` gives a
+    cell's probability outright, or its threshold ``a`` and the coefficient
+    ``c`` of ``h``; the kernel averages ``_PANEL_CELLS`` of those at a time.
+    An outcome is a float or the :class:`NumericalError` refusing it.  One
+    point is the one-element column, whose value is returned or whose error
+    is raised."""
+    if isinstance(ps, SystemParams):
+        (outcome,) = _outage([ps], s, setup, h)
+        if isinstance(outcome, NumericalError):
+            raise outcome
+        return outcome
+    outcomes = [setup(p, s) for p in ps]
+    # cells of one m side by side, so each panel raises to each m once
+    todo = sorted((i for i, cell in enumerate(outcomes) if isinstance(cell, tuple)),
+                  key=lambda i: ps[i].num_sources)
     with np.errstate(divide="ignore", over="ignore"):  # tiny psi: a = inf, CDF 1
-        value = (-math.expm1(-a)) ** m + float(_best_source_average(h, a, m))
-    return _probability(value, "outage")
+        for lo in range(0, len(todo), _PANEL_CELLS):
+            panel = todo[lo:lo + _PANEL_CELLS]
+            a, c = np.array([outcomes[i] for i in panel]).T[:, :, None]
+            m = [ps[i].num_sources for i in panel]
+            averages = _best_source_average(lambda z: h(z, a, c), a, m)
+            for i, k, average in zip(panel, m, averages):
+                if not isinstance(average, NumericalError):
+                    cdf = (-math.expm1(-outcomes[i][0])) ** k
+                    average = _outcome(lambda: _probability(cdf + average, "outage"))
+                outcomes[i] = average
+    return outcomes
 
 
-def op_spsr(p: SystemParams, s: ChannelStats) -> float:
-    """Outage probability under a fixed splitting ratio (the sweep's route):
-    the gain ``lambda_rd * lambda_sr * B / z`` below which outage holds, in
-    :func:`_outage`.  Endpoint splitting ratios give zero destination SNR,
-    hence probability 1."""
+def _spsr_cell(p: SystemParams, s: ChannelStats):
+    """``op_spsr``'s cell: its probability at a zero threshold or an endpoint
+    ratio, else its source-side threshold a = lambda_sr * A and kappa."""
     if p.gamma_th == 0:
         return 0.0
     if p.rho in (0.0, 1.0):
         return 1.0
     scale = s.lambda_sr * p.gamma_th / p.psi
     kappa = s.lambda_rd * scale / p.eta / p.rho  # eta * rho could underflow to 0
-    a = scale / (1.0 - p.rho)
-    return _outage(p, a, lambda z: -np.expm1(-kappa / z))
+    return scale / (1.0 - p.rho), kappa
 
 
-def op_dpsr(p: SystemParams, s: ChannelStats) -> float:
+def op_spsr(p: SystemParams | Sequence[SystemParams], s: ChannelStats):
+    """Outage probability under a fixed splitting ratio (the sweep's route):
+    the gain ``lambda_rd * lambda_sr * B / z`` below which outage holds, in
+    :func:`_outage`.  Endpoint splitting ratios give zero destination SNR,
+    hence probability 1.  ``p`` is one point, or a column of them evaluated
+    in one pass, one outcome per cell (see :func:`_outage`)."""
+    return _outage(p, s, _spsr_cell, lambda z, a, kappa: -np.expm1(-kappa / z))
+
+
+def _dpsr_cell(p: SystemParams, s: ChannelStats):
+    """``op_dpsr``'s cell: its probability at a zero threshold, else a and eta."""
+    if p.gamma_th == 0:
+        return 0.0
+    return s.lambda_sr * p.gamma_th / p.psi, p.eta
+
+
+def op_dpsr(p: SystemParams | Sequence[SystemParams], s: ChannelStats):
     """Outage probability under per-realization optimal splitting (the
     sweep's route): outage holds below the relay-to-destination gain
     1/(eta r**2), r = sqrt(1 + z/a) - 1, computed as ``expm1`` of half a
-    ``log1p``, which keeps its digits where z/a is below an ulp of 1."""
-    if p.gamma_th == 0:
-        return 0.0
-    a = s.lambda_sr * p.gamma_th / p.psi
+    ``log1p``, which keeps its digits where z/a is below an ulp of 1.  ``p``
+    is one point or a column, as for :func:`op_spsr`."""
 
-    def h(z):
+    def h(z, a, eta):
         r = np.expm1(0.5 * np.log1p(z / a))
-        return -np.expm1(-s.lambda_rd / (p.eta * r * r))
+        return -np.expm1(-s.lambda_rd / (eta * r * r))
 
-    return _outage(p, a, h)
+    return _outage(p, s, _dpsr_cell, h)
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,15 @@ METRICS = ("op", "ip")
 # cores an mc_op pass took 161 ms on two threads and 183 ms inline at 2^14,
 # and 132 and 178 ms at 2^15.  The block sizes a partition's workspace, one
 # float row per drawn link and SNR_ROWS more (at most 10 x 256 KiB), made
-# once per partition; 2^16 ran no faster and raised mc_op's peak resident
-# set by about 5 MB, 12% over 2^14.  Block-sized arrays made fresh for every
-# block left glibc to trim the heap top at each block's end and fault it
-# back in at the next.
+# once per partition.  2^16 halves the handoffs again: an in-process mc_op
+# sweep took 109-115 ms against 118-147 ms (CPU 193-200 against 206-236 ms,
+# about 510 voluntary context switches against 1,600-2,000), and the
+# benchmark's wall_s fell 7% over 4 pairs.  But the peak resident set rose
+# 5-15% in process and 1-8% in the benchmark, and wall_probes, whose probe
+# also runs faster when the threads contend less for the GIL, cannot show
+# the gain apart from that bias, so the block stays at 2^15.  Block-sized
+# arrays made fresh for every block left glibc to trim the heap top at each
+# block's end and fault it back in at the next.
 ROW_BLOCK = 1 << 15
 
 _Z95 = 1.96

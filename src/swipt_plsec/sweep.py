@@ -15,10 +15,12 @@ point index), so points can be computed in any order without changing
 results, and makes one :func:`~swipt_plsec.montecarlo.simulate_point` run
 for all its schemes and the metrics ``outputs`` asks for; the engine's
 docstring says why each row is bitwise that of a run of its scheme and
-metric alone.  A grid value that gives no usable parameters marks its
-point's rows, and the sweep goes on.  Where the engine's
-``leaves_cpu_idle`` holds, :func:`run_sweep` overlaps each point's analytic
-cells with its Monte-Carlo run.
+metric alone.  Each scheme's outage cells over the sweep's usable points
+are one column, one route call that returns a value or a refusal per cell;
+intercept cells are one call each.  A grid value that gives no usable
+parameters marks its point's rows, and the sweep goes on.  Where the
+engine's ``leaves_cpu_idle`` holds, :func:`run_sweep` overlaps the analytic
+cells with the points' Monte-Carlo runs.
 """
 
 from __future__ import annotations
@@ -160,9 +162,11 @@ class SweepRow:
     """One (point, scheme) cell set.
 
     ``runtime_ms`` is the row's analytic time plus an equal share of its
-    point's Monte-Carlo time, which all the point's rows share.  Where the
-    analytic cells overlap the Monte-Carlo run, a point's row times can add
-    up to more than its wall time.
+    point's Monte-Carlo time, which all the point's rows share.  The
+    analytic time is the row's intercept cell time plus an equal share of
+    its outage column's time, which all the scheme's usable rows share.
+    Where the analytic cells overlap the Monte-Carlo runs, a point's row
+    times can add up to more than its wall time.
     """
 
     value: float
@@ -223,7 +227,8 @@ def sweep_values(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def analytic_op(p: SystemParams, s: ChannelStats, scheme_kind: str) -> float:
+def analytic_op(p: SystemParams | Sequence[SystemParams], s: ChannelStats, scheme_kind: str):
+    """The scheme's OP route on one point, or on a column with one outcome per cell."""
     return op_dpsr(p, s) if scheme_kind == "dpsr" else op_spsr(p, s)
 
 
@@ -233,87 +238,111 @@ def analytic_ip(p: SystemParams, s: ChannelStats, scheme_kind: str) -> float:
     return ip_spsr_quadrature(p, s) if p.phi > 0 else ip_spsr_no_jamming(p, s)
 
 
-def _analytic_cells(value: float, p: SystemParams, s: ChannelStats,
-                    schemes: Sequence[tuple[str, str, float]],
-                    metrics: Collection[str]) -> list[tuple[SweepRow, list[str]]]:
-    """One (row, its errors) pair per (label, kind, rho) scheme of the point
-    at ``p``: the row's analytic cells, and its analytic time in ``runtime_ms``."""
-    point = []
-    for label, kind, rho in schemes:
-        t0 = time.perf_counter()
-        # replace validates every field again, so skip it where nothing changes
-        rp = p if rho == p.rho else replace(p, rho=rho)
-        row = SweepRow(value=value, scheme=label)
-        errors = []
-        if "op" in metrics:
+def _analytic_cells(points: Sequence[tuple[float, list[SystemParams]]], s: ChannelStats,
+                    schemes: Sequence[SchemePoint],
+                    metrics: Collection[str]) -> list[list[tuple[SweepRow, list[str]]]]:
+    """One list of (row, its errors) pairs per (value, params per scheme)
+    point, one pair per scheme: the row's analytic cells, and its analytic
+    time in ``runtime_ms``.  Each scheme's OP cells are one
+    column, one route call over every point, and each row takes an equal
+    share of its time; a route that raises for the column marks every cell
+    in it.  IP cells are one call each."""
+    cells = [[(SweepRow(value=value, scheme=sp.label, runtime_ms=0.0), []) for sp in schemes]
+             for value, _ in points]
+    if "op" in metrics and points:
+        for j, sp in enumerate(schemes):
+            column = [runs[j] for _, runs in points]
+            t0 = time.perf_counter()
             try:
-                row.op_analytic = analytic_op(rp, s, kind)
+                outcomes = analytic_op(column, s, sp.kind)
             except (NumericalError, ValueError) as exc:
-                errors.append(f"analytic op: {exc}")
-        if "ip" in metrics:
-            try:
-                row.ip_analytic = analytic_ip(rp, s, kind)
-            except (NumericalError, ValueError) as exc:
-                errors.append(f"analytic ip: {exc}")
-        row.runtime_ms = (time.perf_counter() - t0) * 1e3
-        point.append((row, errors))
-    return point
+                outcomes = [exc] * len(column)
+            share_ms = (time.perf_counter() - t0) * 1e3 / len(column)
+            for (row, errors), outcome in zip((point[j] for point in cells), outcomes):
+                if isinstance(outcome, Exception):
+                    errors.append(f"analytic op: {outcome}")
+                else:
+                    row.op_analytic = outcome
+                row.runtime_ms += share_ms
+    if "ip" in metrics:
+        for (_, runs), point in zip(points, cells):
+            for (row, errors), rp, sp in zip(point, runs, schemes):
+                t0 = time.perf_counter()
+                try:
+                    row.ip_analytic = analytic_ip(rp, s, sp.kind)
+                except (NumericalError, ValueError) as exc:
+                    errors.append(f"analytic ip: {exc}")
+                row.runtime_ms += (time.perf_counter() - t0) * 1e3
+    return cells
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Execute the sweep; failures mark the row and the sweep continues.
 
     Each analytic metric is computed on its own, so a failure of one leaves
-    the other's cell filled; the row error names the metric that failed.  A
+    the other's cell filled; the row error names the metric that failed.
+    Each scheme's OP cells over the sweep's usable points are one column,
+    which the route evaluates in one pass and refuses cell by cell.  A
     Monte-Carlo failure marks every row of its point, which share one run,
     and so does a grid value that gives no usable parameters.  Where
-    ``montecarlo.leaves_cpu_idle`` holds for ``spec.sim``, a point's analytic
+    ``montecarlo.leaves_cpu_idle`` holds for ``spec.sim``, the analytic
     cells run on one helper thread, in the caller's context, while this
-    thread runs its Monte-Carlo; the helper is joined before the rows are
-    filled.  The threads share no stream, seed or workspace, so every cell
-    is bitwise that of the inline path.
+    thread runs the points' Monte-Carlo; the helper is joined before the
+    rows are filled.  The threads share no stream, seed or workspace, so
+    every cell is bitwise that of the inline path.
     """
-    rows: list[SweepRow] = []
     s = spec.stats
     metrics = OUTPUTS[spec.outputs]
     field, convert = _VARIABLE_FIELDS[spec.variable]
+    grid = sweep_values(spec.start, spec.stop, spec.step)
+    points, unusable = [], {}  # (index, params, params per scheme); index -> error
+    for index, value in enumerate(grid):
+        try:
+            p = replace(spec.params, **{field: convert(value)})
+        except ValueError as exc:  # an unusable point marks its rows only
+            unusable[index] = f"params: {exc}"
+            continue
+        # the schemes' params differ only in rho: a static curve's own, else the point's;
+        # replace validates every field again, so skip it where nothing changes
+        points.append((index, p, [p if sp.rho in (None, p.rho) else replace(p, rho=sp.rho)
+                                  for sp in spec.schemes]))
+    cells = ([(grid[index], runs) for index, _, runs in points], s, spec.schemes, metrics)
     with ThreadPoolExecutor(1) if leaves_cpu_idle(spec.sim) else nullcontext() as helper:
-        for index, value in enumerate(sweep_values(spec.start, spec.stop, spec.step)):
-            try:
-                p = replace(spec.params, **{field: convert(value)})
-            except ValueError as exc:  # an unusable point marks its rows only
-                rows.extend(SweepRow(value=value, scheme=sp.label, error=f"params: {exc}")
-                            for sp in spec.schemes)
-                continue
-            # the schemes' params differ only in rho: a static curve's own, else the point's
-            schemes = [(sp.label, sp.kind, p.rho if sp.rho is None else sp.rho)
-                       for sp in spec.schemes]
-            cells = (value, p, s, schemes, metrics)
-            if helper:  # the cells run there while this thread runs the MC
-                pending = helper.submit(contextvars.copy_context().run, _analytic_cells, *cells)
-            else:
-                point = _analytic_cells(*cells)
+        if helper:  # the cells run there while this thread runs the MC
+            pending = helper.submit(contextvars.copy_context().run, _analytic_cells, *cells)
+        else:
+            analytic = _analytic_cells(*cells)
+        mc = []
+        for index, p, runs in points:
             t0 = time.perf_counter()
-            mc_error = None
             try:
                 sim = replace(spec.sim, seed=derive_seed(spec.sim.seed, index))
-                estimates = simulate_point(p, s, sim, [(kind, rho) for _, kind, rho in schemes],
-                                           metrics)
+                estimates = simulate_point(p, s, sim, [(sp.kind, rp.rho) for sp, rp
+                                                       in zip(spec.schemes, runs)], metrics)
+                mc_error = None
             except ValueError as exc:
-                estimates, mc_error = [(None, None)] * len(schemes), f"mc: {exc}"
-            mc_share_ms = (time.perf_counter() - t0) * 1e3 / len(schemes)
-            if helper:
-                point = pending.result()
-            for (row, errors), (op_est, ip_est) in zip(point, estimates):
-                if op_est is not None:
-                    row.op_mc, row.op_ci = op_est.estimate, op_est.ci_halfwidth
-                if ip_est is not None:
-                    row.ip_mc, row.ip_ci = ip_est.estimate, ip_est.ci_halfwidth
-                if mc_error:
-                    errors.append(mc_error)
-                row.error = "; ".join(errors)
-                row.runtime_ms += mc_share_ms
-                rows.append(row)
+                estimates, mc_error = [(None, None)] * len(runs), f"mc: {exc}"
+            mc.append((estimates, mc_error, (time.perf_counter() - t0) * 1e3 / len(runs)))
+        if helper:
+            analytic = pending.result()
+    rows: list[SweepRow] = []
+    filled = iter(zip(analytic, mc))
+    for index, value in enumerate(grid):
+        if index in unusable:
+            rows.extend(SweepRow(value=value, scheme=sp.label, error=unusable[index])
+                        for sp in spec.schemes)
+            continue
+        point, (estimates, mc_error, mc_share_ms) = next(filled)
+        for (row, errors), (op_est, ip_est) in zip(point, estimates):
+            if op_est is not None:
+                row.op_mc, row.op_ci = op_est.estimate, op_est.ci_halfwidth
+            if ip_est is not None:
+                row.ip_mc, row.ip_ci = ip_est.estimate, ip_est.ci_halfwidth
+            if mc_error:
+                errors.append(mc_error)
+            row.error = "; ".join(errors)
+            row.runtime_ms += mc_share_ms
+            rows.append(row)
     return SweepResult(spec.variable, rows)
 
 

@@ -6,6 +6,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from swipt_plsec import (
     AnalyticConfig,
@@ -13,7 +14,10 @@ from swipt_plsec import (
     ChannelStats,
     NumericalError,
     QuadratureError,
+    SchemePoint,
     SeriesNotConverged,
+    SimConfig,
+    SweepSpec,
     SystemParams,
     ip_dpsr,
     ip_dpsr_no_jamming,
@@ -27,6 +31,7 @@ from swipt_plsec import (
     op_spsr,
     op_spsr_closed_form,
     op_spsr_quadrature,
+    run_sweep,
 )
 from swipt_plsec import analytic, core
 from swipt_plsec.analytic import _best_source_average
@@ -452,6 +457,99 @@ class TestUnitIntervalInvariant:
         assert route(make_params(psi_db=psi_db, rho=0.55), s1) == 1.0
 
 
+def _outcome_bits(evaluate):
+    """A route's outcome, comparable bit for bit: the value's ``float.hex``,
+    or the refusal's type, message, value and bound."""
+    try:
+        value = evaluate()
+    except NumericalError as exc:
+        value = exc
+    if isinstance(value, NumericalError):
+        return type(value), str(value), value.value.hex(), value.bound.hex()
+    assert type(value) is float
+    return value.hex()
+
+
+# one outage cell: (psi_db, M, rho, eta, c_th), over the declared envelope and
+# the zero threshold
+_OP_CELL = st.tuples(st.floats(-10.0, 40.0), st.integers(1, 64),
+                     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     st.floats(0.0, 1.0, exclude_min=True),
+                     st.one_of(st.just(0.0), st.floats(0.25, 1.0)))
+
+
+class TestOutageColumns:
+    """``op_spsr`` and ``op_dpsr`` take a column of points, evaluated in
+    panels of cells, and return one outcome per cell: the bits of its
+    one-cell call, or the error that call raises, unraised."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(stats=st.sampled_from(("s1", "s2", "dense_stats")),
+           cells=st.lists(_OP_CELL, min_size=0, max_size=39), m3=_OP_CELL,
+           m3_at=st.integers(0, 39))
+    # the smallest rho overflows the outage threshold kappa, and rho next to 1
+    # puts the source-side threshold near 1e17
+    @example(stats="s1", cells=[(-10.0, 1, 5e-324, 0.8, 0.5), (40.0, 64, 1 - 2 ** -53, 0.8, 0.5),
+                                (25.0, 2, 5e-324, 1.0, 0.25)],
+             m3=(-8.5, 3, 0.225, 1.0, 0.25), m3_at=1)
+    @example(stats="s2", cells=[(10.0, m, 0.225, 0.8, 0.5) for m in range(1, 40)],
+             m3=(-7.0, 3, 0.225, 1.0, 0.5), m3_at=0)
+    def test_each_cell_is_its_one_cell_call(self, s1, s2, dense_stats, stats, cells, m3, m3_at):
+        s = {"s1": s1, "s2": s2, "dense_stats": dense_stats}[stats]
+        # M varies within the column, which always holds an M = 3 cell: numpy
+        # squares for the int exponent 2, where a broadcast exponent array
+        # calls pow, and at s1, -8.5 dB, rho 0.225, eta 1 and c_th 0.25 the
+        # two differ in the last bit of the static route's outage
+        cells = list(cells)
+        cells.insert(m3_at % (len(cells) + 1), (m3[0], 3, *m3[2:]))
+        column = [make_params(psi_db=psi_db, num_sources=m, rho=rho, eta=eta, c_th=c_th)
+                  for psi_db, m, rho, eta, c_th in cells]
+        for route in (op_spsr, op_dpsr):
+            outcomes = route(column, s)
+            assert isinstance(outcomes, list) and len(outcomes) == len(column)
+            assert [_outcome_bits(lambda: o) for o in outcomes] == \
+                [_outcome_bits(lambda: route(p, s)) for p in column], route.__name__
+
+    # the cell the plant refuses: a NaN coefficient of h makes its average
+    # NaN, which the kernel refuses; a negative threshold puts the static
+    # route's CDF far above 1, which the range check refuses
+    @pytest.mark.parametrize("route, setup, plant, error", [
+        (op_spsr, "_spsr_cell", lambda a, c: (a, math.nan), QuadratureError),
+        (op_dpsr, "_dpsr_cell", lambda a, c: (a, math.nan), QuadratureError),
+        (op_spsr, "_spsr_cell", lambda a, c: (-1.0, c), NumericalError),
+    ], ids=["spsr-average", "dpsr-average", "spsr-probability"])
+    def test_one_refused_cell_leaves_its_neighbours(self, s1, monkeypatch, route, setup, plant,
+                                                    error):
+        column = [make_params(psi_db=10.0, rho=0.225, num_sources=m) for m in range(1, 21)]
+        before = [_outcome_bits(lambda: o) for o in route(column, s1)]
+        cell = getattr(analytic, setup)
+
+        def planted(p, s):
+            return plant(*cell(p, s)) if p.num_sources == 8 else cell(p, s)
+
+        monkeypatch.setattr(analytic, setup, planted)
+        after = [_outcome_bits(lambda: o) for o in route(column, s1)]
+        refused = after.pop(7)
+        assert after == before[:7] + before[8:]
+        assert refused[0] is error
+        assert refused == _outcome_bits(lambda: route(column[7], s1))
+        with pytest.raises(refused[0]) as info:
+            route(column[7], s1)
+
+        # a sweep over the column marks that row alone, with the one-cell text
+        kind = route.__name__[3:]
+        spec = SweepSpec(variable="M", start=1, stop=20, step=1, params=column[0], stats=s1,
+                         sim=SimConfig(trials=256, seed=1),
+                         schemes=(SchemePoint(kind, 0.225 if kind == "spsr" else None),),
+                         outputs="op")
+        rows = run_sweep(spec).rows
+        assert [r.error for r in rows] == \
+            [f"analytic op: {info.value}" if r.value == 8 else "" for r in rows]
+        assert [r.op_analytic is None for r in rows] == [r.value == 8 for r in rows]
+        assert [r.op_analytic.hex() for r in rows if r.value != 8] == before[:7] + before[8:]
+
+
 class TestInterceptPieces:
     def test_slot1_mass_vs_quadrature(self):
         # dilute rate 1.5 with base rate 1, two jammers: (1/1.5)**2
@@ -757,6 +855,17 @@ def _rebuilt_best_source_average(h, a, m):
     z = np.exp((mid + half * t).ravel())
     wz = np.stack([(half * wk).ravel(), (half * wg).ravel()], axis=1) * z[:, None]
     u = a + z
+    if isinstance(m, list):
+        # a column, one cell per row of ``a``: each row is its one-cell
+        # average, None where that refuses
+        hz = np.broadcast_to(h(z), u.shape)
+        column = []
+        for i, k in enumerate(m):
+            try:
+                column.append(float(_rebuilt_best_source_average(lambda _: hz[i], a[i, 0], k)))
+            except QuadratureError:
+                column.append(None)
+        return column
     sums = (h(z) * (m * np.exp(-u) * (-np.expm1(-u)) ** (m - 1))).dot(wz)
     kronrod, err = sums[..., 0], np.abs(sums[..., 0] - sums[..., 1])
     spec = AnalyticConfig().quad
@@ -777,7 +886,11 @@ class TestCachedKernelOracle:
 
         def checked(h, a, m):
             got = kernel(h, a, m)
-            assert np.array_equal(got, _rebuilt_best_source_average(h, a, m))
+            if isinstance(m, list):  # an OP column: one outcome per cell
+                assert [g if isinstance(g, float) else None for g in got] == \
+                    _rebuilt_best_source_average(h, a, m)
+            else:
+                assert np.array_equal(got, _rebuilt_best_source_average(h, a, m))
             shapes.append(np.shape(got))
             return got
 
@@ -792,7 +905,8 @@ class TestCachedKernelOracle:
             for m in range(1, 65):
                 for route, rho in ((op_spsr, 0.225), (op_spsr, 0.875), (op_dpsr, 0.5)):
                     route(make_params(psi_db=psi_db, rho=rho, num_sources=m), s)
-        assert shapes == [()] * (4 * 64 * 3)
+        # a one-point call is the one-element column
+        assert shapes == [(1,)] * (4 * 64 * 3)
 
     @pytest.mark.parametrize("stats", ["s1", "s2"])
     def test_intercept_routes_match_the_rebuilt_kernel(self, request, monkeypatch, stats):

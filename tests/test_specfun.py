@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from swipt_plsec import read_csv
 from swipt_plsec.specfun import (
     QuadratureError,
     QuadratureSpec,
@@ -82,6 +83,15 @@ class TestBesselK:
 
     def test_nan_passes_through(self):
         assert math.isnan(bessel_k(1.0, math.nan))
+
+    @pytest.mark.parametrize("v", [0.0, 0.5, 1.0, -1.75, 2.5, 11.0])
+    def test_scalar_path_gives_the_array_bits(self, v):
+        # a float goes straight to kv; an array goes through the array test
+        zs = [5e-324, 1e-300, 1e-8, 0.1, 0.75, 1.0, 2.5, 10.0, 300.0, 705.0, 1e300, math.inf,
+              math.nan]
+        got = [bessel_k(v, z) for z in zs]
+        assert all(type(k) is float for k in got)
+        assert [k.hex() for k in got] == [k.hex() for k in bessel_k(v, np.array(zs)).tolist()]
 
 
 class TestIntegrate:
@@ -175,6 +185,22 @@ class TestIntegrate:
         assert swept == "0 False"
         assert float(integrated) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("jamming", ["on", "off"])
+    def test_a_sweep_needs_no_scipy(self, tmp_path, jamming):
+        # every route of an OP and IP sweep of both schemes is numpy-only, so
+        # the sweep fills every cell where scipy cannot be imported
+        code = (
+            "import sys; sys.modules['scipy'] = None; from swipt_plsec.cli import main; "
+            "print(main(['sweep', '--scenario', 's1', '--sweep', 'M:1:3:1', "
+            f"'--outputs', 'both', '--scheme', 'spsr,dpsr', '--rho', '0.225', '--jamming', "
+            f"'{jamming}', '--trials', '400', '--output', sys.argv[1]]))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "s.csv")],
+                             capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.splitlines()[-1] == "0"
+        rows = read_csv(tmp_path / "s.csv").rows
+        assert len(rows) == 6
+        assert all(r.error == "" and None not in (r.op_analytic, r.ip_analytic) for r in rows)
 
     def test_scipy_special_is_imported_on_first_use(self, tmp_path):
         # an outage-only sweep calls no special function, so importing the

@@ -253,6 +253,32 @@ class TestRunSweep:
         assert all(r.runtime_ms >= 100.0 for r in rows)
         assert sum(r.runtime_ms for r in rows) < 600.0
 
+    def test_each_op_column_is_one_call_shared_by_its_rows(self, s1, monkeypatch):
+        # one route call per scheme over the usable points; its 0.2 s is
+        # split evenly over the column's four rows, the unusable point aside
+        analytic_op = sweep.analytic_op
+        columns = []
+
+        def slow_column(ps, s, kind):
+            columns.append((kind, [p.psi for p in ps]))
+            time.sleep(0.2)
+            return analytic_op(ps, s, kind)
+
+        monkeypatch.setattr(sweep, "analytic_op", slow_column)
+        spec = SweepSpec(variable="psi_db", start=0, stop=4000, step=1000,
+                         params=make_params(), stats=s1, sim=tiny_sim(trials=256),
+                         schemes=(SchemePoint("spsr", 0.225), SchemePoint("dpsr")),
+                         outputs="op")
+        rows = run_sweep(spec).rows
+        usable = [10.0 ** (v / 10.0) for v in (0.0, 1000.0, 2000.0, 3000.0)]
+        assert columns == [("spsr", usable), ("dpsr", usable)]
+        assert [r.error for r in rows[-2:]] == \
+            ["params: 4000 dB is beyond float range in linear units"] * 2
+        assert all(r.runtime_ms is None for r in rows[-2:])
+        for r in rows[:-2]:
+            assert r.error == "" and r.op_analytic is not None
+            assert 50.0 <= r.runtime_ms < 150.0
+
     def test_failing_op_keeps_the_ip_cell(self, s1, monkeypatch):
         def refuse(p, s):
             raise QuadratureError("planted failure", 0.5, 1.0)
@@ -404,7 +430,9 @@ class TestAnalyticOverlap:
             _set_cpus(monkeypatch, cpus)
             with np.errstate(all="raise"):
                 run_sweep(self._spec(s1, ROW_BLOCK, outputs="op"))
-        inline, overlapped = seen[:6], seen[6:]
+        # one OP column per scheme: three calls per sweep
+        inline, overlapped = seen[:3], seen[3:]
+        assert len(overlapped) == 3
         assert all(main for main, _ in inline) and not any(main for main, _ in overlapped)
         assert [err for _, err in overlapped] == [err for _, err in inline]
         assert inline[0][1] == {key: "raise" for key in ("divide", "over", "under", "invalid")}
